@@ -281,13 +281,10 @@ impl AnnaClient {
     /// fire-and-forget.
     fn read_repair(&self, key: &Key, capsule: &Capsule, lagging: &[Address]) {
         for &addr in lagging {
-            let _ = self.endpoint.send(
-                addr,
-                StorageRequest::Gossip {
-                    key: key.clone(),
-                    capsule: capsule.clone(),
-                },
-            );
+            let entries = vec![(key.clone(), capsule.clone())];
+            let _ = self
+                .endpoint
+                .send(addr, StorageRequest::GossipBatch { entries });
         }
     }
 

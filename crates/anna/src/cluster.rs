@@ -71,8 +71,7 @@ pub struct AnnaConfig {
     /// field (the network's own config governs).
     pub net: NetConfig,
     /// Actor-runtime configuration — worker-pool size and the
-    /// deterministic / dedicated mode knobs
-    /// ([`cloudburst_runtime::RuntimeConfig`]). Consulted by
+    /// deterministic mode knob ([`cloudburst_runtime::RuntimeConfig`]). Consulted by
     /// [`AnnaCluster::launch`] and [`AnnaCluster::launch_standalone`], which
     /// build a runtime the cluster then owns; [`AnnaCluster::launch_on`]
     /// joins an existing runtime and ignores this field.

@@ -285,7 +285,7 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudburst_net::{Network, NetworkConfig};
+    use cloudburst_net::{NetConfig, Network};
 
     fn addr(net: &Network) -> Address {
         // Register and leak the endpoint so the address stays routable.
@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn membership_roundtrip() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let dir = Directory::new(2);
         let (a1, a2) = (addr(&net), addr(&net));
         dir.add_node(1, a1);
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn replicas_respect_effective_replication() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let dir = Directory::new(1);
         for n in 0..4 {
             dir.add_node(n, addr(&net));
@@ -329,7 +329,7 @@ mod tests {
 
     #[test]
     fn override_never_lowers_below_default() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let dir = Directory::new(2);
         for n in 0..4 {
             dir.add_node(n, addr(&net));
@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn read_plan_on_flat_directory_is_placement_order() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let dir = Directory::new(2);
         for n in 0..4 {
             dir.add_node(n, addr(&net));
@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn read_plan_orders_viewer_region_first() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let dir = Directory::new(3);
         // Two nodes in each of three regions.
         for n in 0..6u64 {
@@ -391,7 +391,7 @@ mod tests {
 
     #[test]
     fn read_plan_with_no_local_replica_degrades_to_full_list() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let dir = Directory::new(1);
         dir.add_node_in(0, addr(&net), 0);
         dir.add_node_in(1, addr(&net), 1);
@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn region_override_biases_extra_copies() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let dir = Directory::new(3);
         for n in 0..9u64 {
             dir.add_node_in(n, addr(&net), (n / 3) as u16);
@@ -428,7 +428,7 @@ mod tests {
 
     #[test]
     fn primary_matches_first_replica() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let dir = Directory::new(2);
         for n in 0..4 {
             dir.add_node(n, addr(&net));

@@ -254,12 +254,6 @@ pub struct ElasticConfig {
     /// Replication factor promoted keys are raised to; `0` means "every
     /// current node" (clamped to the live node count either way).
     pub hot_replication: usize,
-    /// Maximum number of concurrent overrides (a runaway-promotion bound).
-    pub max_overrides: usize,
-    /// Whether `__sys/*` keys may be promoted. Off by default: metric and
-    /// inbox keys are written every tick by design and would always look
-    /// hot.
-    pub include_system_keys: bool,
     /// Storage-node autoscaling thresholds (the load signal is average
     /// per-node heat load); `None` disables storage scaling and runs the
     /// replication loop only.
@@ -274,12 +268,13 @@ impl Default for ElasticConfig {
             demote_heat: 100.0,
             cool_ticks: 3,
             hot_replication: 0,
-            max_overrides: 64,
-            include_system_keys: false,
             scaling: None,
         }
     }
 }
+
+/// Maximum number of concurrent overrides (a runaway-promotion bound).
+const MAX_OVERRIDES: usize = 64;
 
 /// Counters describing what the loop has done so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -511,11 +506,13 @@ impl Worker {
             if h < self.config.promote_heat {
                 continue;
             }
-            if !self.config.include_system_keys && is_system_key(key) {
+            // `__sys/*` keys are never promoted: metric and inbox keys are
+            // written every tick by design and would always look hot.
+            if is_system_key(key) {
                 continue;
             }
             let already = self.directory.is_overridden(key);
-            if !already && self.directory.override_count() >= self.config.max_overrides {
+            if !already && self.directory.override_count() >= MAX_OVERRIDES {
                 continue;
             }
             if self.directory.effective_replication(key) >= target {
@@ -539,11 +536,14 @@ impl Worker {
             } else {
                 None
             };
-            self.client.set_key_replication_in(key, target, hot_region);
-            self.cool.remove(key);
+            // Counters are published before the directory change they
+            // count, so an observer that sees the override (or its removal)
+            // also sees the stat.
             if !already {
                 self.counters.promotions.fetch_add(1, Ordering::Relaxed);
             }
+            self.client.set_key_replication_in(key, target, hot_region);
+            self.cool.remove(key);
         }
     }
 
@@ -568,11 +568,11 @@ impl Worker {
                 continue;
             }
             self.cool.remove(&key);
+            self.counters.demotions.fetch_add(1, Ordering::Relaxed);
             let strays = self.client.clear_key_replication(&key);
             if !strays.is_empty() {
                 self.pending_trims.push((key, strays));
             }
-            self.counters.demotions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -588,8 +588,8 @@ impl Worker {
             ScaleDecision::Hold => {}
             ScaleDecision::Up(n) => {
                 for _ in 0..n {
-                    scaler.add_storage_node();
                     self.counters.nodes_added.fetch_add(1, Ordering::Relaxed);
+                    scaler.add_storage_node();
                 }
             }
             ScaleDecision::Down => {

@@ -50,18 +50,11 @@ pub enum StorageRequest {
         /// Optional acknowledgement channel (one ack for the whole batch).
         reply: Option<ReplyHandle<MultiPutResponse>>,
     },
-    /// Replica synchronization: merged state pushed from the key's primary.
-    /// Unlike `Put`, gossip is not re-propagated (no loops).
-    Gossip {
-        /// Target key.
-        key: Key,
-        /// Merged capsule from the primary.
-        capsule: Capsule,
-    },
-    /// Batched replica synchronization: one periodic delta envelope per peer
-    /// carrying every key dirtied since the last gossip tick (merged on
-    /// receive, never re-propagated). This is Anna's actual protocol shape —
-    /// per-write `Gossip` messages are the degenerate window-zero case.
+    /// Replica synchronization: one periodic delta envelope per peer
+    /// carrying every key dirtied since the last gossip tick. Merged on
+    /// receive and, unlike `Put`, never re-propagated (no loops). Forced
+    /// propagation (`Replicate`) and client read repair send the same
+    /// message with a single entry.
     GossipBatch {
         /// Merged `(key, capsule)` deltas from the sending replica.
         entries: Vec<(Key, Capsule)>,

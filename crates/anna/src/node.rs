@@ -36,20 +36,12 @@ pub struct NodeConfig {
     pub memory_capacity_bytes: usize,
     /// Added access latency for keys served from the disk tier.
     pub disk_latency: LatencyModel,
-    /// Node NIC bandwidth in MB/s: responses and write payloads pay a
-    /// `size / bandwidth` transfer term on top of the per-message latency,
-    /// which is what makes large-object costs size-dependent (Figure 5).
-    pub bandwidth_mbps: f64,
     /// Gossip window in paper milliseconds: keys dirtied by writes are
     /// propagated to their replicas as one batched delta per peer per tick
     /// (Anna's periodic gossip), and pushed key updates to registered caches
-    /// coalesce on the same cadence. `0.0` disables batching and reverts to
-    /// one message per write per peer — the seed's behaviour, kept as the
-    /// baseline side of the `gossip_batched` microbenchmark.
+    /// coalesce on the same cadence. The scaled window is floored at 100 µs
+    /// of wall clock, so `0.0` means "as often as the floor allows".
     pub gossip_interval_ms: f64,
-    /// Flush a gossip delta early once the dirty set's payload bytes reach
-    /// this cap (bounds both delta size and replica staleness under bursts).
-    pub gossip_max_batch_bytes: usize,
     /// Synchronous per-request service time for data requests (get / put /
     /// multi-get / multi-put): the node thread is *occupied* for this long
     /// per request, so a node has finite serial service capacity and a hot
@@ -74,21 +66,28 @@ pub struct NodeConfig {
     /// Durable engine: compact all runs into one once this many accumulate.
     /// Ignored for non-durable nodes.
     pub compact_min_runs: usize,
-    /// Durable engine: cap on the in-memory exact key index (per-key merged
-    /// payload lengths). Past this many live keys the index degrades to
-    /// aggregate counters and membership/size questions are answered by the
-    /// engine itself — bounding the node's memory overhead at roughly
-    /// `disk_index_max_keys × (key length + 8)` bytes no matter how large
-    /// the spilled keyspace grows. Ignored for non-durable nodes.
-    pub disk_index_max_keys: usize,
     /// Half-life of the per-key heat / node-load decay, in paper
     /// milliseconds ([`crate::telemetry`]).
     pub heat_half_life_ms: f64,
-    /// Maximum keys tracked by the heat telemetry at once.
-    pub heat_max_tracked: usize,
-    /// Hottest keys reported per stats reply.
-    pub heat_top_k: usize,
 }
+
+/// Node NIC bandwidth in MB/s (≈10 Gb/s EC2 NIC): responses and write
+/// payloads pay a `size / bandwidth` transfer term on top of the per-message
+/// latency, which is what makes large-object costs size-dependent (Figure 5).
+const BANDWIDTH_MBPS: f64 = 1_100.0;
+
+/// Flush a gossip delta early once the dirty set's payload bytes reach this
+/// cap (bounds both delta size and replica staleness under bursts); also the
+/// chunk size of cache-push batches and rebalance handoffs.
+const GOSSIP_MAX_BATCH_BYTES: usize = 1 << 20;
+
+/// Durable engine: cap on the in-memory exact key index (per-key merged
+/// payload lengths). Past this many live keys the index degrades to
+/// aggregate counters and membership/size questions are answered by the
+/// engine itself — bounding the node's memory overhead at roughly
+/// `DISK_INDEX_MAX_KEYS × (key length + 8)` bytes (~1M keys ≈ tens of MB)
+/// no matter how large the spilled keyspace grows.
+const DISK_INDEX_MAX_KEYS: usize = 1 << 20;
 
 impl Default for NodeConfig {
     fn default() -> Self {
@@ -96,10 +95,7 @@ impl Default for NodeConfig {
             memory_capacity_bytes: 64 << 20,
             // A modest SSD-ish penalty, in paper milliseconds.
             disk_latency: LatencyModel::Constant { ms: 8.0 },
-            // ≈10 Gb/s EC2 NIC.
-            bandwidth_mbps: 1_100.0,
             gossip_interval_ms: 2.0,
-            gossip_max_batch_bytes: 1 << 20,
             service_latency: LatencyModel::Zero,
             // Matches the gossip cadence: one fsync per tick covers every
             // write accepted in the window.
@@ -107,11 +103,7 @@ impl Default for NodeConfig {
             memtable_flush_bytes: 4 << 20,
             bloom_bits_per_key: 10,
             compact_min_runs: 4,
-            // ~1M keys ≈ tens of MB of index — past that, ask the engine.
-            disk_index_max_keys: 1 << 20,
             heat_half_life_ms: 1_000.0,
-            heat_max_tracked: 4096,
-            heat_top_k: 16,
         }
     }
 }
@@ -167,11 +159,7 @@ impl StorageNode {
                         ..LsmOptions::default()
                     },
                 );
-                TieredStore::durable(
-                    config.memory_capacity_bytes,
-                    config.disk_index_max_keys.max(1),
-                    engine,
-                )
+                TieredStore::durable(config.memory_capacity_bytes, DISK_INDEX_MAX_KEYS, engine)
             }
             None => TieredStore::new(config.memory_capacity_bytes),
         };
@@ -193,25 +181,21 @@ impl StorageNode {
             directory,
             store,
             disk_latency: config.disk_latency,
-            bandwidth_mbps: config.bandwidth_mbps,
             service_latency: config.service_latency,
-            gossip_batching: config.gossip_interval_ms > 0.0,
             gossip_tick,
-            gossip_max_batch_bytes: config.gossip_max_batch_bytes.max(1),
             dirty: HashMap::new(),
             dirty_bytes: 0,
             push_dirty: HashSet::new(),
             pushes: Coalescer::new(CoalescerConfig {
                 window: gossip_tick,
-                max_batch_bytes: config.gossip_max_batch_bytes.max(1),
+                max_batch_bytes: GOSSIP_MAX_BATCH_BYTES,
                 max_batch_items: usize::MAX,
             }),
             index: HashMap::new(),
             cache_keysets: HashMap::new(),
             telemetry: NodeTelemetry::new(TelemetryConfig {
                 half_life,
-                max_tracked: config.heat_max_tracked.max(1),
-                top_k: config.heat_top_k,
+                ..TelemetryConfig::default()
             }),
             wal_batching,
             wal_tick,
@@ -244,14 +228,8 @@ struct Worker {
     directory: Arc<Directory>,
     store: TieredStore,
     disk_latency: LatencyModel,
-    bandwidth_mbps: f64,
-    /// Whether writes gossip as periodic batched deltas (`false` reverts to
-    /// one message per write per replica, the pre-batching behaviour).
-    gossip_batching: bool,
     /// Wall-clock gossip flush period (scaled from `gossip_interval_ms`).
     gossip_tick: Duration,
-    /// Early-flush cap on the dirty set's payload bytes.
-    gossip_max_batch_bytes: usize,
     /// Keys written since the last gossip flush, mapped to the last observed
     /// merged payload size (so growth of an already-dirty key still advances
     /// `dirty_bytes` toward the early-flush cap). The flush reads each key's
@@ -289,7 +267,7 @@ struct Worker {
     /// busy and drains no further requests (see [`Worker::serve_busy`]) —
     /// the pooled replacement for the thread model's synchronous sleep.
     busy_until: Option<Instant>,
-    /// Next gossip-flush deadline (meaningful while `gossip_batching`).
+    /// Next gossip-flush deadline.
     next_flush: Instant,
     /// Next WAL group-commit deadline (meaningful while `wal_batching`).
     next_sync: Instant,
@@ -307,7 +285,7 @@ impl Actor for Worker {
         // come back when it closes.
         if let Some(busy) = self.busy_until {
             if now < busy {
-                return Poll::Idle(self.next_deadline());
+                return Poll::Idle(Some(self.next_deadline()));
             }
             self.busy_until = None;
         }
@@ -336,7 +314,7 @@ impl Actor for Worker {
         ctx.note_mailbox_depth(drained);
         // lint: allow(L003): re-read after handling — requests may have taken real time
         let now = Instant::now();
-        if self.gossip_batching && now >= self.next_flush {
+        if now >= self.next_flush {
             self.flush_deltas();
             self.next_flush = now + self.gossip_tick;
         }
@@ -347,24 +325,20 @@ impl Actor for Worker {
         if budget == 0 && self.busy_until.is_none() {
             return Poll::Yield; // more queued; let other actors run first
         }
-        Poll::Idle(self.next_deadline())
+        Poll::Idle(Some(self.next_deadline()))
     }
 }
 
 impl Worker {
     /// The earliest of the armed cadences: service-occupancy expiry, gossip
-    /// flush, WAL group commit. `None` (pure event-driven, the old blocking
-    /// `recv()` shape) when batching is off and the node is not busy.
-    fn next_deadline(&self) -> Option<Instant> {
-        let mut deadline = self.busy_until;
-        let mut fold = |d: Instant| {
-            deadline = Some(deadline.map_or(d, |cur| cur.min(d)));
-        };
-        if self.gossip_batching {
-            fold(self.next_flush);
+    /// flush, WAL group commit.
+    fn next_deadline(&self) -> Instant {
+        let mut deadline = self.next_flush;
+        if let Some(busy) = self.busy_until {
+            deadline = deadline.min(busy);
         }
         if self.wal_batching {
-            fold(self.next_sync);
+            deadline = deadline.min(self.next_sync);
         }
         deadline
     }
@@ -433,7 +407,7 @@ impl Worker {
                     match self.store.merge(key.clone(), capsule) {
                         Ok((merged, tier)) => {
                             let payload = merged.payload_len();
-                            self.push_to_caches(&key, &merged);
+                            self.push_to_caches(&key);
                             self.mark_dirty(&key, payload);
                             if let Some(reply) = reply {
                                 let mut extra = self.transfer_time(payload);
@@ -495,7 +469,7 @@ impl Worker {
                     for (key, capsule) in entries {
                         if let Ok((merged, tier)) = self.store.merge(key.clone(), capsule) {
                             let payload = merged.payload_len();
-                            self.push_to_caches(&key, &merged);
+                            self.push_to_caches(&key);
                             self.mark_dirty(&key, payload);
                             extra += self.transfer_time(payload);
                             if tier == Tier::Disk {
@@ -542,24 +516,12 @@ impl Worker {
                         }
                     }
                 }
-                StorageRequest::Gossip { key, capsule } => {
-                    let merged = self.store.merge(key.clone(), capsule);
-                    // If we happen to be the (new) primary, keep caches fresh.
-                    if let Ok((merged, _)) = merged {
-                        if self.is_primary(&key) {
-                            self.push_to_caches(&key, &merged);
-                        }
-                    }
-                }
                 StorageRequest::GossipBatch { entries } => {
-                    // Merge-on-receive; like single-key gossip, never
-                    // re-propagated (no loops).
+                    // Merge-on-receive, never re-propagated (no loops). If
+                    // we happen to be the (new) primary, keep caches fresh.
                     for (key, capsule) in entries {
-                        let merged = self.store.merge(key.clone(), capsule);
-                        if let Ok((merged, _)) = merged {
-                            if self.is_primary(&key) {
-                                self.push_to_caches(&key, &merged);
-                            }
+                        if self.store.merge(key.clone(), capsule).is_ok() {
+                            self.push_to_caches(&key);
                         }
                     }
                 }
@@ -647,10 +609,10 @@ impl Worker {
 
     /// Transfer time for `size` payload bytes at the node's NIC bandwidth.
     fn transfer_time(&self, size: usize) -> Duration {
-        if size == 0 || self.bandwidth_mbps <= 0.0 {
+        if size == 0 {
             return Duration::ZERO;
         }
-        let paper_ms = size as f64 / (self.bandwidth_mbps * 1000.0);
+        let paper_ms = size as f64 / (BANDWIDTH_MBPS * 1000.0);
         self.endpoint.network().time_scale().ms(paper_ms)
     }
 
@@ -658,22 +620,14 @@ impl Worker {
         self.directory.primary(key).map(|(n, _)| n) == Some(self.id)
     }
 
-    /// Record a write for the next gossip flush. With batching disabled
-    /// (window zero) the key's current state is propagated immediately, one
-    /// message per replica — the seed's per-write behaviour.
+    /// Record a write for the next gossip flush.
     fn mark_dirty(&mut self, key: &Key, payload: usize) {
-        if !self.gossip_batching {
-            if let Some(capsule) = self.store.peek(key) {
-                self.gossip_now(key, capsule);
-            }
-            return;
-        }
         // Re-writes that grow an already-dirty key (set/causal merges) must
         // still advance the byte counter, or the early-flush cap would never
         // fire on a hot growing key.
         let previous = self.dirty.insert(key.clone(), payload).unwrap_or(0);
         self.dirty_bytes += payload.saturating_sub(previous);
-        if self.dirty_bytes >= self.gossip_max_batch_bytes {
+        if self.dirty_bytes >= GOSSIP_MAX_BATCH_BYTES {
             self.flush_deltas();
         }
     }
@@ -758,44 +712,25 @@ impl Worker {
         }
     }
 
-    /// Note that `key`'s registered caches need a push. With batching
-    /// disabled the merged update goes out immediately, one message per
-    /// cache — the seed's per-write behaviour; otherwise the push rides the
-    /// gossip cadence, deduplicated per key ([`Worker::flush_pushes`]).
-    fn push_to_caches(&mut self, key: &Key, merged: &Capsule) {
-        if !self.is_primary(key) {
-            return;
+    /// Note that `key`'s registered caches need a push; it rides the gossip
+    /// cadence, deduplicated per key ([`Worker::flush_pushes`]).
+    fn push_to_caches(&mut self, key: &Key) {
+        // Local index first: most keys have no cache registered, and the
+        // primary check costs a directory lookup.
+        if self.index.contains_key(key) && self.is_primary(key) {
+            self.push_dirty.insert(key.clone());
         }
-        let Some(caches) = self.index.get(key) else {
-            return;
-        };
-        if !self.gossip_batching {
-            for &cache in caches {
-                let _ = self.endpoint.send(
-                    cache,
-                    KeyUpdate {
-                        key: key.clone(),
-                        capsule: merged.clone(),
-                    },
-                );
-            }
-            return;
-        }
-        self.push_dirty.insert(key.clone());
     }
 
     /// Propagate merged state to the key's other replicas immediately,
-    /// bypassing the gossip window.
+    /// bypassing the gossip window (a one-entry delta).
     fn gossip_now(&self, key: &Key, merged: Capsule) {
         for (node, addr) in self.directory.replicas(key) {
             if node != self.id {
-                let _ = self.endpoint.send(
-                    addr,
-                    StorageRequest::Gossip {
-                        key: key.clone(),
-                        capsule: merged.clone(),
-                    },
-                );
+                let entries = vec![(key.clone(), merged.clone())];
+                let _ = self
+                    .endpoint
+                    .send(addr, StorageRequest::GossipBatch { entries });
             }
         }
     }
@@ -841,7 +776,7 @@ impl Worker {
             *bytes += capsule.payload_len();
             let entries = outbound.entry(to).or_default();
             entries.push((key, capsule));
-            if *bytes >= worker.gossip_max_batch_bytes {
+            if *bytes >= GOSSIP_MAX_BATCH_BYTES {
                 *bytes = 0;
                 let entries = std::mem::take(entries);
                 let ok = worker

@@ -8,12 +8,10 @@ use cloudburst_anna::msg::StorageRequest;
 use cloudburst_anna::node::NodeConfig;
 use cloudburst_anna::{AnnaClient, AnnaCluster, AnnaConfig, AnnaError, KeyUpdate};
 use cloudburst_lattice::{Capsule, Key};
-use cloudburst_net::{
-    reply_channel, Batch, Endpoint, LatencyModel, Network, NetworkConfig, TimeScale,
-};
+use cloudburst_net::{reply_channel, Batch, Endpoint, LatencyModel, NetConfig, Network, TimeScale};
 
 fn instant_net() -> Network {
-    Network::new(NetworkConfig::instant())
+    Network::new(NetConfig::instant())
 }
 
 fn launch(net: &Network, nodes: usize, replication: usize) -> AnnaCluster {
@@ -140,19 +138,12 @@ fn delete_removes_from_all_replicas() {
 }
 
 /// Receive the next pushed [`KeyUpdate`], unwrapping the [`Batch`] envelope
-/// that coalesced pushes travel in (bare updates still accepted: nodes send
-/// them un-batched when the gossip window is zero).
+/// that coalesced pushes travel in.
 fn recv_key_update(cache: &Endpoint, timeout: Duration) -> Option<KeyUpdate> {
-    let env = cache.recv_timeout(timeout).ok()?;
-    match env.downcast::<KeyUpdate>() {
-        Ok(update) => Some(update),
-        Err(env) => {
-            let batch = env.downcast::<Batch>().ok()?;
-            batch
-                .into_iter()
-                .find_map(|item| item.downcast::<KeyUpdate>().ok().map(|u| *u))
-        }
-    }
+    let batch = cache.recv_timeout(timeout).ok()?.downcast::<Batch>().ok()?;
+    batch
+        .into_iter()
+        .find_map(|item| item.downcast::<KeyUpdate>().ok().map(|u| *u))
 }
 
 #[test]
@@ -628,11 +619,11 @@ fn disk_tier_spill_is_reported_in_stats() {
 fn disk_tier_adds_latency() {
     // Memory tier holds only a few keys; disk reads carry a 5 paper-ms
     // penalty at 1:1 scale.
-    let net = Network::new(NetworkConfig {
+    let net = Network::new(NetConfig {
         time_scale: TimeScale::REAL_TIME,
         default_latency: LatencyModel::Zero,
         seed: 3,
-        ..NetworkConfig::default()
+        ..NetConfig::default()
     });
     let cluster = AnnaCluster::launch(
         &net,
@@ -751,60 +742,185 @@ fn multi_get_fails_over_when_a_node_dies_midflight() {
     net.heal(dead_addr);
 }
 
+/// A 2-node, replication-2 cluster whose periodic gossip is effectively
+/// off, holding one key only its primary has seen: the secondary converges
+/// only if something pushes the value to it explicitly.
+struct LaggingReplica {
+    net: Network,
+    _cluster: AnnaCluster,
+    client: AnnaClient,
+    key: Key,
+    primary: cloudburst_net::Address,
+    secondary: cloudburst_net::Address,
+}
+
+impl LaggingReplica {
+    fn launch() -> Self {
+        let net = instant_net();
+        let cluster = AnnaCluster::launch(
+            &net,
+            AnnaConfig {
+                nodes: 2,
+                replication: 2,
+                durability: cloudburst_anna::Durability::Off,
+                node: NodeConfig {
+                    gossip_interval_ms: 3_600_000.0,
+                    ..NodeConfig::default()
+                },
+                ..AnnaConfig::default()
+            },
+        );
+        let client = cluster.client();
+        let key = Key::new("repairable");
+        client.put_lww(&key, Bytes::from_static(b"v")).unwrap(); // primary-only ack
+        let replicas = cluster.directory().replicas(&key);
+        assert_eq!(replicas.len(), 2);
+        let fixture = Self {
+            net,
+            _cluster: cluster,
+            client,
+            key,
+            primary: replicas[0].1,
+            secondary: replicas[1].1,
+        };
+        assert!(
+            fixture.secondary_value().is_none(),
+            "secondary must start lagging for this test to mean anything"
+        );
+        fixture
+    }
+
+    /// Direct node read of the secondary (no client-side failover).
+    fn secondary_value(&self) -> Option<Capsule> {
+        let (reply, waiter) = reply_channel(&self.net);
+        self.net
+            .send(
+                self.client.addr(),
+                self.secondary,
+                StorageRequest::Get {
+                    key: self.key.clone(),
+                    reply,
+                },
+            )
+            .unwrap();
+        waiter
+            .wait_timeout(Duration::from_secs(1))
+            .ok()
+            .and_then(|r: cloudburst_anna::GetResponse| r.capsule)
+    }
+}
+
 #[test]
 fn failover_read_repairs_lagging_replica() {
     // A replica that answers `None` while a peer holds the value is lagging;
     // the read that discovers this pushes the capsule back to it.
+    let f = LaggingReplica::launch();
+    // A spread read starting at the lagging secondary falls through to the
+    // primary and repairs the secondary on the way out.
+    let got = f.client.get_spread(&f.key, 1).unwrap().unwrap();
+    assert_eq!(got.read_value().as_ref(), b"v");
+    assert!(
+        eventually(Duration::from_secs(2), || f.secondary_value().is_some()),
+        "read repair never reached the lagging replica"
+    );
+}
+
+#[test]
+fn replicate_materializes_the_value_on_a_lagging_replica() {
+    // Forced propagation bypasses the gossip window: the holder pushes its
+    // current state to every other replica at once.
+    let f = LaggingReplica::launch();
+    f.net
+        .send(
+            f.client.addr(),
+            f.primary,
+            StorageRequest::Replicate { key: f.key.clone() },
+        )
+        .unwrap();
+    assert!(
+        eventually(Duration::from_secs(2), || {
+            f.secondary_value()
+                .is_some_and(|c| c.read_value().as_ref() == b"v")
+        }),
+        "Replicate never reached the lagging replica"
+    );
+}
+
+#[test]
+fn zero_gossip_window_still_batches_and_does_not_busy_tick() {
+    // `gossip_interval_ms = 0.0` is the 100 µs floor, not per-write gossip.
+    // A spy endpoint joins the directory as the hot key's second replica, so
+    // the one real node gossips to it and every delta entry can be counted.
     let net = instant_net();
     let cluster = AnnaCluster::launch(
         &net,
         AnnaConfig {
-            nodes: 2,
-            replication: 2,
+            nodes: 1,
+            replication: 1,
             durability: cloudburst_anna::Durability::Off,
             node: NodeConfig {
-                // Effectively disable periodic gossip so the secondary only
-                // converges if read repair pushes the value.
-                gossip_interval_ms: 3_600_000.0,
+                gossip_interval_ms: 0.0,
                 ..NodeConfig::default()
             },
             ..AnnaConfig::default()
         },
     );
-    let client = cluster.client();
-    let key = Key::new("repairable");
-    client.put_lww(&key, Bytes::from_static(b"v")).unwrap(); // primary-only ack
-    let replicas = cluster.directory().replicas(&key);
-    assert_eq!(replicas.len(), 2);
-    let (_, secondary) = replicas[1];
-    // Confirm the secondary is lagging (direct node read, no failover).
-    let direct_read = |addr| {
-        let (reply, waiter) = reply_channel(&net);
-        net.send(
-            client.addr(),
-            addr,
-            StorageRequest::Get {
-                key: key.clone(),
-                reply,
-            },
-        )
+    let (node, node_addr) = cluster.directory().nodes()[0];
+    let spy = net.register();
+    cluster.directory().add_node(99, spy.addr());
+    let key = (0..)
+        .map(|i| Key::new(format!("hot-{i}")))
+        .find(|k| cluster.directory().primary(k).map(|(n, _)| n) == Some(node))
         .unwrap();
-        waiter
-            .wait_timeout(Duration::from_secs(1))
-            .ok()
-            .and_then(|r: cloudburst_anna::GetResponse| r.capsule)
-    };
-    assert!(
-        direct_read(secondary).is_none(),
-        "secondary must start lagging for this test to mean anything"
+    cluster.directory().set_replication_override(key.clone(), 2);
+
+    // N writes to one key handled inside one poll, i.e. inside one window.
+    const WRITES: usize = 32;
+    let client = cluster.client();
+    let entries: Vec<(Key, Capsule)> = (0..WRITES)
+        .map(|i| {
+            let capsule = Capsule::wrap_lww(client.next_timestamp(), Bytes::from(format!("w{i}")));
+            (key.clone(), capsule)
+        })
+        .collect();
+    let (reply, waiter) = reply_channel(&net);
+    net.send(
+        client.addr(),
+        node_addr,
+        StorageRequest::MultiPut {
+            entries,
+            reply: Some(reply),
+        },
+    )
+    .unwrap();
+    let ack: cloudburst_anna::MultiPutResponse =
+        waiter.wait_timeout(Duration::from_secs(2)).unwrap();
+    assert_eq!(ack.merged, WRITES);
+
+    let mut gossiped = Vec::new();
+    while let Ok(env) = spy.recv_timeout(Duration::from_millis(100)) {
+        if let Ok(StorageRequest::GossipBatch { entries }) = env.downcast::<StorageRequest>() {
+            gossiped.extend(entries);
+        }
+    }
+    assert_eq!(
+        gossiped.len(),
+        1,
+        "{WRITES} writes must collapse to one entry"
     );
-    // A spread read starting at the lagging secondary falls through to the
-    // primary and repairs the secondary on the way out.
-    let got = client.get_spread(&key, 1).unwrap().unwrap();
-    assert_eq!(got.read_value().as_ref(), b"v");
+    assert_eq!(gossiped[0].0, key);
+    let last = format!("w{}", WRITES - 1);
+    assert_eq!(gossiped[0].1.read_value().as_ref(), last.as_bytes());
+
+    // The idle node re-arms its flush a full floor-window ahead each time.
+    let fires_before = cluster.runtime_stats().timer_fires;
+    let idle = std::time::Instant::now();
+    std::thread::sleep(Duration::from_millis(50));
+    let windows = idle.elapsed().as_micros() as u64 / 100;
+    let fires = cluster.runtime_stats().timer_fires - fires_before;
     assert!(
-        eventually(Duration::from_secs(2), || direct_read(secondary).is_some()),
-        "read repair never reached the lagging replica"
+        fires <= windows + 64,
+        "{fires} timer fires in {windows} floor windows: the node busy-ticks"
     );
 }
 

@@ -9,10 +9,10 @@ use bytes::Bytes;
 use cloudburst_anna::node::NodeConfig;
 use cloudburst_anna::{AnnaCluster, AnnaConfig, Durability};
 use cloudburst_lattice::{Capsule, Key, VectorClock};
-use cloudburst_net::{Network, NetworkConfig};
+use cloudburst_net::{NetConfig, Network};
 
 fn instant_net() -> Network {
-    Network::new(NetworkConfig::instant())
+    Network::new(NetConfig::instant())
 }
 
 fn durable_config(nodes: usize, replication: usize, wal_sync_interval_ms: f64) -> AnnaConfig {

@@ -13,10 +13,10 @@ use cloudburst_anna::msg::{GetResponse, StorageRequest};
 use cloudburst_anna::node::NodeConfig;
 use cloudburst_anna::{AnnaCluster, AnnaConfig};
 use cloudburst_lattice::Key;
-use cloudburst_net::{reply_channel, Network, NetworkConfig};
+use cloudburst_net::{reply_channel, NetConfig, Network};
 
 fn instant_net() -> Network {
-    Network::new(NetworkConfig::instant())
+    Network::new(NetConfig::instant())
 }
 
 /// A cluster whose heat decays fast enough for demotion tests to run in
@@ -423,7 +423,11 @@ fn storage_scaler_grows_under_load_and_shrinks_when_idle() {
         "storage scaler never shrank back to the floor (count {})",
         cluster.node_count()
     );
-    assert!(elastic.stats().nodes_removed >= 1);
+    // The removal is only counted once the drain reports success, which is
+    // after the node left the directory: wait on the stat.
+    assert!(eventually(Duration::from_secs(5), || {
+        elastic.stats().nodes_removed >= 1
+    }));
     // The shrink drained gracefully: nothing went under-replicated.
     let (audit, _) = cluster.repair_until_replicated(8);
     assert!(audit.is_fully_replicated(), "{audit:?}");

@@ -213,14 +213,14 @@ impl PredictionPipeline {
 mod tests {
     use super::*;
     use cloudburst_baselines::NativePython;
-    use cloudburst_net::{LatencyModel, NetworkConfig, TimeScale};
+    use cloudburst_net::{LatencyModel, NetConfig, TimeScale};
 
     fn fast_net() -> Network {
-        Network::new(NetworkConfig {
+        Network::new(NetConfig {
             time_scale: TimeScale::new(0.001),
             default_latency: LatencyModel::Zero,
             seed: 9,
-            ..NetworkConfig::default()
+            ..NetConfig::default()
         })
     }
 
@@ -239,11 +239,11 @@ mod tests {
 
     #[test]
     fn lambda_actual_slower_than_mock() {
-        let net = Network::new(NetworkConfig {
+        let net = Network::new(NetConfig {
             time_scale: TimeScale::new(0.01),
             default_latency: LatencyModel::Zero,
             seed: 10,
-            ..NetworkConfig::default()
+            ..NetConfig::default()
         });
         let pipeline = PredictionPipeline::new("model/v1", 1 << 20);
         let mock = SimLambda::new(&net);

@@ -31,11 +31,12 @@ pub struct RetwisConfig {
     pub zipf: f64,
     /// Pre-populated tweets (paper: 5000).
     pub initial_tweets: usize,
-    /// Fraction of tweets that reply to an earlier tweet (paper: half).
-    pub reply_fraction: f64,
     /// RNG seed.
     pub seed: u64,
 }
+
+/// Fraction of seeded tweets that reply to an earlier tweet (paper: half).
+const REPLY_FRACTION: f64 = 0.5;
 
 impl Default for RetwisConfig {
     fn default() -> Self {
@@ -44,7 +45,6 @@ impl Default for RetwisConfig {
             follows_per_user: 50,
             zipf: 1.5,
             initial_tweets: 5000,
-            reply_fraction: 0.5,
             seed: 0x007E_7715,
         }
     }
@@ -230,7 +230,7 @@ impl Retwis {
         for n in 0..cfg.initial_tweets {
             let author = rng.random_range(0..cfg.users);
             let id = format!("seed-{n}");
-            let reply_to = if !ids.is_empty() && rng.random::<f64>() < cfg.reply_fraction {
+            let reply_to = if !ids.is_empty() && rng.random::<f64>() < REPLY_FRACTION {
                 ids[rng.random_range(0..ids.len())].clone()
             } else {
                 String::new()
@@ -340,7 +340,7 @@ impl RetwisRedis {
         for n in 0..config.initial_tweets {
             let author = rng.random_range(0..config.users);
             let id = format!("seed-{n}");
-            let reply_to = if !ids.is_empty() && rng.random::<f64>() < config.reply_fraction {
+            let reply_to = if !ids.is_empty() && rng.random::<f64>() < REPLY_FRACTION {
                 ids[rng.random_range(0..ids.len())].clone()
             } else {
                 String::new()

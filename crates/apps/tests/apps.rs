@@ -12,7 +12,7 @@ use cloudburst_apps::gossip::{
 use cloudburst_apps::prediction::PredictionPipeline;
 use cloudburst_apps::retwis::{Retwis, RetwisConfig, RetwisRedis};
 use cloudburst_baselines::SimStorage;
-use cloudburst_net::{Network, NetworkConfig};
+use cloudburst_net::{NetConfig, Network};
 
 #[test]
 fn gossip_converges_to_the_mean() {
@@ -56,11 +56,11 @@ fn gather_on_cloudburst_computes_exact_mean() {
 
 #[test]
 fn gather_on_lambda_storage_computes_exact_mean() {
-    let net = Network::new(NetworkConfig {
+    let net = Network::new(NetConfig {
         time_scale: cloudburst_net::TimeScale::new(0.001),
         default_latency: cloudburst_net::LatencyModel::Zero,
         seed: 4,
-        ..NetworkConfig::default()
+        ..NetConfig::default()
     });
     let lambda = cloudburst_baselines::SimLambda::new(&net);
     let redis = SimStorage::redis(&net);
@@ -135,11 +135,11 @@ fn retwis_causal_mode_prevents_anomalies_on_quiescent_data() {
 
 #[test]
 fn retwis_redis_baseline_works() {
-    let net = Network::new(NetworkConfig {
+    let net = Network::new(NetConfig {
         time_scale: cloudburst_net::TimeScale::new(0.001),
         default_latency: cloudburst_net::LatencyModel::Zero,
         seed: 6,
-        ..NetworkConfig::default()
+        ..NetConfig::default()
     });
     let redis = RetwisRedis::new(SimStorage::redis(&net));
     let config = RetwisConfig {

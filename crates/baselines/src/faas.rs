@@ -121,15 +121,15 @@ impl SimStepFunctions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudburst_net::{NetworkConfig, TimeScale};
+    use cloudburst_net::{NetConfig, TimeScale};
     use std::time::Instant;
 
     fn net(scale: f64) -> Network {
-        Network::new(NetworkConfig {
+        Network::new(NetConfig {
             time_scale: TimeScale::new(scale),
             default_latency: LatencyModel::Zero,
             seed: 1,
-            ..NetworkConfig::default()
+            ..NetConfig::default()
         })
     }
 

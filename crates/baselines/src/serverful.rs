@@ -133,15 +133,15 @@ impl NativePython {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudburst_net::{NetworkConfig, TimeScale};
+    use cloudburst_net::{NetConfig, TimeScale};
     use std::time::Instant;
 
     fn net() -> Network {
-        Network::new(NetworkConfig {
+        Network::new(NetConfig {
             time_scale: TimeScale::new(0.01),
             default_latency: LatencyModel::Zero,
             seed: 2,
-            ..NetworkConfig::default()
+            ..NetConfig::default()
         })
     }
 

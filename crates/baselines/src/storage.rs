@@ -133,16 +133,16 @@ impl std::fmt::Debug for SimStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudburst_net::{NetworkConfig, TimeScale};
+    use cloudburst_net::{NetConfig, TimeScale};
     use std::time::Instant;
 
     fn fast_net() -> Network {
         // Tiny scale so calibrated latencies shrink to microseconds.
-        Network::new(NetworkConfig {
+        Network::new(NetConfig {
             time_scale: TimeScale::new(0.001),
             default_latency: LatencyModel::Zero,
             seed: 11,
-            ..NetworkConfig::default()
+            ..NetConfig::default()
         })
     }
 
@@ -165,11 +165,11 @@ mod tests {
 
     #[test]
     fn s3_pays_bandwidth_for_large_objects() {
-        let net = Network::new(NetworkConfig {
+        let net = Network::new(NetConfig {
             time_scale: TimeScale::new(0.01),
             default_latency: LatencyModel::Zero,
             seed: 3,
-            ..NetworkConfig::default()
+            ..NetConfig::default()
         });
         let s3 = SimStorage::s3(&net);
         s3.put("small", Bytes::from(vec![0u8; 1024]));
@@ -190,11 +190,11 @@ mod tests {
     fn redis_serializes_concurrent_writes() {
         // With a 1:1 time scale and ~0.6 ms writes, 8 concurrent writers on
         // a single master take ≈ 8 × longer than one writer.
-        let net = Network::new(NetworkConfig {
+        let net = Network::new(NetConfig {
             time_scale: TimeScale::REAL_TIME,
             default_latency: LatencyModel::Zero,
             seed: 5,
-            ..NetworkConfig::default()
+            ..NetConfig::default()
         });
         let redis = SimStorage::redis(&net);
         let t = Instant::now();

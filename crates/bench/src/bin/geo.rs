@@ -7,6 +7,7 @@
 //! the gate fails even before the JSON comparison runs.
 
 use cloudburst_bench::geo::{self, GeoProfile, GeoResult};
+use cloudburst_bench::harness;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -27,10 +28,9 @@ fn main() {
     );
     let result = geo::run(&profile);
     geo::print(&result);
-    let out = std::env::var("CB_BENCH_OUT").unwrap_or_else(|_| "BENCH_geo.json".into());
-    let json = geo::to_json(&profile, &result);
-    std::fs::write(&out, json).expect("write benchmark JSON");
-    println!("wrote {out}");
+    let rows = geo::gate_rows(&result);
+    harness::print_rows(&rows);
+    harness::write_gate_json("BENCH_geo.json", &geo::gate_meta(&profile), &rows);
     if result.aware.local_fraction() < GeoResult::MIN_LOCAL_FRACTION
         || result.wan_p99_ratio() < GeoResult::MIN_WAN_P99_RATIO
     {

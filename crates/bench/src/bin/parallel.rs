@@ -4,6 +4,7 @@
 //! `CB_BENCH_OUT`). Pass `--quick` for the reduced-window profile used by
 //! the CI bench gate (`scripts/check_bench.sh`).
 
+use cloudburst_bench::harness;
 use cloudburst_bench::parallel::{self, ParallelProfile};
 
 fn main() {
@@ -23,9 +24,6 @@ fn main() {
         profile.measure.as_millis()
     );
     let rows = parallel::run(&profile);
-    parallel::print(&rows);
-    let out = std::env::var("CB_BENCH_OUT").unwrap_or_else(|_| "BENCH_parallel.json".into());
-    let json = parallel::to_json(&profile, &rows);
-    std::fs::write(&out, json).expect("write benchmark JSON");
-    println!("wrote {out}");
+    harness::print_rows(&rows);
+    harness::write_gate_json("BENCH_parallel.json", &parallel::gate_meta(&profile), &rows);
 }

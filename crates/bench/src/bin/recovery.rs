@@ -3,6 +3,7 @@
 //! result in `BENCH_recovery.json` (override with `CB_BENCH_OUT`). Pass
 //! `--quick` for the bounded CI profile used by the `recovery-gate` job.
 
+use cloudburst_bench::harness;
 use cloudburst_bench::recovery::{self, RecoveryProfile};
 
 fn main() {
@@ -21,9 +22,7 @@ fn main() {
         profile.reads,
         profile.miss_fraction * 100.0,
     );
-    let result = recovery::run(&profile);
-    recovery::print(&result);
-    let out = std::env::var("CB_BENCH_OUT").unwrap_or_else(|_| "BENCH_recovery.json".into());
-    std::fs::write(&out, recovery::to_json(&profile, &result)).expect("write recovery JSON");
-    println!("wrote {out}");
+    let rows = recovery::run(&profile);
+    harness::print_rows(&rows);
+    harness::write_gate_json("BENCH_recovery.json", &recovery::gate_meta(&profile), &rows);
 }

@@ -4,6 +4,7 @@
 //! `--quick` for the reduced-window profile used by the CI bench gate
 //! (`scripts/check_bench.sh`).
 
+use cloudburst_bench::harness;
 use cloudburst_bench::skew::{self, SkewProfile};
 
 fn main() {
@@ -25,8 +26,7 @@ fn main() {
     );
     let result = skew::run(&profile);
     skew::print(&result);
-    let out = std::env::var("CB_BENCH_OUT").unwrap_or_else(|_| "BENCH_skew.json".into());
-    let json = skew::to_json(&profile, &result);
-    std::fs::write(&out, json).expect("write benchmark JSON");
-    println!("wrote {out}");
+    let rows = skew::gate_rows(&profile, &result);
+    harness::print_rows(&rows);
+    harness::write_gate_json("BENCH_skew.json", &skew::gate_meta(&profile), &rows);
 }

@@ -40,7 +40,7 @@ use cloudburst::dag::DagSpec;
 use cloudburst::types::Arg;
 use cloudburst_anna::{AnnaCluster, AnnaConfig, Durability, ReplicationAudit};
 use cloudburst_lattice::{Capsule, Key};
-use cloudburst_net::{Network, NetworkConfig};
+use cloudburst_net::{NetConfig, Network};
 use cloudburst_runtime::{RuntimeConfig, RuntimeStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -158,9 +158,9 @@ const EVENTS: [Event; 7] = [
 /// `Copy`.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeSummary {
-    /// Runtime mode label: `pooled` / `deterministic` / `dedicated`.
+    /// Runtime mode label: `pooled` / `deterministic`.
     pub mode: &'static str,
-    /// Pool workers (0 in dedicated mode).
+    /// Pool workers.
     pub workers: usize,
     /// Actors ever spawned on the shared runtime.
     pub actors: u64,
@@ -197,7 +197,6 @@ impl From<RuntimeStats> for RuntimeSummary {
             mode: match stats.mode.as_str() {
                 "pooled" => "pooled",
                 "deterministic" => "deterministic",
-                "dedicated" => "dedicated",
                 _ => "unknown",
             },
             workers: stats.workers,
@@ -438,9 +437,9 @@ pub fn run(profile: &ChaosProfile) -> ChaosReport {
         // same op mix and victim schedule byte-for-byte. (Latency is zero
         // here so deliveries are inline either way, but the knob pins the
         // single RNG stripe and keeps replays safe if latency is ever added.)
-        net: NetworkConfig {
+        net: NetConfig {
             deterministic: true,
-            ..NetworkConfig::instant()
+            ..NetConfig::instant()
         },
         anna: AnnaConfig {
             nodes: profile.storage_nodes,
@@ -710,9 +709,9 @@ fn ploss_value(i: usize) -> Bytes {
 /// promoted to `InMemory`: the scenario is meaningless without a disk.
 pub fn run_power_loss(profile: &ChaosProfile) -> PowerLossReport {
     // Same reproducibility contract as `run`: single-threaded fabric.
-    let net = Network::new(NetworkConfig {
+    let net = Network::new(NetConfig {
         deterministic: true,
-        ..NetworkConfig::instant()
+        ..NetConfig::instant()
     });
     let durability = match profile.durability {
         Durability::Off => Durability::InMemory,

@@ -40,6 +40,8 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::harness::GateRow;
+
 /// Benchmark configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct GeoProfile {
@@ -160,14 +162,6 @@ impl GeoResult {
             return 0.0;
         }
         self.blind.p99_ms / self.aware.p99_ms
-    }
-
-    /// aware / blind throughput.
-    pub fn throughput_speedup(&self) -> f64 {
-        if self.blind.ops_per_sec <= 0.0 {
-            return 0.0;
-        }
-        self.aware.ops_per_sec / self.blind.ops_per_sec
     }
 
     /// Absolute floor on the aware side's local-read fraction (acceptance
@@ -329,7 +323,7 @@ pub fn run(profile: &GeoProfile) -> GeoResult {
     GeoResult { aware, blind }
 }
 
-/// Print the result as an aligned table.
+/// Print both sides as an aligned table.
 pub fn print(result: &GeoResult) {
     println!(
         "{:<18} {:>10} {:>11} {:>11} {:>11} {:>8}",
@@ -349,64 +343,59 @@ pub fn print(result: &GeoResult) {
             side.local_fraction() * 100.0
         );
     }
-    println!(
-        "local-read fraction: {:.2} (floor {:.2}); WAN p99 ratio: {:.2}x (floor {:.2}x); throughput: {:.2}x",
-        result.aware.local_fraction(),
-        GeoResult::MIN_LOCAL_FRACTION,
-        result.wan_p99_ratio(),
-        GeoResult::MIN_WAN_P99_RATIO,
-        result.throughput_speedup(),
-    );
 }
 
-/// Render the result as gate-compatible JSON (`scripts/check_bench.sh`
-/// reads `name`, `speedup`, `min_speedup`; the `*geo*` suite requires all
-/// three entries).
-pub fn to_json(profile: &GeoProfile, result: &GeoResult) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"meta\": {{\"regions\": {}, \"nodes_per_region\": {}, \"replication\": {}, ",
-            "\"users_per_region\": {}, \"clients_per_region\": {}, \"local_affinity\": {}, ",
-            "\"write_fraction\": {}, \"measure_ms\": {}}},\n",
-            "  \"benches\": [\n",
-            "    {{\"name\": \"geo_local_reads\", \"detail\": \"fraction of reads served ",
-            "in-region under region-aware placement (blind baseline {:.2})\", ",
-            "\"baseline_ops_per_sec\": {:.4}, \"optimized_ops_per_sec\": {:.4}, ",
-            "\"speedup\": {:.4}, \"min_speedup\": {:.2}}},\n",
-            "    {{\"name\": \"geo_wan_p99\", \"detail\": \"read p99 paper-ms, blind {:.2} -> ",
-            "aware {:.2}: WAN-crossing tail shortened by this ratio\", ",
-            "\"baseline_ops_per_sec\": {:.2}, \"optimized_ops_per_sec\": {:.2}, ",
-            "\"speedup\": {:.2}, \"min_speedup\": {:.2}}},\n",
-            "    {{\"name\": \"geo_throughput\", \"detail\": \"closed-loop Retwis ops/s, ",
-            "region-aware vs placement-blind on identical WAN topology\", ",
-            "\"baseline_ops_per_sec\": {:.0}, \"optimized_ops_per_sec\": {:.0}, ",
-            "\"speedup\": {:.2}}}\n",
-            "  ]\n}}\n"
+/// The `meta` object of the suite's gate JSON.
+pub fn gate_meta(profile: &GeoProfile) -> Vec<(&'static str, String)> {
+    vec![
+        ("regions", profile.regions.to_string()),
+        ("nodes_per_region", profile.nodes_per_region.to_string()),
+        ("replication", profile.replication.to_string()),
+        ("users_per_region", profile.users_per_region.to_string()),
+        ("clients_per_region", profile.clients_per_region.to_string()),
+        ("local_affinity", profile.local_affinity.to_string()),
+        ("write_fraction", profile.write_fraction.to_string()),
+        ("measure_ms", profile.measure.as_millis().to_string()),
+    ]
+}
+
+/// The suite's three gated rows (the `*geo*` registry requires all of
+/// them). `geo_local_reads` gates the aware side's absolute local-read
+/// fraction and `geo_wan_p99` the blind/aware tail ratio, so both set
+/// `speedup` explicitly.
+pub fn gate_rows(result: &GeoResult) -> Vec<GateRow> {
+    vec![
+        GateRow {
+            name: "geo_local_reads",
+            detail: format!(
+                "fraction of reads served in-region under region-aware placement (blind baseline {:.2})",
+                result.blind.local_fraction()
+            ),
+            baseline: result.blind.local_fraction(),
+            optimized: result.aware.local_fraction(),
+            speedup: result.aware.local_fraction(),
+            min_speedup: Some(GeoResult::MIN_LOCAL_FRACTION),
+        },
+        GateRow {
+            name: "geo_wan_p99",
+            detail: format!(
+                "read p99 paper-ms, blind {:.2} -> aware {:.2}: WAN-crossing tail shortened by this ratio",
+                result.blind.p99_ms, result.aware.p99_ms
+            ),
+            baseline: result.blind.p99_ms,
+            optimized: result.aware.p99_ms,
+            speedup: result.wan_p99_ratio(),
+            min_speedup: Some(GeoResult::MIN_WAN_P99_RATIO),
+        },
+        GateRow::throughput(
+            "geo_throughput",
+            "closed-loop Retwis ops/s, region-aware vs placement-blind on identical WAN topology"
+                .to_string(),
+            result.blind.ops_per_sec,
+            result.aware.ops_per_sec,
+            None,
         ),
-        profile.regions,
-        profile.nodes_per_region,
-        profile.replication,
-        profile.users_per_region,
-        profile.clients_per_region,
-        profile.local_affinity,
-        profile.write_fraction,
-        profile.measure.as_millis(),
-        result.blind.local_fraction(),
-        result.blind.local_fraction(),
-        result.aware.local_fraction(),
-        result.aware.local_fraction(),
-        GeoResult::MIN_LOCAL_FRACTION,
-        result.blind.p99_ms,
-        result.aware.p99_ms,
-        result.blind.p99_ms,
-        result.aware.p99_ms,
-        result.wan_p99_ratio(),
-        GeoResult::MIN_WAN_P99_RATIO,
-        result.blind.ops_per_sec,
-        result.aware.ops_per_sec,
-        result.throughput_speedup(),
-    )
+    ]
 }
 
 #[cfg(test)]
@@ -448,9 +437,7 @@ mod tests {
             result.blind.p99_ms,
             result.aware.p99_ms
         );
-        let json = to_json(&profile, &result);
-        assert!(json.contains("\"geo_local_reads\""));
-        assert!(json.contains("\"geo_wan_p99\""));
-        assert!(json.contains("\"geo_throughput\""));
+        let names: Vec<_> = gate_rows(&result).iter().map(|r| r.name).collect();
+        assert_eq!(names, ["geo_local_reads", "geo_wan_p99", "geo_throughput"]);
     }
 }

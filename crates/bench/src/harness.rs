@@ -6,7 +6,7 @@ use cloudburst::cluster::CloudburstConfig;
 use cloudburst::types::ConsistencyLevel;
 use cloudburst_anna::node::NodeConfig;
 use cloudburst_anna::AnnaConfig;
-use cloudburst_net::{LatencyModel, NetworkConfig, TimeScale};
+use cloudburst_net::{LatencyModel, NetConfig, TimeScale};
 
 /// Experiment sizing. `quick` keeps every figure under a few seconds (used
 /// by `cargo bench`); `standard` moves toward the paper's parameters.
@@ -115,23 +115,23 @@ impl Profile {
 
     /// The intra-AZ network used by all benchmark clusters (parallel
     /// delivery runtime; auto-sized dispatcher pool).
-    pub fn net_config(&self, seed: u64) -> NetworkConfig {
-        NetworkConfig {
+    pub fn net_config(&self, seed: u64) -> NetConfig {
+        NetConfig {
             time_scale: self.time_scale(),
             default_latency: LatencyModel::LogNormal {
                 median_ms: 0.2,
                 p99_ms: 1.0,
             },
             seed,
-            ..NetworkConfig::default()
+            ..NetConfig::default()
         }
     }
 
     /// Same topology as [`Profile::net_config`] forced into deterministic
     /// single-threaded delivery — the reproducible replay configuration
     /// used by the chaos harness and the parallel-scaling baseline.
-    pub fn deterministic_net_config(&self, seed: u64) -> NetworkConfig {
-        NetworkConfig {
+    pub fn deterministic_net_config(&self, seed: u64) -> NetConfig {
+        NetConfig {
             deterministic: true,
             ..self.net_config(seed)
         }
@@ -235,6 +235,121 @@ pub fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
+/// One row of a ratio gate: a baseline/optimized pair and the ratio
+/// `scripts/check_bench.sh` holds against the suite's committed JSON.
+#[derive(Debug, Clone)]
+pub struct GateRow {
+    /// Stable bench name (the gate script's registry keys on it).
+    pub name: &'static str,
+    /// Human-readable description of the measured path.
+    pub detail: String,
+    /// Baseline side — ops/sec unless `detail` names another unit.
+    pub baseline: f64,
+    /// Optimized side, same unit as `baseline`.
+    pub optimized: f64,
+    /// The gated ratio: `optimized / baseline` for throughput pairs
+    /// ([`GateRow::throughput`]); lower-is-better pairs and absolute
+    /// fractions set it explicitly.
+    pub speedup: f64,
+    /// Absolute floor the gate enforces regardless of tolerance, if any.
+    pub min_speedup: Option<f64>,
+}
+
+impl GateRow {
+    /// A higher-is-better pair gated on `optimized / baseline`.
+    pub fn throughput(
+        name: &'static str,
+        detail: String,
+        baseline: f64,
+        optimized: f64,
+        min_speedup: Option<f64>,
+    ) -> Self {
+        Self {
+            name,
+            detail,
+            baseline,
+            optimized,
+            speedup: if baseline > 0.0 {
+                optimized / baseline
+            } else {
+                0.0
+            },
+            min_speedup,
+        }
+    }
+}
+
+/// Geometric mean of the rows' ratios (the aggregate a suite gates on).
+pub fn geomean_speedup(rows: &[GateRow]) -> f64 {
+    (rows.iter().map(|r| r.speedup.ln()).sum::<f64>() / rows.len() as f64).exp()
+}
+
+/// Render a suite as the gate JSON `scripts/check_bench.sh` reads:
+/// `{"meta": {..}, "benches": [{name, detail, baseline_ops_per_sec,
+/// optimized_ops_per_sec, speedup[, min_speedup]}]}`. `meta` values are
+/// emitted verbatim (numbers), row details as strings.
+pub fn gate_json(meta: &[(&str, String)], rows: &[GateRow]) -> String {
+    // Whole numbers for throughputs, four decimals for fractions and ratios.
+    let num = |x: f64| {
+        if x.abs() >= 100.0 {
+            format!("{x:.0}")
+        } else {
+            format!("{x:.4}")
+        }
+    };
+    let meta: Vec<String> = meta.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let floor = r
+                .min_speedup
+                .map(|f| format!(", \"min_speedup\": {f:.2}"))
+                .unwrap_or_default();
+            format!(
+                "    {{\"name\": \"{}\", \"detail\": \"{}\", \"baseline_ops_per_sec\": {}, \
+                 \"optimized_ops_per_sec\": {}, \"speedup\": {:.4}{floor}}}",
+                r.name,
+                r.detail,
+                num(r.baseline),
+                num(r.optimized),
+                r.speedup,
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"meta\": {{{}}},\n  \"benches\": [\n{}\n  ]\n}}\n",
+        meta.join(", "),
+        rows.join(",\n")
+    )
+}
+
+/// Print a suite's gate rows as an aligned table, each followed by its
+/// detail line.
+pub fn print_rows(rows: &[GateRow]) {
+    println!(
+        "{:<26} {:>14} {:>14} {:>9} {:>7}",
+        "bench", "baseline", "optimized", "speedup", "floor"
+    );
+    for r in rows {
+        let floor = r
+            .min_speedup
+            .map_or_else(|| "-".to_string(), |f| format!("{f:.2}x"));
+        println!(
+            "{:<26} {:>14.2} {:>14.2} {:>8.2}x {:>7}",
+            r.name, r.baseline, r.optimized, r.speedup, floor
+        );
+        println!("  {}", r.detail);
+    }
+}
+
+/// Write a suite's gate JSON to `CB_BENCH_OUT`, or `default_path` when the
+/// variable is unset (the committed file at the repo root).
+pub fn write_gate_json(default_path: &str, meta: &[(&str, String)], rows: &[GateRow]) {
+    let out = std::env::var("CB_BENCH_OUT").unwrap_or_else(|_| default_path.into());
+    std::fs::write(&out, gate_json(meta, rows)).expect("write benchmark JSON");
+    println!("wrote {out}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,6 +373,26 @@ mod tests {
         let stats = LatencyStats::from_durations(&samples, scale);
         assert!((stats.median_ms - 10.0).abs() < 1e-6);
         assert_eq!(stats.samples, 10);
+    }
+
+    #[test]
+    fn gate_json_carries_floors_only_where_set() {
+        let rows = vec![
+            GateRow::throughput("a", "four times".into(), 100.0, 400.0, None),
+            GateRow::throughput("b", "flat".into(), 100.0, 100.0, Some(1.5)),
+        ];
+        assert!((geomean_speedup(&rows) - 2.0).abs() < 1e-9);
+        let json = gate_json(&[("nodes", 4.to_string())], &rows);
+        assert!(json.contains("\"meta\": {\"nodes\": 4}"));
+        assert!(json.contains("\"name\": \"a\""));
+        assert!(json.contains("\"speedup\": 4.0000}"));
+        assert!(json.contains("\"speedup\": 1.0000, \"min_speedup\": 1.50}"));
+        assert_eq!(json.matches("min_speedup").count(), 1);
+        // A dead baseline gates as 0x instead of emitting a non-JSON `inf`.
+        assert_eq!(
+            GateRow::throughput("c", String::new(), 0.0, 9.0, None).speedup,
+            0.0
+        );
     }
 
     #[test]

@@ -35,6 +35,8 @@ use cloudburst_anna::{AnnaCluster, AnnaConfig};
 use cloudburst_lattice::{Capsule, Key};
 use cloudburst_net::{LatencyModel, NetConfig, Network, TimeScale};
 
+use crate::harness::{geomean_speedup, GateRow};
+
 /// Benchmark configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelProfile {
@@ -112,36 +114,13 @@ impl ParallelProfile {
     }
 }
 
-/// One bench's before/after pair.
-#[derive(Debug, Clone)]
-pub struct ParallelRow {
-    /// Stable bench name (`scripts/check_bench.sh` keys on it).
-    pub name: &'static str,
-    /// Human-readable description of the measured path.
-    pub detail: String,
-    /// Deterministic mode, 1 client thread: aggregate ops/sec.
-    pub baseline_ops_per_sec: f64,
-    /// Parallel runtime, N client threads: aggregate ops/sec.
-    pub optimized_ops_per_sec: f64,
-    /// Absolute floor the CI gate enforces, if any.
-    pub min_speedup: Option<f64>,
-}
-
-impl ParallelRow {
-    /// optimized / baseline throughput.
-    pub fn speedup(&self) -> f64 {
-        self.optimized_ops_per_sec / self.baseline_ops_per_sec
-    }
-}
-
 /// The absolute aggregate floor the CI gate enforces (acceptance
 /// criterion: >= 1.5x with >= 4 delivery shards vs deterministic mode).
 pub const MIN_AGGREGATE_SPEEDUP: f64 = 1.5;
 
 /// Drive `op(thread_index, op_index)` from `threads` closed-loop client
 /// threads and return aggregate completed ops/sec over the measurement
-/// window. Same shape as the hotpath harness's `measure_threads`, but
-/// warmup/measure windows come from the profile.
+/// window.
 fn measure_clients(
     threads: usize,
     warmup: Duration,
@@ -216,28 +195,28 @@ fn run_storage_side(
 }
 
 /// `get` round trips: request + reply, two injected latencies per op.
-pub fn bench_fetch(profile: &ParallelProfile) -> ParallelRow {
+pub fn bench_fetch(profile: &ParallelProfile) -> GateRow {
     let op = |client: &cloudburst_anna::AnnaClient, p: &ParallelProfile, t: usize, i: u64| {
         let key = key_of(((t as u64 + i) % p.keys as u64) as usize);
         client.get(&key).expect("get").expect("preloaded");
     };
     let baseline = run_storage_side(profile, profile.baseline_net(), 1, op);
     let optimized = run_storage_side(profile, profile.parallel_net(), profile.client_threads, op);
-    ParallelRow {
-        name: "parallel_fetch",
-        detail: format!(
+    GateRow::throughput(
+        "parallel_fetch",
+        format!(
             "closed-loop get round trips ({} nodes, {:.2} ms one-way): deterministic/1 client vs {} shards/{} clients",
             profile.nodes, profile.rpc_ms, profile.delivery_threads, profile.client_threads
         ),
-        baseline_ops_per_sec: baseline,
-        optimized_ops_per_sec: optimized,
-        min_speedup: None,
-    }
+        baseline,
+        optimized,
+        None,
+    )
 }
 
 /// Quorum writes: `put_replicated` blocks for `replication` distinct acks,
 /// so each op pays several round trips and the win is pure overlap.
-pub fn bench_replicated_put(profile: &ParallelProfile) -> ParallelRow {
+pub fn bench_replicated_put(profile: &ParallelProfile) -> GateRow {
     let op = |client: &cloudburst_anna::AnnaClient, p: &ParallelProfile, t: usize, i: u64| {
         let key = key_of(((t as u64 + i) % p.keys as u64) as usize);
         let capsule = Capsule::wrap_lww(
@@ -250,16 +229,16 @@ pub fn bench_replicated_put(profile: &ParallelProfile) -> ParallelRow {
     };
     let baseline = run_storage_side(profile, profile.baseline_net(), 1, op);
     let optimized = run_storage_side(profile, profile.parallel_net(), profile.client_threads, op);
-    ParallelRow {
-        name: "parallel_replicated_put",
-        detail: format!(
+    GateRow::throughput(
+        "parallel_replicated_put",
+        format!(
             "blocking quorum puts (min_acks {}): deterministic/1 client vs {} shards/{} clients",
             profile.replication, profile.delivery_threads, profile.client_threads
         ),
-        baseline_ops_per_sec: baseline,
-        optimized_ops_per_sec: optimized,
-        min_speedup: None,
-    }
+        baseline,
+        optimized,
+        None,
+    )
 }
 
 fn run_dag_side(profile: &ParallelProfile, net_config: NetConfig, threads: usize) -> f64 {
@@ -312,98 +291,60 @@ fn dag_args(x: i64) -> HashMap<usize, Vec<Arg>> {
 
 /// End-to-end `call_dag` on a two-function chain: client -> scheduler ->
 /// executor -> executor -> client, every hop an injected latency.
-pub fn bench_dag(profile: &ParallelProfile) -> ParallelRow {
+pub fn bench_dag(profile: &ParallelProfile) -> GateRow {
     let baseline = run_dag_side(profile, profile.baseline_net(), 1);
     let optimized = run_dag_side(profile, profile.parallel_net(), profile.client_threads);
-    ParallelRow {
-        name: "parallel_dag",
-        detail: format!(
+    GateRow::throughput(
+        "parallel_dag",
+        format!(
             "call_dag on a 2-function chain: deterministic/1 client vs {} shards/{} clients",
             profile.delivery_threads, profile.client_threads
         ),
-        baseline_ops_per_sec: baseline,
-        optimized_ops_per_sec: optimized,
-        min_speedup: None,
-    }
+        baseline,
+        optimized,
+        None,
+    )
 }
 
 /// Run the whole suite and append the gated aggregate row (geometric mean
 /// of the per-bench speedups, floored at [`MIN_AGGREGATE_SPEEDUP`]).
-pub fn run(profile: &ParallelProfile) -> Vec<ParallelRow> {
+pub fn run(profile: &ParallelProfile) -> Vec<GateRow> {
     let mut rows = vec![
         bench_fetch(profile),
         bench_replicated_put(profile),
         bench_dag(profile),
     ];
-    let geomean = (rows.iter().map(|r| r.speedup().ln()).sum::<f64>() / rows.len() as f64).exp();
-    rows.push(ParallelRow {
-        name: "parallel_aggregate",
-        detail: format!(
+    rows.push(aggregate_row(profile, &rows));
+    rows
+}
+
+fn aggregate_row(profile: &ParallelProfile, rows: &[GateRow]) -> GateRow {
+    GateRow::throughput(
+        "parallel_aggregate",
+        format!(
             "geometric mean of {} RPC-bound scaling ratios ({} delivery shards, {} client threads vs deterministic mode)",
             rows.len(),
             profile.delivery_threads,
             profile.client_threads
         ),
-        baseline_ops_per_sec: 1.0,
-        optimized_ops_per_sec: geomean,
-        min_speedup: Some(MIN_AGGREGATE_SPEEDUP),
-    });
-    rows
+        1.0,
+        geomean_speedup(rows),
+        Some(MIN_AGGREGATE_SPEEDUP),
+    )
 }
 
-/// Print the suite as an aligned table.
-pub fn print(rows: &[ParallelRow]) {
-    println!(
-        "{:<26} {:>14} {:>14} {:>9}",
-        "bench", "det 1-thr op/s", "par N-thr op/s", "speedup"
-    );
-    for row in rows {
-        println!(
-            "{:<26} {:>14.0} {:>14.0} {:>8.2}x",
-            row.name,
-            row.baseline_ops_per_sec,
-            row.optimized_ops_per_sec,
-            row.speedup()
-        );
-    }
-}
-
-/// Render the suite as gate-compatible JSON (same schema as the hotpath
-/// suite: `scripts/check_bench.sh` reads `name`, `speedup`,
-/// `min_speedup`).
-pub fn to_json(profile: &ParallelProfile, rows: &[ParallelRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        concat!(
-            "{{\n  \"meta\": {{\"nodes\": {}, \"replication\": {}, \"keys\": {}, ",
-            "\"payload_bytes\": {}, \"client_threads\": {}, \"delivery_threads\": {}, ",
-            "\"rpc_ms\": {}, \"measure_ms\": {}}},\n  \"benches\": [\n"
-        ),
-        profile.nodes,
-        profile.replication,
-        profile.keys,
-        profile.payload,
-        profile.client_threads,
-        profile.delivery_threads,
-        profile.rpc_ms,
-        profile.measure.as_millis(),
-    ));
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"detail\": \"{}\", \"baseline_ops_per_sec\": {:.0}, \"optimized_ops_per_sec\": {:.0}, \"speedup\": {:.2}",
-            row.name,
-            row.detail,
-            row.baseline_ops_per_sec,
-            row.optimized_ops_per_sec,
-            row.speedup(),
-        ));
-        if let Some(floor) = row.min_speedup {
-            out.push_str(&format!(", \"min_speedup\": {floor:.2}"));
-        }
-        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `meta` object of the suite's gate JSON.
+pub fn gate_meta(profile: &ParallelProfile) -> Vec<(&'static str, String)> {
+    vec![
+        ("nodes", profile.nodes.to_string()),
+        ("replication", profile.replication.to_string()),
+        ("keys", profile.keys.to_string()),
+        ("payload_bytes", profile.payload.to_string()),
+        ("client_threads", profile.client_threads.to_string()),
+        ("delivery_threads", profile.delivery_threads.to_string()),
+        ("rpc_ms", profile.rpc_ms.to_string()),
+        ("measure_ms", profile.measure.as_millis().to_string()),
+    ]
 }
 
 #[cfg(test)]
@@ -424,38 +365,22 @@ mod tests {
             ..ParallelProfile::default()
         };
         let row = bench_fetch(&profile);
-        assert!(row.baseline_ops_per_sec > 0.0);
-        assert!(row.optimized_ops_per_sec > 0.0);
-        let rows = vec![row];
-        let json = to_json(&profile, &rows);
-        assert!(json.contains("\"parallel_fetch\""));
-        assert!(json.contains("\"delivery_threads\": 4"));
+        assert_eq!(row.name, "parallel_fetch");
+        assert!(row.baseline > 0.0);
+        assert!(row.optimized > 0.0);
+        assert!(gate_meta(&profile).contains(&("delivery_threads", "4".to_string())));
     }
 
     #[test]
     fn aggregate_row_carries_the_gate_floor() {
         let rows = vec![
-            ParallelRow {
-                name: "parallel_fetch",
-                detail: String::new(),
-                baseline_ops_per_sec: 100.0,
-                optimized_ops_per_sec: 400.0,
-                min_speedup: None,
-            },
-            ParallelRow {
-                name: "parallel_dag",
-                detail: String::new(),
-                baseline_ops_per_sec: 100.0,
-                optimized_ops_per_sec: 100.0,
-                min_speedup: None,
-            },
+            GateRow::throughput("parallel_fetch", String::new(), 100.0, 400.0, None),
+            GateRow::throughput("parallel_dag", String::new(), 100.0, 100.0, None),
         ];
-        // Geomean of [4.0, 1.0] = 2.0.
-        let geomean =
-            (rows.iter().map(|r| r.speedup().ln()).sum::<f64>() / rows.len() as f64).exp();
-        assert!((geomean - 2.0).abs() < 1e-9);
-        let profile = ParallelProfile::default();
-        let json = to_json(&profile, &rows);
-        assert!(!json.contains("min_speedup")); // only the aggregate row carries it
+        // Geomean of [4.0, 1.0] = 2.0; only the aggregate row is floored.
+        let aggregate = aggregate_row(&ParallelProfile::default(), &rows);
+        assert!((aggregate.speedup - 2.0).abs() < 1e-9);
+        assert_eq!(aggregate.min_speedup, Some(MIN_AGGREGATE_SPEEDUP));
+        assert!(rows.iter().all(|r| r.min_speedup.is_none()));
     }
 }

@@ -35,6 +35,8 @@ use cloudburst_lattice::{Capsule, Key, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::harness::GateRow;
+
 /// Benchmark configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryProfile {
@@ -87,35 +89,6 @@ impl RecoveryProfile {
     }
 }
 
-/// One measured bench: a baseline/optimized pair plus context.
-#[derive(Debug, Clone)]
-pub struct RecoveryBench {
-    /// Gate-registry name (`recovery_replay` / `cold_read_bloom`).
-    pub name: &'static str,
-    /// Human-readable context for the JSON detail field.
-    pub detail: String,
-    /// Baseline throughput, ops/sec.
-    pub baseline_ops: f64,
-    /// Optimized throughput, ops/sec.
-    pub optimized_ops: f64,
-    /// Absolute floor the CI gate enforces on the ratio.
-    pub min_speedup: f64,
-}
-
-impl RecoveryBench {
-    /// optimized / baseline.
-    pub fn speedup(&self) -> f64 {
-        self.optimized_ops / self.baseline_ops
-    }
-}
-
-/// The full suite result.
-#[derive(Debug, Clone)]
-pub struct RecoveryResult {
-    /// Both benches, in print order.
-    pub benches: Vec<RecoveryBench>,
-}
-
 fn key_of(i: usize) -> Key {
     Key::new(format!("recovery:{i}"))
 }
@@ -161,7 +134,7 @@ fn timed_open(env: &Arc<dyn DiskEnv>, opts: LsmOptions) -> (f64, LsmEngine) {
 
 /// Bench 1: WAL-replay recovery vs SSTable/manifest recovery, at full and
 /// half volume.
-fn bench_replay(profile: &RecoveryProfile) -> RecoveryBench {
+fn bench_replay(profile: &RecoveryProfile) -> GateRow {
     let opts = LsmOptions {
         compact_min_runs: usize::MAX,
         ..LsmOptions::default()
@@ -182,9 +155,9 @@ fn bench_replay(profile: &RecoveryProfile) -> RecoveryBench {
         assert!(engine.table_count() > 1, "dataset must span multiple runs");
         times[1][v] = secs;
     }
-    RecoveryBench {
-        name: "recovery_replay",
-        detail: format!(
+    GateRow::throughput(
+        "recovery_replay",
+        format!(
             "recover {} keys x {} B: full-WAL replay {:.1} ms ({:.1} ms at half volume) vs \
              SSTable manifest + footers {:.1} ms ({:.1} ms at half volume)",
             profile.keys,
@@ -194,10 +167,10 @@ fn bench_replay(profile: &RecoveryProfile) -> RecoveryBench {
             times[1][0] * 1e3,
             times[1][1] * 1e3,
         ),
-        baseline_ops: profile.keys as f64 / times[0][0],
-        optimized_ops: profile.keys as f64 / times[1][0],
-        min_speedup: 2.0,
-    }
+        profile.keys as f64 / times[0][0],
+        profile.keys as f64 / times[1][0],
+        Some(2.0),
+    )
 }
 
 /// Run one side of the bloom bench: load with `bits` bloom bits per key,
@@ -240,12 +213,12 @@ fn bloom_side(profile: &RecoveryProfile, bits: usize) -> (f64, f64) {
 }
 
 /// Bench 2: cold reads (half misses) with vs without bloom filters.
-fn bench_bloom(profile: &RecoveryProfile) -> RecoveryBench {
+fn bench_bloom(profile: &RecoveryProfile) -> GateRow {
     let (base_ops, base_p99) = bloom_side(profile, 0);
     let (opt_ops, opt_p99) = bloom_side(profile, profile.bloom_bits_per_key);
-    RecoveryBench {
-        name: "cold_read_bloom",
-        detail: format!(
+    GateRow::throughput(
+        "cold_read_bloom",
+        format!(
             "{} cold reads ({:.0}% misses) over {} keys in multiple runs: no bloom p99 \
              {:.4} ms vs {} bits/key p99 {:.4} ms",
             profile.reads,
@@ -255,71 +228,27 @@ fn bench_bloom(profile: &RecoveryProfile) -> RecoveryBench {
             profile.bloom_bits_per_key,
             opt_p99,
         ),
-        baseline_ops: base_ops,
-        optimized_ops: opt_ops,
-        min_speedup: 1.2,
-    }
+        base_ops,
+        opt_ops,
+        Some(1.2),
+    )
 }
 
-/// Run the full recovery suite.
-pub fn run(profile: &RecoveryProfile) -> RecoveryResult {
-    RecoveryResult {
-        benches: vec![bench_replay(profile), bench_bloom(profile)],
-    }
+/// Run the full recovery suite: both gated rows, in print order.
+pub fn run(profile: &RecoveryProfile) -> Vec<GateRow> {
+    vec![bench_replay(profile), bench_bloom(profile)]
 }
 
-/// Print the result as an aligned table.
-pub fn print(result: &RecoveryResult) {
-    println!(
-        "{:<18} {:>14} {:>14} {:>9} {:>7}",
-        "bench", "baseline/s", "optimized/s", "speedup", "floor"
-    );
-    for b in &result.benches {
-        println!(
-            "{:<18} {:>14.0} {:>14.0} {:>8.2}x {:>6.2}x",
-            b.name,
-            b.baseline_ops,
-            b.optimized_ops,
-            b.speedup(),
-            b.min_speedup
-        );
-        println!("  {}", b.detail);
-    }
-}
-
-/// Render the result as gate-compatible JSON (`scripts/check_bench.sh`
-/// reads `name`, `speedup`, `min_speedup` per bench).
-pub fn to_json(profile: &RecoveryProfile, result: &RecoveryResult) -> String {
-    let mut out = format!(
-        "{{\n  \"meta\": {{\"keys\": {}, \"payload\": {}, \"runs\": {}, \"reads\": {}, \
-         \"miss_fraction\": {}, \"bloom_bits_per_key\": {}}},\n  \"benches\": [\n",
-        profile.keys,
-        profile.payload,
-        profile.runs,
-        profile.reads,
-        profile.miss_fraction,
-        profile.bloom_bits_per_key,
-    );
-    for (i, b) in result.benches.iter().enumerate() {
-        let comma = if i + 1 < result.benches.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"detail\": \"{}\", \"baseline_ops_per_sec\": {:.0}, \
-             \"optimized_ops_per_sec\": {:.0}, \"speedup\": {:.2}, \"min_speedup\": {:.2}}}{}\n",
-            b.name,
-            b.detail,
-            b.baseline_ops,
-            b.optimized_ops,
-            b.speedup(),
-            b.min_speedup,
-            comma,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `meta` object of the suite's gate JSON.
+pub fn gate_meta(profile: &RecoveryProfile) -> Vec<(&'static str, String)> {
+    vec![
+        ("keys", profile.keys.to_string()),
+        ("payload", profile.payload.to_string()),
+        ("runs", profile.runs.to_string()),
+        ("reads", profile.reads.to_string()),
+        ("miss_fraction", profile.miss_fraction.to_string()),
+        ("bloom_bits_per_key", profile.bloom_bits_per_key.to_string()),
+    ]
 }
 
 #[cfg(test)]
@@ -336,12 +265,10 @@ mod tests {
             reads: 2_000,
             ..RecoveryProfile::quick()
         };
-        let result = run(&profile);
-        assert_eq!(result.benches.len(), 2);
-        assert!(result.benches.iter().all(|b| b.baseline_ops > 0.0));
-        let json = to_json(&profile, &result);
-        assert!(json.contains("\"recovery_replay\""));
-        assert!(json.contains("\"cold_read_bloom\""));
-        assert!(json.contains("min_speedup"));
+        let rows = run(&profile);
+        let names: Vec<_> = rows.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["recovery_replay", "cold_read_bloom"]);
+        assert!(rows.iter().all(|r| r.baseline > 0.0));
+        assert!(rows.iter().all(|r| r.min_speedup.is_some()));
     }
 }

@@ -29,10 +29,12 @@ use cloudburst_anna::node::NodeConfig;
 use cloudburst_anna::{AnnaCluster, AnnaConfig};
 use cloudburst_apps::workloads::ZipfSampler;
 use cloudburst_lattice::Key;
-use cloudburst_net::{LatencyModel, Network, NetworkConfig};
+use cloudburst_net::{LatencyModel, NetConfig, Network};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::harness::GateRow;
 
 /// Benchmark configuration.
 #[derive(Debug, Clone, Copy)]
@@ -102,8 +104,6 @@ impl SkewProfile {
             demote_heat: 150.0,
             cool_ticks: 5,
             hot_replication: 0, // every node
-            max_overrides: 64,
-            include_system_keys: false,
             scaling: None,
         }
     }
@@ -132,11 +132,6 @@ pub struct SkewResult {
 }
 
 impl SkewResult {
-    /// elastic / static throughput.
-    pub fn speedup(&self) -> f64 {
-        self.elastic_side.ops_per_sec / self.static_side.ops_per_sec
-    }
-
     /// The absolute floor the CI gate enforces (acceptance criterion).
     pub const MIN_SPEEDUP: f64 = 1.5;
 }
@@ -147,7 +142,7 @@ fn key_of(rank: usize) -> Key {
 
 /// Run one side: identical cluster + workload, with or without the loop.
 fn run_side(profile: &SkewProfile, elastic: bool) -> SkewSide {
-    let net = Network::new(NetworkConfig::instant());
+    let net = Network::new(NetConfig::instant());
     let cluster = Arc::new(AnnaCluster::launch(
         &net,
         AnnaConfig {
@@ -234,7 +229,7 @@ pub fn run(profile: &SkewProfile) -> SkewResult {
     }
 }
 
-/// Print the result as an aligned table.
+/// Print both sides as an aligned table.
 pub fn print(result: &SkewResult) {
     println!(
         "{:<22} {:>12} {:>9} {:>9} {:>9}",
@@ -249,46 +244,39 @@ pub fn print(result: &SkewResult) {
             name, side.ops_per_sec, side.p50_ms, side.p99_ms, side.promoted
         );
     }
-    println!(
-        "speedup: {:.2}x (gate floor {:.2}x)",
-        result.speedup(),
-        SkewResult::MIN_SPEEDUP
-    );
 }
 
-/// Render the result as gate-compatible JSON (same schema as the hotpath
-/// suite: `scripts/check_bench.sh` reads `name`, `speedup`,
-/// `min_speedup`).
-pub fn to_json(profile: &SkewProfile, result: &SkewResult) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"meta\": {{\"nodes\": {}, \"replication\": {}, \"keys\": {}, \"theta\": {}, ",
-            "\"clients\": {}, \"write_fraction\": {}, \"service_ms\": {}, \"measure_ms\": {}}},\n",
-            "  \"benches\": [\n",
-            "    {{\"name\": \"skew\", \"detail\": \"zipf({}) read/write load: static replication ",
-            "vs closed-loop promotion (promoted {} keys; p99 {:.2} ms -> {:.2} ms)\", ",
-            "\"baseline_ops_per_sec\": {:.0}, \"optimized_ops_per_sec\": {:.0}, ",
-            "\"speedup\": {:.2}, \"min_speedup\": {:.2}}}\n",
-            "  ]\n}}\n"
+/// The `meta` object of the suite's gate JSON.
+pub fn gate_meta(profile: &SkewProfile) -> Vec<(&'static str, String)> {
+    vec![
+        ("nodes", profile.nodes.to_string()),
+        ("replication", profile.replication.to_string()),
+        ("keys", profile.keys.to_string()),
+        ("theta", profile.theta.to_string()),
+        ("clients", profile.clients.to_string()),
+        ("write_fraction", profile.write_fraction.to_string()),
+        ("service_ms", profile.service_ms.to_string()),
+        ("measure_ms", profile.measure.as_millis().to_string()),
+    ]
+}
+
+/// The suite's one gated row: elastic / static throughput, floored at
+/// [`SkewResult::MIN_SPEEDUP`].
+pub fn gate_rows(profile: &SkewProfile, result: &SkewResult) -> Vec<GateRow> {
+    vec![GateRow::throughput(
+        "skew",
+        format!(
+            "zipf({}) read/write load: static replication vs closed-loop promotion \
+             (promoted {} keys; p99 {:.2} ms -> {:.2} ms)",
+            profile.theta,
+            result.elastic_side.promoted,
+            result.static_side.p99_ms,
+            result.elastic_side.p99_ms,
         ),
-        profile.nodes,
-        profile.replication,
-        profile.keys,
-        profile.theta,
-        profile.clients,
-        profile.write_fraction,
-        profile.service_ms,
-        profile.measure.as_millis(),
-        profile.theta,
-        result.elastic_side.promoted,
-        result.static_side.p99_ms,
-        result.elastic_side.p99_ms,
         result.static_side.ops_per_sec,
         result.elastic_side.ops_per_sec,
-        result.speedup(),
-        SkewResult::MIN_SPEEDUP,
-    )
+        Some(SkewResult::MIN_SPEEDUP),
+    )]
 }
 
 #[cfg(test)]
@@ -315,8 +303,8 @@ mod tests {
             result.elastic_side.promoted > 0,
             "elastic loop promoted nothing"
         );
-        let json = to_json(&profile, &result);
-        assert!(json.contains("\"skew\""));
-        assert!(json.contains("min_speedup"));
+        let rows = gate_rows(&profile, &result);
+        assert_eq!(rows[0].name, "skew");
+        assert_eq!(rows[0].min_speedup, Some(SkewResult::MIN_SPEEDUP));
     }
 }

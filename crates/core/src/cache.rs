@@ -59,9 +59,6 @@ pub struct CacheConfig {
     pub keyset_publish_interval_ms: f64,
     /// Maximum number of cached entries (LRU beyond this).
     pub max_entries: usize,
-    /// How many recursive dependency-fetch rounds the bolt-on causal-cut
-    /// maintenance performs before accepting a best-effort cut.
-    pub causal_cut_fetch_rounds: usize,
     /// Number of lock stripes the live cache is split into. Executor threads
     /// on a VM touch the cache concurrently; striping by key hash removes the
     /// single global lock from the hot read/write path. Capacity and LRU
@@ -72,32 +69,27 @@ pub struct CacheConfig {
     /// Write-behind window in paper milliseconds: session writes accumulate
     /// in a dirty buffer (repeated writes to a key merge in place) and flush
     /// to Anna as one batched `MultiPut` per responsible node per window
-    /// (paper §4.2's asynchronous write-back, coalesced). `0.0` flushes
-    /// every write immediately, one message per write — the pre-batching
-    /// behaviour.
+    /// (paper §4.2's asynchronous write-back, coalesced). The scaled window
+    /// is floored at 100 µs of wall clock, so `0.0` means "as often as the
+    /// floor allows".
     pub write_flush_interval_ms: f64,
-    /// Flush the dirty buffer early once its payload bytes reach this cap,
-    /// and never put more than this many payload bytes in one `MultiPut`.
-    pub max_batch_bytes: usize,
-    /// Coalesce concurrent misses on one key into a single KVS fetch
-    /// (single-flight fills): the first missing thread fetches, every
-    /// concurrent miss on the same key blocks on the in-flight fill and
-    /// receives the same `Arc`'d capsule. Disable to restore the seed's
-    /// thundering-herd behaviour (one independent fetch per missing thread —
-    /// the bench baseline).
-    pub single_flight: bool,
 }
+
+/// How many recursive dependency-fetch rounds the bolt-on causal-cut
+/// maintenance performs before accepting a best-effort cut.
+const CAUSAL_CUT_FETCH_ROUNDS: usize = 3;
+
+/// Flush the dirty buffer early once its payload bytes reach this cap, and
+/// never put more than this many payload bytes in one `MultiPut`.
+const MAX_BATCH_BYTES: usize = 1 << 20;
 
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {
             keyset_publish_interval_ms: 50.0,
             max_entries: 100_000,
-            causal_cut_fetch_rounds: 3,
             shards: 8,
             write_flush_interval_ms: 2.0,
-            max_batch_bytes: 1 << 20,
-            single_flight: true,
         }
     }
 }
@@ -190,7 +182,6 @@ pub struct CacheInner {
     anna: AnnaClient,
     topology: Arc<Topology>,
     level: ConsistencyLevel,
-    config: CacheConfig,
     /// The live cache, lock-striped by key hash. Executor reads and writes,
     /// Anna pushes, and keyset publication all go through these shards; with
     /// the old single `Mutex<CacheData>` every executor thread on the VM
@@ -256,7 +247,6 @@ impl VmCache {
             anna,
             topology,
             level,
-            config,
             shards,
             shard_max: (config.max_entries / shard_count).max(1),
             shard_hasher: RandomState::new(),
@@ -274,27 +264,18 @@ impl VmCache {
         let publish_interval = inner
             .net
             .time_scale()
-            .ms(inner.config.keyset_publish_interval_ms)
+            .ms(config.keyset_publish_interval_ms)
             .max(Duration::from_micros(200));
-        // With the window disabled writes go straight through in
-        // `mark_dirty`, so the flush must not drive the server cadence (a
-        // zero interval would otherwise busy-tick it).
-        let flush_enabled = inner.config.write_flush_interval_ms > 0.0;
-        let flush_interval = if flush_enabled {
-            inner
-                .net
-                .time_scale()
-                .ms(inner.config.write_flush_interval_ms)
-                .max(Duration::from_micros(100))
-        } else {
-            publish_interval
-        };
+        let flush_interval = inner
+            .net
+            .time_scale()
+            .ms(config.write_flush_interval_ms)
+            .max(Duration::from_micros(100));
         // lint: allow(L003): publish/flush windows pace on wall clock (scaled paper-ms), by design
         let now = Instant::now();
         let server = CacheServer {
             inner: Arc::clone(&inner),
             endpoint,
-            flush_enabled,
             flush_interval,
             publish_interval,
             next_flush: now + flush_interval,
@@ -543,13 +524,8 @@ impl CacheInner {
         version
     }
 
-    /// Buffer a write for the next batched flush. With the window disabled
-    /// it goes straight to Anna, one message per write (the seed path).
+    /// Buffer a write for the next batched flush.
     fn mark_dirty(&self, key: &Key, capsule: Capsule) {
-        if self.config.write_flush_interval_ms <= 0.0 {
-            let _ = self.anna.put_async(key, capsule);
-            return;
-        }
         let full = {
             let mut dirty = self.dirty.lock();
             match dirty.entries.get_mut(key) {
@@ -566,7 +542,7 @@ impl CacheInner {
                     dirty.entries.insert(key.clone(), capsule);
                 }
             }
-            dirty.bytes >= self.config.max_batch_bytes
+            dirty.bytes >= MAX_BATCH_BYTES
         };
         if full {
             self.flush_writes();
@@ -574,7 +550,7 @@ impl CacheInner {
     }
 
     /// Flush the write-behind buffer to Anna as batched `MultiPut`s, chunked
-    /// so no single request exceeds the configured byte cap.
+    /// so no single request exceeds the 1 MiB byte cap.
     pub fn flush_writes(&self) {
         let drained: Vec<(Key, Capsule)> = {
             let mut dirty = self.dirty.lock();
@@ -585,13 +561,12 @@ impl CacheInner {
             return;
         }
         self.stats.write_flushes.fetch_add(1, Ordering::Relaxed);
-        let cap = self.config.max_batch_bytes.max(1);
         let mut chunk: Vec<(Key, Capsule)> = Vec::new();
         let mut chunk_bytes = 0usize;
         for (key, capsule) in drained {
             chunk_bytes += capsule.payload_len();
             chunk.push((key, capsule));
-            if chunk_bytes >= cap {
+            if chunk_bytes >= MAX_BATCH_BYTES {
                 let _ = self.anna.multi_put_async(std::mem::take(&mut chunk));
                 chunk_bytes = 0;
             }
@@ -626,9 +601,6 @@ impl CacheInner {
             return Some(c);
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        if !self.config.single_flight {
-            return self.fill(key);
-        }
         let (slot, leader) = {
             let mut inflight = self.inflight.lock();
             match inflight.get(key) {
@@ -756,13 +728,13 @@ impl CacheInner {
         self.merge_local(key, capsule);
     }
 
-    /// Fetch missing/stale dependencies from Anna, breadth-first, up to the
-    /// configured round limit. Bolt-on would buffer the update until the cut
-    /// is restorable; bounding the rounds keeps the simulation live and is
-    /// documented in DESIGN.md.
+    /// Fetch missing/stale dependencies from Anna, breadth-first, up to
+    /// [`CAUSAL_CUT_FETCH_ROUNDS`] rounds. Bolt-on would buffer the update
+    /// until the cut is restorable; bounding the rounds keeps the
+    /// simulation live and is documented in DESIGN.md.
     fn satisfy_dependencies(&self, deps: std::collections::BTreeMap<Key, VectorClock>) {
         let mut frontier: Vec<(Key, VectorClock)> = deps.into_iter().collect();
-        for _ in 0..self.config.causal_cut_fetch_rounds {
+        for _ in 0..CAUSAL_CUT_FETCH_ROUNDS {
             if frontier.is_empty() {
                 return;
             }
@@ -888,8 +860,7 @@ impl CacheInner {
 
     /// Dispatch one received envelope; returns `true` on shutdown. Anna's
     /// coalesced pushes arrive as [`Batch`] envelopes and are unwrapped
-    /// element-wise; bare messages keep working (window-zero nodes and
-    /// direct sends).
+    /// element-wise; bare messages keep working (direct sends).
     fn on_envelope(&self, envelope: cloudburst_net::Envelope) -> bool {
         match envelope.downcast::<CacheRequest>() {
             Ok(request) => self.on_request(request),
@@ -960,7 +931,6 @@ impl CacheInner {
 struct CacheServer {
     inner: Arc<CacheInner>,
     endpoint: Endpoint,
-    flush_enabled: bool,
     flush_interval: Duration,
     publish_interval: Duration,
     next_flush: Instant,
@@ -993,7 +963,7 @@ impl Actor for CacheServer {
         ctx.note_mailbox_depth(drained);
         // lint: allow(L003): cadence checks against the armed flush/publish deadlines
         let now = Instant::now();
-        if self.flush_enabled && now >= self.next_flush {
+        if now >= self.next_flush {
             self.next_flush = now + self.flush_interval;
             self.inner.flush_writes();
         }
@@ -1004,12 +974,7 @@ impl Actor for CacheServer {
         if budget == 0 {
             return Poll::Yield;
         }
-        let deadline = if self.flush_enabled {
-            self.next_flush.min(self.next_publish)
-        } else {
-            self.next_publish
-        };
-        Poll::Idle(Some(deadline))
+        Poll::Idle(Some(self.next_flush.min(self.next_publish)))
     }
 }
 
@@ -1034,7 +999,7 @@ impl std::fmt::Debug for CacheInner {
 mod tests {
     use super::*;
     use cloudburst_anna::{AnnaCluster, AnnaConfig};
-    use cloudburst_net::NetworkConfig;
+    use cloudburst_net::NetConfig;
 
     /// One pooled runtime shared by every test in this module; worker
     /// threads outlive individual tests, which is fine for a test process.
@@ -1044,7 +1009,7 @@ mod tests {
     }
 
     fn setup(level: ConsistencyLevel) -> (Network, AnnaCluster, VmCache) {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let anna = AnnaCluster::launch(
             &net,
             AnnaConfig {
@@ -1106,6 +1071,73 @@ mod tests {
     }
 
     #[test]
+    fn zero_flush_window_still_batches_and_does_not_busy_tick() {
+        // `write_flush_interval_ms = 0.0` is the 100 µs floor, not
+        // write-through: repeated writes to one key merge in the dirty
+        // buffer and reach Anna as one `MultiPut` entry per flush.
+        let net = Network::new(NetConfig::instant());
+        let anna = AnnaCluster::launch(
+            &net,
+            AnnaConfig {
+                nodes: 1,
+                replication: 1,
+                durability: cloudburst_anna::Durability::Off,
+                ..AnnaConfig::default()
+            },
+        );
+        // A runtime of its own, so its timer count is this cache's alone.
+        let runtime = ActorRuntime::new(cloudburst_runtime::RuntimeConfig::default());
+        let mut cache = VmCache::spawn(
+            &runtime,
+            1,
+            &net,
+            anna.client(),
+            Arc::new(Topology::new()),
+            ConsistencyLevel::Lww,
+            CacheConfig {
+                write_flush_interval_ms: 0.0,
+                ..CacheConfig::default()
+            },
+        );
+        let inner = cache.inner();
+        let client = anna.client();
+        let puts_served = || client.cluster_stats().unwrap()[0].puts_served;
+        let puts_before = puts_served();
+        const WRITES: u64 = 400;
+        let key = Key::new("hot");
+        let mut session = SessionMeta::new(1, ConsistencyLevel::Lww);
+        for i in 0..WRITES {
+            inner.put_session(&key, Bytes::from(format!("w{i}")), &mut session, 9, &[]);
+        }
+        inner.flush_writes();
+        let last = format!("w{}", WRITES - 1);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while client.get(&key).unwrap().map(|c| c.read_value()) != Some(Bytes::from(last.clone())) {
+            assert!(Instant::now() < deadline, "write-back never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // One entry per flush the loop happened to span — never one per write.
+        let puts = puts_served() - puts_before;
+        assert!(
+            puts <= WRITES / 4,
+            "{WRITES} writes to one key reached Anna as {puts} put entries"
+        );
+
+        // The idle server re-arms its flush a full floor-window ahead.
+        let fires_before = runtime.stats().timer_fires;
+        let idle = Instant::now();
+        std::thread::sleep(Duration::from_millis(50));
+        let windows = idle.elapsed().as_micros() as u64 / 100;
+        let fires = runtime.stats().timer_fires - fires_before;
+        assert!(
+            fires <= windows + 64,
+            "{fires} timer fires in {windows} floor windows: the cache busy-ticks"
+        );
+        cache.shutdown();
+        runtime.shutdown();
+    }
+
+    #[test]
     fn repeatable_read_returns_snapshot_despite_new_writes() {
         let (_net, anna, cache) = setup(ConsistencyLevel::RepeatableRead);
         let client = anna.client();
@@ -1147,7 +1179,7 @@ mod tests {
 
     #[test]
     fn cross_cache_rr_fetches_exact_version_from_upstream() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let anna = AnnaCluster::launch(
             &net,
             AnnaConfig {
@@ -1204,7 +1236,7 @@ mod tests {
     #[test]
     fn causal_session_fetches_dependency_snapshots() {
         use cloudburst_lattice::VectorClock;
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let anna = AnnaCluster::launch(
             &net,
             AnnaConfig {
@@ -1366,61 +1398,11 @@ mod tests {
     }
 
     #[test]
-    fn herd_without_single_flight_issues_independent_fetches() {
-        // The seed behaviour, kept behind `single_flight: false` as the
-        // bench baseline: concurrent misses each fetch on their own.
-        let net = Network::new(NetworkConfig::instant());
-        let anna = AnnaCluster::launch(
-            &net,
-            AnnaConfig {
-                nodes: 2,
-                replication: 1,
-                durability: cloudburst_anna::Durability::Off,
-                ..AnnaConfig::default()
-            },
-        );
-        let cache = VmCache::spawn(
-            test_runtime(),
-            1,
-            &net,
-            anna.client(),
-            Arc::new(Topology::new()),
-            ConsistencyLevel::Lww,
-            CacheConfig {
-                single_flight: false,
-                ..CacheConfig::default()
-            },
-        );
-        let client = anna.client();
-        let inner = cache.inner();
-        let key = Key::new("herd-base");
-        client.put_lww(&key, Bytes::from_static(b"hot")).unwrap();
-        const HERD: usize = 8;
-        let barrier = std::sync::Barrier::new(HERD);
-        std::thread::scope(|scope| {
-            for _ in 0..HERD {
-                let inner = Arc::clone(&inner);
-                let barrier = &barrier;
-                let key = key.clone();
-                scope.spawn(move || {
-                    barrier.wait();
-                    inner.get_or_fetch(&key).expect("stored value");
-                });
-            }
-        });
-        assert_eq!(
-            inner.stats.coalesced_fills.load(Ordering::Relaxed),
-            0,
-            "disabled single-flight must never coalesce"
-        );
-    }
-
-    #[test]
     fn failed_fill_propagates_to_all_waiters_without_poisoning() {
         // Every thread in a herd whose fill fails (storage down) gets the
         // failure; the slot is released, and once storage recovers the next
         // read succeeds — a failed fill never wedges the key.
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let anna = AnnaCluster::launch(
             &net,
             AnnaConfig {
@@ -1495,7 +1477,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_capacity() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let anna = AnnaCluster::launch(
             &net,
             AnnaConfig {
@@ -1540,7 +1522,7 @@ mod tests {
         // invariants checked: no lost stats (hits+misses == reads issued),
         // the entry count respects the configured capacity, and every
         // surviving entry is readable with an intact payload.
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let anna = AnnaCluster::launch(
             &net,
             AnnaConfig {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use cloudburst_anna::elastic::{ElasticConfig, ElasticHandle, ScaleTimeline};
 use cloudburst_anna::metrics as mkeys;
 use cloudburst_anna::{AnnaClient, AnnaCluster, AnnaConfig};
-use cloudburst_net::{Network, NetworkConfig, Site};
+use cloudburst_net::{NetConfig, Network, Site};
 use cloudburst_runtime::{Runtime as ActorRuntime, RuntimeConfig, RuntimeStats};
 use parking_lot::Mutex;
 
@@ -33,15 +33,15 @@ pub struct CloudburstConfig {
     /// `net.deterministic` pins the whole cluster's fabric to the
     /// single-threaded replayable mode, `net.delivery_threads` sizes the
     /// sharded dispatcher pool otherwise.
-    pub net: NetworkConfig,
+    pub net: NetConfig,
     /// Anna storage-tier parameters. `anna.net` is ignored here — the
     /// cluster's single fabric is built from `net` above. `anna.runtime` is
     /// likewise ignored: both tiers' actors share the one pool sized by
     /// `runtime` below.
     pub anna: AnnaConfig,
     /// Actor-runtime parameters for the shared worker pool that runs every
-    /// storage node, executor, cache server, and scheduler. `CB_RUNTIME`
-    /// overrides the resolved mode at launch.
+    /// storage node, executor, cache server, and scheduler.
+    /// `CB_DETERMINISTIC=1` forces the deterministic mode at launch.
     pub runtime: RuntimeConfig,
     /// Initial number of function-execution VMs.
     pub vms: usize,
@@ -70,7 +70,7 @@ pub struct CloudburstConfig {
 impl Default for CloudburstConfig {
     fn default() -> Self {
         Self {
-            net: NetworkConfig::default(),
+            net: NetConfig::default(),
             anna: AnnaConfig::default(),
             runtime: RuntimeConfig::default(),
             vms: 2,
@@ -91,7 +91,7 @@ impl CloudburstConfig {
     /// A minimal, latency-free configuration for logic tests.
     pub fn instant() -> Self {
         Self {
-            net: NetworkConfig::instant(),
+            net: NetConfig::instant(),
             anna: AnnaConfig {
                 nodes: 2,
                 replication: 1,

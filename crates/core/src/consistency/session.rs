@@ -180,10 +180,10 @@ fn merge_dep(deps: &mut HashMap<Key, DepRecord>, key: Key, clock: VectorClock, c
 mod tests {
     use super::*;
     use cloudburst_lattice::Timestamp;
-    use cloudburst_net::{Network, NetworkConfig};
+    use cloudburst_net::{NetConfig, Network};
 
     fn addr() -> Address {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let ep = net.register();
         let a = ep.addr();
         std::mem::forget(ep);

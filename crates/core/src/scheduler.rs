@@ -28,46 +28,43 @@ use crate::types::{Arg, ConsistencyLevel, ExecutorId, InvocationResult, RequestI
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
-    /// Executors above this utilization are avoided ("the scheduler tracks
-    /// this utilization and avoids overloaded nodes", §4.3).
-    pub high_util_threshold: f64,
     /// DAG re-execution timeout in paper milliseconds (§4.5).
     pub dag_timeout_ms: f64,
     /// How many executors each DAG function is pinned on at registration.
     pub initial_pin_replicas: usize,
-    /// How often executor metrics are refreshed from Anna, in paper ms.
-    pub metrics_refresh_ms: f64,
     /// Give up re-executing a DAG after this many attempts.
     pub max_retries: u32,
-    /// Maximum keys per batched KVS request the scheduler issues (metrics
-    /// refresh, DAG-registration function checks). The refresh window is
-    /// `metrics_refresh_ms`; this caps how much of it one node absorbs.
-    pub kvs_batch_max_keys: usize,
-    /// Maximum entries in the execution-plan cache. Repeated `call_dag`s
-    /// with the same (DAG, reference-key set) reuse the last computed
-    /// assignment while the metrics generation and topology epoch are
-    /// unchanged, skipping the full §4.3 `pick_executor` policy on the hot
-    /// path. The trade-off: within one metrics window a cached plan *pins*
-    /// its placement, so the policy's random tie-breaking (which spreads a
-    /// hot key's load across equally-covered replicas) resumes only at the
-    /// next refresh — backpressure still self-corrects, because a pinned
-    /// executor that saturates crosses the utilization threshold at that
-    /// refresh and the recomputed plan avoids it. `0` disables the cache
-    /// (every call re-runs the policy, restoring per-call spreading — the
-    /// pre-plan-cache behaviour, used as the bench baseline).
-    pub plan_cache_max_entries: usize,
 }
+
+/// Executors above this utilization are avoided ("the scheduler tracks this
+/// utilization and avoids overloaded nodes", §4.3).
+const HIGH_UTIL_THRESHOLD: f64 = 0.7;
+
+/// How often executor metrics are refreshed from Anna, in paper ms.
+const METRICS_REFRESH_MS: f64 = 100.0;
+
+/// Maximum keys per batched KVS request the scheduler issues (metrics
+/// refresh, DAG-registration function checks). The refresh window is
+/// [`METRICS_REFRESH_MS`]; this caps how much of it one node absorbs.
+const KVS_BATCH_MAX_KEYS: usize = 128;
+
+/// Maximum entries in the execution-plan cache. Repeated `call_dag`s with
+/// the same (DAG, reference-key set) reuse the last computed assignment
+/// while the metrics generation and topology epoch are unchanged, skipping
+/// the full §4.3 `pick_executor` policy on the hot path. The trade-off:
+/// within one metrics window a cached plan *pins* its placement, so the
+/// policy's random tie-breaking (which spreads a hot key's load across
+/// equally-covered replicas) resumes only at the next refresh — backpressure
+/// still self-corrects, because a pinned executor that saturates crosses the
+/// utilization threshold at that refresh and the recomputed plan avoids it.
+const PLAN_CACHE_MAX_ENTRIES: usize = 1024;
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
-            high_util_threshold: 0.7,
             dag_timeout_ms: 10_000.0,
             initial_pin_replicas: 1,
-            metrics_refresh_ms: 100.0,
             max_retries: 3,
-            kvs_batch_max_keys: 128,
-            plan_cache_max_entries: 1024,
         }
     }
 }
@@ -171,7 +168,7 @@ impl SchedulerHandle {
         let tick = endpoint
             .network()
             .time_scale()
-            .ms(config.metrics_refresh_ms)
+            .ms(METRICS_REFRESH_MS)
             .max(Duration::from_micros(500));
         let worker = Worker {
             id: scheduler_id,
@@ -442,9 +439,8 @@ impl Worker {
             .iter()
             .map(|node| mkeys::function_key(&node.function))
             .collect();
-        for chunk_start in (0..function_keys.len()).step_by(self.config.kvs_batch_max_keys.max(1)) {
-            let chunk_end =
-                (chunk_start + self.config.kvs_batch_max_keys.max(1)).min(function_keys.len());
+        for chunk_start in (0..function_keys.len()).step_by(KVS_BATCH_MAX_KEYS) {
+            let chunk_end = (chunk_start + KVS_BATCH_MAX_KEYS).min(function_keys.len());
             // A failed lookup is an infrastructure error, not evidence the
             // functions are unregistered — surface it as such rather than
             // misreporting the whole chunk as unknown.
@@ -608,30 +604,27 @@ impl Worker {
             cache_addrs,
             self.endpoint.addr(),
         ));
-        if self.config.plan_cache_max_entries > 0 {
-            if self.plan_cache.len() >= self.config.plan_cache_max_entries {
-                // Cheap whole-cache reset; stale-generation entries go with
-                // it. A working set larger than the cap thrashes rather than
-                // growing without bound.
-                self.plan_cache.clear();
-            }
-            // The generation stamp is read *after* the picks: a
-            // backpressure pin during `pick_executor` bumps it, and the
-            // plan just computed already reflects the new pin. The topology
-            // epoch is the one captured *before* the picks: the topology is
-            // mutated by other threads (crash_vm), so an executor removed
-            // mid-computation must leave this entry stamped stale — stamping
-            // the post-pick epoch would mark a possibly-dead assignment
-            // fresh.
-            self.plan_cache.insert(
-                key,
-                CachedPlan {
-                    plan: Arc::clone(&plan),
-                    sched_gen: self.sched_gen,
-                    topo_epoch,
-                },
-            );
+        if self.plan_cache.len() >= PLAN_CACHE_MAX_ENTRIES {
+            // Cheap whole-cache reset; stale-generation entries go with it.
+            // A working set larger than the cap thrashes rather than
+            // growing without bound.
+            self.plan_cache.clear();
         }
+        // The generation stamp is read *after* the picks: a backpressure
+        // pin during `pick_executor` bumps it, and the plan just computed
+        // already reflects the new pin. The topology epoch is the one
+        // captured *before* the picks: the topology is mutated by other
+        // threads (crash_vm), so an executor removed mid-computation must
+        // leave this entry stamped stale — stamping the post-pick epoch
+        // would mark a possibly-dead assignment fresh.
+        self.plan_cache.insert(
+            key,
+            CachedPlan {
+                plan: Arc::clone(&plan),
+                sched_gen: self.sched_gen,
+                topo_epoch,
+            },
+        );
         Ok(plan)
     }
 
@@ -673,7 +666,7 @@ impl Worker {
         let underloaded: Vec<&Candidate> = live
             .iter()
             .filter(|(id, _, _, _)| {
-                self.utilization.get(id).copied().unwrap_or(0.0) < self.config.high_util_threshold
+                self.utilization.get(id).copied().unwrap_or(0.0) < HIGH_UTIL_THRESHOLD
             })
             .collect();
         if underloaded.is_empty() {
@@ -780,7 +773,7 @@ impl Worker {
             .collect();
         self.cached_keys.retain(|vm, _| live_vms.contains(vm));
         let ids: Vec<ExecutorId> = executors.into_iter().map(|(id, _)| id).collect();
-        for chunk in ids.chunks(self.config.kvs_batch_max_keys.max(1)) {
+        for chunk in ids.chunks(KVS_BATCH_MAX_KEYS) {
             let keys: Vec<Key> = chunk
                 .iter()
                 .map(|&id| mkeys::executor_metrics_key(id))
@@ -860,7 +853,7 @@ impl Worker {
 mod tests {
     use super::*;
     use cloudburst_anna::Directory;
-    use cloudburst_net::{Network, NetworkConfig};
+    use cloudburst_net::{NetConfig, Network};
 
     /// A scheduler worker wired to a real network but no live peers: Pin
     /// messages it sends are received by leaked endpoints and dropped, which
@@ -915,7 +908,7 @@ mod tests {
 
     #[test]
     fn locality_prefers_executor_with_most_cached_keys() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 3);
@@ -933,7 +926,7 @@ mod tests {
 
     #[test]
     fn overloaded_executors_are_avoided() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 3);
@@ -952,7 +945,7 @@ mod tests {
 
     #[test]
     fn all_saturated_without_new_pin_falls_back_to_random_live_replica() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 2);
@@ -967,7 +960,7 @@ mod tests {
 
     #[test]
     fn backpressure_recruits_a_new_executor_when_allowed() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 2);
@@ -984,7 +977,7 @@ mod tests {
 
     #[test]
     fn equal_cache_coverage_breaks_ties_randomly() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 3);
@@ -1010,7 +1003,7 @@ mod tests {
 
     #[test]
     fn zero_coverage_spreads_load_randomly() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 3);
@@ -1028,7 +1021,7 @@ mod tests {
 
     #[test]
     fn unpinned_function_without_new_pins_yields_none() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, topo);
         assert!(worker.pick_executor("ghost", &[], 0, false).is_none());
@@ -1039,7 +1032,7 @@ mod tests {
         // Regression (PR 3 satellite): after `crash_vm` removes executors
         // from the topology, a pinned-but-dead executor must be unselectable
         // immediately — not only after the next metrics refresh.
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 3);
@@ -1064,7 +1057,7 @@ mod tests {
 
     #[test]
     fn caller_region_wins_when_no_data_is_cached() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors_across_regions(&net, &mut worker, 3);
@@ -1082,7 +1075,7 @@ mod tests {
 
     #[test]
     fn cached_data_beats_the_caller_region() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors_across_regions(&net, &mut worker, 3);
@@ -1099,7 +1092,7 @@ mod tests {
 
     #[test]
     fn equal_coverage_ties_break_toward_the_caller_region() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors_across_regions(&net, &mut worker, 3);
@@ -1118,7 +1111,7 @@ mod tests {
 
     #[test]
     fn plan_cache_keys_on_caller_region() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors_across_regions(&net, &mut worker, 2);
@@ -1145,7 +1138,7 @@ mod tests {
 
     #[test]
     fn plan_cache_reuses_assignment_across_calls() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 3);
@@ -1162,7 +1155,7 @@ mod tests {
 
     #[test]
     fn plan_cache_keys_on_ref_set() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 3);
@@ -1184,7 +1177,7 @@ mod tests {
 
     #[test]
     fn plan_cache_invalidated_by_metric_refresh() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 3);
@@ -1203,7 +1196,7 @@ mod tests {
 
     #[test]
     fn plan_cache_invalidated_by_pin_changes() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 3);
@@ -1238,7 +1231,7 @@ mod tests {
         // served afterwards — even when registration pins nothing new
         // (every executor already has the functions, the steady state).
         use cloudburst_anna::{AnnaCluster, AnnaConfig};
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let anna = AnnaCluster::launch(
             &net,
             AnnaConfig {
@@ -1283,7 +1276,7 @@ mod tests {
         // immediately invalidate cached plans, even between metric
         // refreshes — a cached assignment must never reach an executor
         // that left the topology.
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 3);
@@ -1309,27 +1302,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_disabled_recomputes_every_call() {
-        let net = Network::new(NetworkConfig::instant());
-        let topo = Arc::new(Topology::new());
-        let mut worker = test_worker(&net, Arc::clone(&topo));
-        worker.config.plan_cache_max_entries = 0;
-        pin_executors(&net, &mut worker, 3);
-        let dag = register_chain(&mut worker);
-        let args = HashMap::new();
-        let a = worker.plan_for("d", &dag, &args, 0).unwrap();
-        let b = worker.plan_for("d", &dag, &args, 0).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(worker.plan_hits, 0);
-    }
-
-    #[test]
     fn refresh_prunes_stale_utilization_and_cached_keysets() {
         // Stale per-executor load and per-VM cached-keyset state for
         // topology members that no longer exist must be dropped on refresh,
         // or a dead executor's last reported load (and a dead VM's locality
         // weight) would keep steering scheduling decisions forever.
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Arc::new(Topology::new());
         let mut worker = test_worker(&net, Arc::clone(&topo));
         pin_executors(&net, &mut worker, 2); // executors 0, 1 on VMs 0, 1

@@ -156,7 +156,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudburst_net::{Network, NetworkConfig};
+    use cloudburst_net::{NetConfig, Network};
 
     fn addr(net: &Network) -> Address {
         let ep = net.register();
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn executor_lifecycle() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Topology::new();
         let a = addr(&net);
         topo.add_executor(5, a, 2, 1);
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn caches_and_schedulers() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Topology::new();
         let (c1, s1) = (addr(&net), addr(&net));
         topo.add_cache(1, c1);
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn epoch_bumps_on_every_membership_change() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Topology::new();
         let e0 = topo.epoch();
         topo.add_executor(1, addr(&net), 0, 0);
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn executors_sorted() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let topo = Topology::new();
         for id in [3u64, 1, 2] {
             topo.add_executor(id, addr(&net), 0, 0);

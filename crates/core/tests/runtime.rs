@@ -568,7 +568,6 @@ fn dag_retry_result_survives_late_write_from_abandoned_attempt() {
         dag_timeout_ms: 60.0,
         max_retries: 5,
         initial_pin_replicas: 4,
-        ..SchedulerConfig::default()
     };
     let cluster = CloudburstCluster::launch(config);
     let client = cluster.client();
@@ -621,7 +620,6 @@ fn combined_vm_and_storage_node_crash_keeps_serving() {
         dag_timeout_ms: 200.0,
         max_retries: 5,
         initial_pin_replicas: 4,
-        ..SchedulerConfig::default()
     };
     let cluster = CloudburstCluster::launch(config);
     let client = cluster.client();

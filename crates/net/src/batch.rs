@@ -14,8 +14,10 @@
 //! and the receiver unwraps it back into individual protocol messages.
 
 use std::any::Any;
+#[cfg(debug_assertions)]
 use std::cell::Cell;
 use std::collections::HashMap;
+#[cfg(debug_assertions)]
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -136,8 +138,8 @@ struct OpenBatch {
 /// panics. When the caller is a pooled actor (a `cloudburst-runtime` poll),
 /// the owner is the **actor id** — stable while the runtime migrates the
 /// actor between workers, which is routine under work stealing. Outside an
-/// actor poll the owner falls back to the OS `ThreadId`, preserving the
-/// PR 7 semantics for dedicated threads and plain test code. Constructing
+/// actor poll the owner falls back to the OS `ThreadId` (client threads
+/// and plain test code). Constructing
 /// on one thread and moving into a worker is fine — binding happens at
 /// first use, not at construction. For the rare legitimate handoff (e.g.
 /// draining a retired worker's leftovers on its parent), call
@@ -148,18 +150,21 @@ pub struct Coalescer {
     /// Debug-build owner binding for the cadence invariant. `Cell` keeps
     /// `next_deadline(&self)` able to bind; the type stays `Send` (moved
     /// into worker threads at spawn) and was never `Sync`.
+    #[cfg(debug_assertions)]
     owner: Cell<Option<OwnerToken>>,
 }
 
 /// The logical owner of a [`Coalescer`] cadence: the polling actor if one
 /// is on the stack (work stealing migrates it across threads), otherwise
 /// the OS thread.
+#[cfg(debug_assertions)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OwnerToken {
     Actor(u64),
     Thread(ThreadId),
 }
 
+#[cfg(debug_assertions)]
 impl OwnerToken {
     fn current() -> Self {
         match cloudburst_runtime::current_actor() {
@@ -175,6 +180,7 @@ impl Coalescer {
         Self {
             config,
             pending: HashMap::new(),
+            #[cfg(debug_assertions)]
             owner: Cell::new(None),
         }
     }
@@ -189,6 +195,7 @@ impl Coalescer {
     /// The caller is responsible for the handoff being a true handoff —
     /// the old owner must not touch the coalescer again.
     pub fn unbind_owner(&mut self) {
+        #[cfg(debug_assertions)]
         self.owner.set(None);
     }
 
@@ -296,7 +303,7 @@ impl std::fmt::Debug for Coalescer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{Network, NetworkConfig};
+    use crate::transport::{NetConfig, Network};
 
     fn config(window_ms: u64, max_bytes: usize, max_items: usize) -> CoalescerConfig {
         CoalescerConfig {
@@ -308,7 +315,7 @@ mod tests {
 
     #[test]
     fn batch_roundtrips_through_the_network() {
-        let net = Network::new(NetworkConfig::instant());
+        let net = Network::new(NetConfig::instant());
         let a = net.register();
         let b = net.register();
         let mut batch = Batch::new();

@@ -9,7 +9,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -48,13 +48,17 @@ impl Ord for Entry {
 #[derive(Default)]
 struct State {
     heap: BinaryHeap<Reverse<Entry>>,
+    /// Set by `Drop`. Lives under the lock the dispatcher holds from its
+    /// check until its `cv.wait` releases it, so the store and its notify
+    /// can never land between the two (a lost wakeup would leave the
+    /// dispatcher asleep on an empty heap and `join` waiting forever).
+    shutdown: bool,
 }
 
 struct Shared {
     // lock-rank: 90 net-delay
     state: Mutex<State>,
     cv: Condvar,
-    shutdown: AtomicBool,
     seq: AtomicU64,
 }
 
@@ -95,7 +99,6 @@ impl DelayQueue {
                 let shared = Arc::new(Shared {
                     state: Mutex::ranked(90, "net-delay", State::default()),
                     cv: Condvar::new(),
-                    shutdown: AtomicBool::new(false),
                     seq: AtomicU64::new(0),
                 });
                 let dispatcher = {
@@ -167,7 +170,7 @@ impl DelayQueue {
             {
                 let mut state = shared.state.lock();
                 loop {
-                    if shared.shutdown.load(Ordering::Acquire) {
+                    if state.shutdown {
                         return;
                     }
                     // lint: allow(L003): dispatcher wakeup against the delivery deadlines above
@@ -209,7 +212,7 @@ impl Default for DelayQueue {
 impl Drop for DelayQueue {
     fn drop(&mut self) {
         for shard in self.shards.iter() {
-            shard.shared.shutdown.store(true, Ordering::Release);
+            shard.shared.state.lock().shutdown = true;
             shard.shared.cv.notify_all();
         }
         let current = std::thread::current().id();
@@ -231,7 +234,7 @@ impl Drop for DelayQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::mpsc;
 
     #[test]
@@ -370,5 +373,35 @@ mod tests {
         assert_eq!(q.pending(), 3);
         drop(q); // must not hang waiting for the 60 s tasks
         assert!(!ran.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn drop_right_after_construction_never_hangs() {
+        // Regression for the lost shutdown wakeup: a dispatcher that has
+        // only just started is between its flag check and its first wait
+        // exactly when an immediate drop stores the flag and notifies. Each
+        // iteration reports over a channel so a hang fails the watchdog
+        // below instead of stalling the suite.
+        const ITERATIONS: u32 = 2_000;
+        for shards in [1usize, 4] {
+            let (tx, rx) = mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                for i in 0..ITERATIONS {
+                    drop(DelayQueue::with_shards(shards));
+                    if tx.send(i).is_err() {
+                        return;
+                    }
+                }
+            });
+            for i in 0..ITERATIONS {
+                let done = rx.recv_timeout(Duration::from_secs(30));
+                assert_eq!(
+                    done,
+                    Ok(i),
+                    "dropping a {shards}-shard queue hung at iteration {i}"
+                );
+            }
+            worker.join().unwrap();
+        }
     }
 }

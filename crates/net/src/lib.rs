@@ -15,7 +15,7 @@
 //!   so per-destination FIFO survives sharding. [`NetConfig::deterministic`]
 //!   collapses the fabric to one shard and one latency RNG for byte-for-byte
 //!   `--seed` replay (chaos / power-loss harnesses);
-//!   `CB_NET_DELIVERY=deterministic` forces that mode process-wide.
+//!   `CB_DETERMINISTIC=1` forces that mode process-wide.
 //! * **Faithful asynchrony** — delivery is asynchronous and (for non-constant
 //!   models) may reorder messages between different sender/receiver pairs,
 //!   exactly like independent TCP connections.
@@ -55,6 +55,6 @@ pub use region::{LinkTier, Site, TieredLatency};
 pub use shardmap::ShardedReadMap;
 pub use time::TimeScale;
 pub use transport::{
-    reply_channel, Address, Endpoint, Envelope, NetConfig, Network, NetworkConfig, PipelinedWaiter,
-    RecvError, ReplyHandle, ReplyWaiter, SendError,
+    reply_channel, Address, Endpoint, Envelope, NetConfig, Network, PipelinedWaiter, RecvError,
+    ReplyHandle, ReplyWaiter, SendError,
 };

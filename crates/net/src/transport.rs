@@ -128,10 +128,10 @@ impl std::error::Error for RecvError {}
 /// single-threaded fabric (one dispatcher, one latency RNG: byte-for-byte
 /// replayable for a given seed) and the sharded multi-threaded runtime
 /// (deliveries pinned to `dest % shards`, per-thread RNG stripes). The
-/// `CB_NET_DELIVERY=deterministic` environment variable forces the
-/// deterministic mode process-wide; it can never be overridden *into*
-/// parallel mode when a config asked for determinism, so chaos `--seed`
-/// replays stay safe.
+/// `CB_DETERMINISTIC=1` environment variable
+/// ([`cloudburst_runtime::env_deterministic`]) forces the deterministic
+/// mode process-wide; it can never be overridden *into* parallel mode when
+/// a config asked for determinism, so chaos `--seed` replays stay safe.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// Wall-clock compression applied to all injected latencies.
@@ -160,9 +160,6 @@ pub struct NetConfig {
     /// never adds RNG draws, so deterministic replay is unaffected.
     pub tiers: Option<TieredLatency>,
 }
-
-/// Former name of [`NetConfig`], kept as an alias for existing call sites.
-pub type NetworkConfig = NetConfig;
 
 impl Default for NetConfig {
     fn default() -> Self {
@@ -208,10 +205,7 @@ impl NetConfig {
 /// How many delivery shards a config resolves to, after the environment
 /// override. Exposed so harnesses can report the mode they actually ran in.
 fn resolve_delivery_shards(config: &NetConfig) -> usize {
-    let env_deterministic = std::env::var("CB_NET_DELIVERY")
-        .map(|v| matches!(v.as_str(), "deterministic" | "det" | "1"))
-        .unwrap_or(false);
-    if config.deterministic || env_deterministic {
+    if config.deterministic || cloudburst_runtime::env_deterministic() {
         return 1;
     }
     if config.delivery_threads > 0 {
@@ -330,14 +324,14 @@ impl Network {
     }
 
     /// Number of delivery dispatcher shards actually running (1 in
-    /// deterministic mode, after the `CB_NET_DELIVERY` override).
+    /// deterministic mode, after the `CB_DETERMINISTIC` override).
     pub fn delivery_shards(&self) -> usize {
         self.inner.delay.shards()
     }
 
     /// Whether this network resolved to the deterministic single-threaded
     /// fabric (either via [`NetConfig::deterministic`] or the
-    /// `CB_NET_DELIVERY=deterministic` environment override).
+    /// `CB_DETERMINISTIC=1` environment override).
     pub fn is_deterministic(&self) -> bool {
         self.inner.delay.shards() == 1
     }
@@ -865,7 +859,7 @@ mod tests {
     use std::time::Instant;
 
     fn instant_net() -> Network {
-        Network::new(NetworkConfig::instant())
+        Network::new(NetConfig::instant())
     }
 
     #[test]
@@ -934,7 +928,7 @@ mod tests {
 
     #[test]
     fn in_flight_message_to_killed_endpoint_is_dropped() {
-        let net = Network::new(NetworkConfig {
+        let net = Network::new(NetConfig {
             time_scale: TimeScale::REAL_TIME,
             default_latency: LatencyModel::Constant { ms: 30.0 },
             seed: 1,
@@ -964,7 +958,7 @@ mod tests {
 
     #[test]
     fn latency_is_injected_and_scaled() {
-        let net = Network::new(NetworkConfig {
+        let net = Network::new(NetConfig {
             time_scale: TimeScale::new(0.5),
             default_latency: LatencyModel::Constant { ms: 40.0 }, // → 20 ms scaled
             seed: 1,
@@ -988,7 +982,7 @@ mod tests {
 
     #[test]
     fn constant_latency_preserves_order() {
-        let net = Network::new(NetworkConfig {
+        let net = Network::new(NetConfig {
             time_scale: TimeScale::REAL_TIME,
             default_latency: LatencyModel::Constant { ms: 5.0 },
             seed: 1,
@@ -1054,7 +1048,7 @@ mod tests {
 
     #[test]
     fn pipelined_waiter_collects_out_of_order_replies() {
-        let net = Network::new(NetworkConfig {
+        let net = Network::new(NetConfig {
             time_scale: TimeScale::REAL_TIME,
             default_latency: LatencyModel::Zero,
             seed: 1,
@@ -1142,16 +1136,13 @@ mod tests {
 
     #[test]
     fn parallel_mode_runs_multiple_shards() {
-        let forced_deterministic = std::env::var("CB_NET_DELIVERY")
-            .map(|v| matches!(v.as_str(), "deterministic" | "det" | "1"))
-            .unwrap_or(false);
         let net = Network::new(NetConfig {
             delivery_threads: 4,
             ..NetConfig::default()
         });
-        if forced_deterministic {
-            // The CI dual-mode run sets CB_NET_DELIVERY=deterministic, which
-            // must win over any parallel request.
+        if cloudburst_runtime::env_deterministic() {
+            // The CI deterministic pass sets CB_DETERMINISTIC=1, which must
+            // win over any parallel request.
             assert_eq!(net.delivery_shards(), 1);
             return;
         }
@@ -1248,7 +1239,7 @@ mod tests {
 
     #[test]
     fn sleep_paper_ms_scales() {
-        let net = Network::new(NetworkConfig {
+        let net = Network::new(NetConfig {
             time_scale: TimeScale::new(0.1),
             default_latency: LatencyModel::Zero,
             seed: 1,

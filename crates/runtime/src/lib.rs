@@ -14,20 +14,17 @@
 //!
 //! # Modes
 //!
-//! [`RuntimeConfig`] resolves (after the `CB_RUNTIME` environment override,
-//! mirroring `CB_NET_DELIVERY`) to one of three modes:
+//! [`RuntimeConfig`] resolves (after the `CB_DETERMINISTIC` environment
+//! override, see [`env_deterministic`]) to one of two modes:
 //!
 //! * **pooled** — `workers` threads (0 = auto, `available_parallelism`
 //!   clamped to 2..=8) with per-worker local deques, a global injector, and
 //!   seeded victim-order stealing. The default.
 //! * **deterministic** — a single worker draining the injector FIFO: actor
 //!   dispatch order is a pure function of enqueue order, so chaos `--seed`
-//!   replays stay byte-for-byte. Forced by `CB_RUNTIME=deterministic`
-//!   (also `det`/`1`); a config asking for determinism can never be
+//!   replays stay byte-for-byte. Forced process-wide by
+//!   `CB_DETERMINISTIC=1`; a config asking for determinism can never be
 //!   overridden *into* parallel mode.
-//! * **dedicated** — one OS thread per actor, parked on its own mailbox
-//!   (`CB_RUNTIME=dedicated`). This is the pre-runtime threading shape,
-//!   kept as the bench baseline and as an escape hatch.
 //!
 //! # Blocking regions
 //!
@@ -53,27 +50,24 @@
 use std::cell::Cell as StdCell;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-/// Configuration for a [`Runtime`]. Mirrors the PR 7 `NetConfig` pattern:
-/// a `deterministic` flag that can never be overridden back into parallel
-/// mode, and a `CB_RUNTIME` environment override for process-wide forcing.
+/// Configuration for a [`Runtime`]. Mirrors the `NetConfig` pattern: a
+/// `deterministic` flag that can never be overridden back into parallel
+/// mode, and the `CB_DETERMINISTIC` environment override for process-wide
+/// forcing.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
     /// Worker threads for the pooled mode; `0` picks
-    /// `available_parallelism().clamp(2, 8)`. Ignored in deterministic
-    /// (forced to 1) and dedicated (no pool) modes.
+    /// `available_parallelism().clamp(2, 8)`. Ignored (forced to 1) in
+    /// deterministic mode.
     pub workers: usize,
     /// Force the single-worker deterministic pool: actors run in global
     /// FIFO enqueue order, so chaos `--seed` replay stays byte-for-byte.
     pub deterministic: bool,
-    /// One dedicated OS thread per actor (the pre-runtime threading shape).
-    /// Kept as the benchmark baseline and as an escape hatch; loses the
-    /// thread-count decoupling that is this crate's point.
-    pub dedicated: bool,
     /// Seed for the steal-victim rotation in pooled mode. Stealing order
     /// never affects correctness, only which worker drains a backlog.
     pub seed: u64,
@@ -84,7 +78,6 @@ impl Default for RuntimeConfig {
         Self {
             workers: 0,
             deterministic: false,
-            dedicated: false,
             seed: 0xAC70_12B5,
         }
     }
@@ -98,17 +91,9 @@ impl RuntimeConfig {
             ..Self::default()
         }
     }
-
-    /// The one-thread-per-actor baseline configuration.
-    pub fn dedicated() -> Self {
-        Self {
-            dedicated: true,
-            ..Self::default()
-        }
-    }
 }
 
-/// The mode a [`RuntimeConfig`] resolved to, after the `CB_RUNTIME`
+/// The mode a [`RuntimeConfig`] resolved to, after the `CB_DETERMINISTIC`
 /// environment override. Exposed so harnesses can report what actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeMode {
@@ -116,8 +101,6 @@ pub enum RuntimeMode {
     Pooled(usize),
     /// Single worker, global FIFO dispatch.
     Deterministic,
-    /// One OS thread per actor.
-    Dedicated,
 }
 
 impl RuntimeMode {
@@ -126,21 +109,23 @@ impl RuntimeMode {
         match self {
             Self::Pooled(_) => "pooled",
             Self::Deterministic => "deterministic",
-            Self::Dedicated => "dedicated",
         }
     }
 }
 
+/// Whether `CB_DETERMINISTIC=1` is set: the one process-wide determinism
+/// switch. It forces every [`Runtime`] into the single-worker FIFO mode and
+/// (read from here by `cloudburst-net`) every fabric into single-shard
+/// delivery — together, the configuration chaos `--seed` replay runs in.
+/// The variable can only *add* determinism: a config that asked for it is
+/// never overridden into parallel mode.
+pub fn env_deterministic() -> bool {
+    std::env::var("CB_DETERMINISTIC").is_ok_and(|v| v == "1")
+}
+
 fn resolve_mode(config: &RuntimeConfig) -> RuntimeMode {
-    let env = std::env::var("CB_RUNTIME").ok();
-    let env_det = matches!(env.as_deref(), Some("deterministic" | "det" | "1"));
-    if config.deterministic || env_det {
-        // Determinism wins over everything: a config that asked for replay
-        // safety must never be silently degraded by the environment.
+    if config.deterministic || env_deterministic() {
         return RuntimeMode::Deterministic;
-    }
-    if config.dedicated || matches!(env.as_deref(), Some("dedicated")) {
-        return RuntimeMode::Dedicated;
     }
     let workers = if config.workers > 0 {
         config.workers
@@ -231,9 +216,6 @@ struct Cell {
     /// The deadline (ns since runtime epoch) currently armed, or 0. Lets a
     /// steady cadence re-arm the same deadline without heap churn.
     armed_deadline: AtomicU64,
-    /// Dedicated mode: the actor's parked thread, for unpark-based wakeups
-    /// (no lock taken on the notify path).
-    park_thread: OnceLock<std::thread::Thread>,
     polls: AtomicU64,
     max_mailbox: AtomicUsize,
 }
@@ -331,9 +313,9 @@ struct Inner {
 /// stats and printed by the chaos harness summary.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeStats {
-    /// Mode label: `pooled` / `deterministic` / `dedicated`.
+    /// Mode label: `pooled` / `deterministic`.
     pub mode: String,
-    /// Pool workers (0 in dedicated mode).
+    /// Pool workers.
     pub workers: usize,
     /// Successful steals per worker, by worker index.
     pub steals: Vec<u64>,
@@ -381,8 +363,8 @@ pub fn current_actor() -> Option<u64> {
 }
 
 /// RAII scope declaring "this thread is running actor `id`". The runtime
-/// enters it around every poll; tests (and dedicated threads) use it to
-/// exercise actor-identity-bound state from arbitrary threads.
+/// enters it around every poll; tests use it to exercise
+/// actor-identity-bound state from arbitrary threads.
 pub struct ActorScope {
     prev: Option<u64>,
 }
@@ -429,14 +411,12 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
 }
 
 impl Runtime {
-    /// Build a runtime and start its workers (pooled/deterministic modes;
-    /// dedicated mode spawns threads lazily per actor).
+    /// Build a runtime and start its workers.
     pub fn new(config: RuntimeConfig) -> Self {
         let mode = resolve_mode(&config);
         let worker_count = match mode {
             RuntimeMode::Pooled(n) => n,
             RuntimeMode::Deterministic => 1,
-            RuntimeMode::Dedicated => 0,
         };
         let workers: Box<[WorkerSlot]> = (0..worker_count)
             .map(|_| WorkerSlot {
@@ -487,7 +467,7 @@ impl Runtime {
         Runtime { inner }
     }
 
-    /// The mode this runtime resolved to (after `CB_RUNTIME`).
+    /// The mode this runtime resolved to (after `CB_DETERMINISTIC`).
     pub fn mode(&self) -> RuntimeMode {
         self.inner.mode
     }
@@ -518,7 +498,6 @@ impl Runtime {
             dead_cv: Condvar::new(),
             timer_gen: AtomicU64::new(0),
             armed_deadline: AtomicU64::new(0),
-            park_thread: OnceLock::new(),
             polls: AtomicU64::new(0),
             max_mailbox: AtomicUsize::new(0),
         });
@@ -533,16 +512,6 @@ impl Runtime {
     /// first poll (which establishes its periodic deadlines).
     pub fn start(&self, handle: &ActorHandle, actor: impl Actor) {
         handle.cell.slot.lock().actor = Some(Box::new(actor));
-        if let RuntimeMode::Dedicated = self.inner.mode {
-            let rt = Arc::clone(&self.inner);
-            let cell = Arc::clone(&handle.cell);
-            let h = std::thread::Builder::new()
-                .name(handle.cell.name.clone())
-                .spawn(move || dedicated_loop(rt, cell))
-                .expect("spawn dedicated actor thread");
-            self.inner.threads.lock().push(h);
-            return;
-        }
         // Leave EMBRYO: either the cell is clean (→ IDLE) or a notify
         // already arrived (→ QUEUED + enqueue). Then force the first poll.
         match handle
@@ -592,9 +561,8 @@ impl Runtime {
     /// shutdown can never hang. Safe to call more than once.
     pub fn shutdown(&self) {
         self.inner.shutdown_flag.store(true, Ordering::SeqCst);
-        // Force-stop survivors first: dedicated threads park until their
-        // stop flag trips, and pooled workers only exit once their queues
-        // drain, so stop + notify lets both wind down promptly.
+        // Force-stop survivors first: workers only exit once their queues
+        // drain, so stop + notify lets them wind down promptly.
         let cells: Vec<Arc<Cell>> = {
             let mut reg = self.inner.cells.lock();
             reg.retain(|w| w.strong_count() > 0);
@@ -704,14 +672,7 @@ impl Inner {
                         .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        match self.mode {
-                            RuntimeMode::Dedicated => {
-                                if let Some(t) = cell.park_thread.get() {
-                                    t.unpark();
-                                }
-                            }
-                            _ => self.enqueue(Arc::clone(cell)),
-                        }
+                        self.enqueue(Arc::clone(cell));
                         return;
                     }
                 }
@@ -745,7 +706,7 @@ impl Inner {
                         .is_some_and(|rt| Arc::ptr_eq(&rt, self))
                 })
             }),
-            _ => None,
+            RuntimeMode::Deterministic => None,
         };
         match local {
             Some(wid) => {
@@ -1059,79 +1020,6 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
     }
 }
 
-/// Dedicated mode: one thread owning one actor, parked on its mailbox via
-/// `park`/`unpark` (the notify path takes no lock at all). This is the
-/// pre-runtime threading shape, preserved as baseline and escape hatch.
-fn dedicated_loop(inner: Arc<Inner>, cell: Arc<Cell>) {
-    let _ = cell.park_thread.set(std::thread::current());
-    // Leave EMBRYO; any pre-start notify means skip the first park.
-    let _ = cell
-        .state
-        .compare_exchange(EMBRYO, QUEUED, Ordering::AcqRel, Ordering::Acquire);
-    loop {
-        if cell.stop.load(Ordering::Acquire) {
-            break;
-        }
-        cell.state.store(RUNNING, Ordering::Release);
-        let Some(mut actor) = cell.slot.lock().actor.take() else {
-            break;
-        };
-        cell.polls.fetch_add(1, Ordering::Relaxed);
-        inner.polls.fetch_add(1, Ordering::Relaxed);
-        let poll = {
-            let _scope = ActorScope::enter(cell.id);
-            let mut ctx = ActorCtx {
-                cell: &cell,
-                inner: &inner,
-            };
-            actor.poll(&mut ctx)
-        };
-        if cell.stop.load(Ordering::Acquire) || poll == Poll::Shutdown {
-            drop(actor);
-            break;
-        }
-        cell.slot.lock().actor = Some(actor);
-        match poll {
-            Poll::Yield => continue,
-            Poll::Shutdown => unreachable!(),
-            Poll::Idle(deadline) => {
-                if cell
-                    .state
-                    .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    continue; // dirtied during the poll
-                }
-                loop {
-                    if cell.stop.load(Ordering::Acquire)
-                        || cell.state.load(Ordering::Acquire) == QUEUED
-                    {
-                        break;
-                    }
-                    match deadline {
-                        Some(d) => {
-                            let now = rt_now();
-                            if now >= d {
-                                inner.timer_fires.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            std::thread::park_timeout(d - now);
-                        }
-                        None => std::thread::park(),
-                    }
-                }
-            }
-        }
-    }
-    // Drop the actor outside all runtime locks, then mark dead.
-    let actor = cell.slot.lock().actor.take();
-    drop(actor);
-    cell.state.store(DEAD, Ordering::Release);
-    let mut slot = cell.slot.lock();
-    slot.dead = true;
-    cell.dead_cv.notify_all();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1164,11 +1052,7 @@ mod tests {
 
     #[test]
     fn notify_triggers_poll_in_every_mode() {
-        for config in [
-            RuntimeConfig::default(),
-            RuntimeConfig::deterministic(),
-            RuntimeConfig::dedicated(),
-        ] {
+        for config in [RuntimeConfig::default(), RuntimeConfig::deterministic()] {
             let rt = Runtime::new(config);
             let hits = Arc::new(AtomicU64::new(0));
             let h = rt.spawn(
@@ -1322,22 +1206,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dedicated_mode_timer_fires() {
-        let rt = Runtime::new(RuntimeConfig::dedicated());
-        let fires = Arc::new(AtomicU64::new(0));
-        let h = rt.spawn(
-            "ded-ticker",
-            Ticker {
-                every: Duration::from_millis(5),
-                fires: Arc::clone(&fires),
-            },
-        );
-        wait_until(|| fires.load(Ordering::SeqCst) >= 5);
-        h.stop();
-        rt.shutdown();
-    }
-
     /// Producer half: its poll sends into a channel the consumer blocks on.
     struct Producer {
         tx: mpsc::Sender<u64>,
@@ -1386,11 +1254,7 @@ mod tests {
         consumer.notify();
         producer.notify();
         wait_until(|| got.load(Ordering::SeqCst) == 7);
-        // Dedicated mode gives every actor its own thread, so nothing ever
-        // blocks the pool and no spare is (or should be) spawned.
-        if matches!(rt.mode(), RuntimeMode::Pooled(_)) {
-            assert!(rt.stats().spares_spawned >= 1, "a spare must have covered");
-        }
+        assert!(rt.stats().spares_spawned >= 1, "a spare must have covered");
         consumer.stop();
         producer.stop();
         rt.shutdown();

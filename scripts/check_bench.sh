@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Perf-regression gate for the hot-path microbenchmarks.
+# Perf-regression gate for the ratio suites (skew, parallel, geo, recovery).
 #
-# Compares a fresh `cargo run --release --bin hotpath -- --quick` run against
-# the committed BENCH_hotpath.json:
+# Compares a fresh `cargo run --release --bin <suite> -- --quick` run against
+# the suite's committed BENCH_<suite>.json:
 #   1. every bench in REQUIRED_BENCHES must appear in BOTH files — a bench
 #      silently dropped from the suite (or never committed) fails the gate;
 #   2. every committed bench must appear in the fresh run, and every fresh
@@ -12,9 +12,10 @@
 #      (1 - BENCH_TOLERANCE) x the committed ratio (default tolerance 30%);
 #   4. a committed "min_speedup" is an *absolute* floor the fresh ratio must
 #      clear regardless of tolerance (acceptance-criterion wins, e.g.
-#      dag_dispatch >= 1.5x).
+#      parallel_aggregate >= 1.5x).
 # Speedup *ratios* are compared, never absolute ops/sec, so the gate is
-# meaningful across machines of different raw speed.
+# meaningful across machines of different raw speed. Absolute numbers are
+# the job of benchmark/ (`cloudburst-benchmark compare`).
 #
 # Usage: scripts/check_bench.sh <committed.json> <fresh.json>
 set -euo pipefail
@@ -31,8 +32,10 @@ case "$(basename "$committed")" in
   *geo*) default_required="geo_local_reads geo_wan_p99 geo_throughput" ;;
   *parallel*) default_required="parallel_fetch parallel_replicated_put parallel_dag parallel_aggregate" ;;
   *recovery*) default_required="recovery_replay cold_read_bloom" ;;
-  *runtime*) default_required="runtime_kvs runtime_invoke runtime_timer runtime_aggregate" ;;
-  *) default_required="cache_hit cache_hit_causal store_merge cache_to_cache_fetch fetch_batched gossip_batched dag_dispatch singleflight_fill" ;;
+  *)
+    echo "FAIL: no bench registry for $(basename "$committed") (known suites: skew geo parallel recovery)" >&2
+    exit 1
+    ;;
 esac
 required="${REQUIRED_BENCHES:-$default_required}"
 

@@ -199,7 +199,7 @@ fn baselines_and_cloudburst_compute_identical_results() {
         .unwrap()
         .unwrap();
 
-    let net = cloudburst_net::Network::new(cloudburst_net::NetworkConfig::instant());
+    let net = cloudburst_net::Network::new(cloudburst_net::NetConfig::instant());
     let lambda = cloudburst_baselines::SimLambda::new(&net);
     lambda.deploy("inc", |args| {
         codec::encode_i64(codec::decode_i64(&args[0]).unwrap() + 1)
