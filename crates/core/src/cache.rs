@@ -114,6 +114,8 @@ pub struct CacheStats {
     pub upstream_fetches_served: AtomicU64,
     /// Version fetches this cache issued to upstream caches.
     pub upstream_fetches_issued: AtomicU64,
+    /// `SessionComplete` notices handled by the server actor.
+    pub session_completes: AtomicU64,
 }
 
 /// One cached entry: the capsule handle plus its recency slot, so a hit
@@ -514,11 +516,14 @@ impl CacheInner {
             Capsule::Causal(c) => VersionId::Causal(c.vector_clock()),
             Capsule::Set(_) => unreachable!("session writes are never set capsules"),
         };
-        // Update locally, snapshot for downstream exact-version fetches,
-        // then write back to Anna asynchronously via the batched
-        // write-behind buffer.
+        // Update locally, snapshot for downstream exact-version fetches
+        // (only the levels whose reads consult snapshots — and whose DAGs
+        // end in a `SessionComplete` that evicts them), then write back to
+        // Anna asynchronously via the batched write-behind buffer.
         self.merge_local(key, capsule.clone());
-        self.store_snapshot(session.request_id, key, capsule.clone());
+        if self.level.ships_session_metadata() {
+            self.store_snapshot(session.request_id, key, capsule.clone());
+        }
         session.record_write(key.clone(), version.clone(), self.addr);
         self.mark_dirty(key, capsule);
         version
@@ -758,7 +763,7 @@ impl CacheInner {
         }
     }
 
-    pub(crate) fn merge_local(&self, key: &Key, capsule: Capsule) {
+    fn merge_local(&self, key: &Key, capsule: Capsule) {
         let shard = &mut *self.shard(key).lock();
         match shard.map.get_mut(key) {
             Some(entry) => {
@@ -837,6 +842,11 @@ impl CacheInner {
         self.snapshots.lock().remove(&request);
     }
 
+    /// Number of sessions currently holding version snapshots here.
+    pub fn snapshot_sessions(&self) -> usize {
+        self.snapshots.lock().len()
+    }
+
     // ------------------------------------------------------------------
     // Server actor
     // ------------------------------------------------------------------
@@ -909,6 +919,7 @@ impl CacheInner {
                 false
             }
             CacheRequest::SessionComplete { request_id } => {
+                self.stats.session_completes.fetch_add(1, Ordering::Relaxed);
                 self.complete_session(request_id);
                 false
             }

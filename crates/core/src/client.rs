@@ -5,14 +5,14 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use cloudburst_anna::metrics as mkeys;
 use cloudburst_anna::{AnnaClient, AnnaError};
 use cloudburst_lattice::{Key, VectorClock};
-use cloudburst_net::{reply_channel, Endpoint, Network, RecvError, Site};
+use cloudburst_net::{reply_channel, Endpoint, Network, RecvError, ReplyWaiter, Site};
 
 use crate::dag::{DagError, DagSpec};
 use crate::function::{FunctionRegistry, Runtime};
@@ -29,6 +29,10 @@ pub enum ClientError {
     Unreachable(String),
     /// DAG registration failed.
     Dag(DagError),
+    /// The DAG ran and a function (or the runtime) reported this error
+    /// (§4.5) — the failure a [`CloudburstFuture`] learns from its
+    /// completion notice.
+    Invocation(String),
     /// Storage error.
     Anna(AnnaError),
 }
@@ -39,6 +43,7 @@ impl fmt::Display for ClientError {
             Self::NoSchedulers => f.write_str("no schedulers available"),
             Self::Unreachable(e) => write!(f, "request failed: {e}"),
             Self::Dag(e) => write!(f, "DAG error: {e}"),
+            Self::Invocation(e) => write!(f, "invocation failed: {e}"),
             Self::Anna(e) => write!(f, "storage error: {e}"),
         }
     }
@@ -59,22 +64,54 @@ impl From<DagError> for ClientError {
 }
 
 /// A handle on a result stored in the KVS — the `CloudburstFuture` of §3.
+///
+/// The sink executor writes the result to Anna under [`key`](Self::key) and
+/// then answers this future's reply channel with it, so [`get`](Self::get)
+/// normally returns on the completion notice without touching the KVS. The
+/// stored copy is what outlives the client: anyone holding the key can read
+/// it, and `get` itself falls back to it when the notice is lost.
 #[derive(Debug)]
 pub struct CloudburstFuture {
     key: Key,
-    anna: AnnaClient,
+    waiter: ReplyWaiter<InvocationResult>,
+    /// The notice's outcome, kept so every later `get` returns the same.
+    settled: OnceLock<Result<Bytes, ClientError>>,
+    /// The issuing client's KVS handle, for the fallback read.
+    anna: Arc<AnnaClient>,
 }
 
 impl CloudburstFuture {
-    /// The KVS key the result will appear under.
+    /// The KVS key the result is stored under.
     pub fn key(&self) -> &Key {
         &self.key
     }
 
-    /// Block until the result appears (polling the KVS), up to `timeout`.
+    /// Block until the DAG completes, up to `timeout`: `Ok` with the sink's
+    /// value, or [`ClientError::Invocation`] as soon as a function fails.
     pub fn get(&self, timeout: Duration) -> Result<Bytes, ClientError> {
+        if let Some(outcome) = self.settled.get() {
+            return outcome.clone();
+        }
         // lint: allow(L003): client-facing timeout deadline; timeouts are wall-clock by contract
         let deadline = Instant::now() + timeout;
+        match self.waiter.wait_timeout(timeout) {
+            Ok(result) => self
+                .settled
+                .get_or_init(|| match result {
+                    InvocationResult::Ok(value) => Ok(value),
+                    InvocationResult::Err(e) => Err(ClientError::Invocation(e)),
+                })
+                .clone(),
+            // Every reply handle was dropped unanswered (the sink died
+            // after its write and no retry is left), or the notice is late:
+            // the stored copy is all there is. A timed-out wait has used up
+            // the deadline, so it gets exactly one read.
+            Err(RecvError::Disconnected | RecvError::Timeout) => self.read_stored(deadline),
+        }
+    }
+
+    /// Poll the KVS for the stored result until `deadline`.
+    fn read_stored(&self, deadline: Instant) -> Result<Bytes, ClientError> {
         loop {
             // Cheap primary-only probe each iteration (a poll's expected
             // answer is "not yet", and a failover walk per poll would
@@ -99,7 +136,8 @@ impl CloudburstFuture {
 /// A Cloudburst client.
 pub struct CloudburstClient {
     endpoint: Endpoint,
-    anna: AnnaClient,
+    /// Shared with the futures this client hands out (their fallback read).
+    anna: Arc<AnnaClient>,
     registry: FunctionRegistry,
     topology: Arc<Topology>,
     level: ConsistencyLevel,
@@ -131,7 +169,7 @@ impl CloudburstClient {
         Self {
             endpoint: net.register_at(Site::region(region)),
             region,
-            anna,
+            anna: Arc::new(anna),
             registry,
             topology,
             level,
@@ -253,6 +291,7 @@ impl CloudburstClient {
         let scheduler = self.pick_scheduler()?;
         let n = self.next_response.fetch_add(1, Ordering::Relaxed);
         let key = Key::new(format!("resp/{}/{n}", self.endpoint.addr().raw()));
+        let (reply, waiter) = reply_channel::<InvocationResult>(self.endpoint.network());
         self.endpoint
             .send(
                 scheduler,
@@ -261,17 +300,15 @@ impl CloudburstClient {
                     args,
                     region: self.region,
                     output_key: Some(key.clone()),
-                    reply: None,
+                    reply: Some(reply),
                 },
             )
             .map_err(|e| ClientError::Unreachable(e.to_string()))?;
         Ok(CloudburstFuture {
             key,
-            anna: AnnaClient::new_in(
-                self.endpoint.network(),
-                Arc::clone(self.anna.directory()),
-                self.region,
-            ),
+            waiter,
+            settled: OnceLock::new(),
+            anna: Arc::clone(&self.anna),
         })
     }
 
@@ -304,5 +341,93 @@ fn map_recv(e: RecvError) -> ClientError {
     match e {
         RecvError::Timeout => ClientError::Unreachable("request timed out".into()),
         RecvError::Disconnected => ClientError::Unreachable("scheduler disconnected".into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::attempt_stamped_output;
+    use cloudburst_anna::{AnnaCluster, AnnaConfig};
+    use cloudburst_net::NetConfig;
+
+    #[test]
+    fn lost_notice_falls_back_to_the_stored_copy() {
+        // The sink wrote its output and died before answering; no retry is
+        // left, so every reply handle is dropped unanswered. `get` must
+        // notice the disconnect at once and read the KVS copy.
+        let net = Network::new(NetConfig::instant());
+        let anna = AnnaCluster::launch(
+            &net,
+            AnnaConfig {
+                nodes: 2,
+                replication: 1,
+                durability: cloudburst_anna::Durability::Off,
+                ..AnnaConfig::default()
+            },
+        );
+        let key = Key::new("resp/lost-notice/0");
+        let (reply, waiter) = reply_channel::<InvocationResult>(&net);
+        let future = CloudburstFuture {
+            key: key.clone(),
+            waiter,
+            settled: OnceLock::new(),
+            anna: Arc::new(anna.client()),
+        };
+        anna.client()
+            .put(
+                &key,
+                attempt_stamped_output(0, 7, Bytes::from_static(b"stored")),
+            )
+            .unwrap();
+        drop(reply);
+        let start = Instant::now();
+        let value = future.get(Duration::from_secs(30)).unwrap();
+        assert_eq!(value.as_ref(), b"stored");
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "waited out the timeout"
+        );
+        // And again: with no notice to memoise, the read repeats.
+        assert_eq!(future.get(Duration::from_secs(30)).unwrap(), value);
+    }
+
+    #[test]
+    fn late_notice_gets_one_final_read() {
+        // The notice never arrives inside the timeout, but the handle is
+        // still alive (a slow DAG): `get` makes exactly one read of the
+        // stored copy before reporting the timeout.
+        let net = Network::new(NetConfig::instant());
+        let anna = AnnaCluster::launch(
+            &net,
+            AnnaConfig {
+                nodes: 1,
+                replication: 1,
+                durability: cloudburst_anna::Durability::Off,
+                ..AnnaConfig::default()
+            },
+        );
+        let key = Key::new("resp/late-notice/0");
+        let (_reply, waiter) = reply_channel::<InvocationResult>(&net);
+        let future = CloudburstFuture {
+            key: key.clone(),
+            waiter,
+            settled: OnceLock::new(),
+            anna: Arc::new(anna.client()),
+        };
+        assert!(matches!(
+            future.get(Duration::from_millis(20)),
+            Err(ClientError::Unreachable(_))
+        ));
+        anna.client()
+            .put(
+                &key,
+                attempt_stamped_output(0, 7, Bytes::from_static(b"stored")),
+            )
+            .unwrap();
+        assert_eq!(
+            future.get(Duration::from_millis(20)).unwrap().as_ref(),
+            b"stored"
+        );
     }
 }

@@ -513,3 +513,73 @@ impl std::fmt::Debug for CloudburstCluster {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dag::DagSpec;
+    use bytes::Bytes;
+    use cloudburst_lattice::Key;
+
+    /// 1 000 two-node DAG calls whose functions write through `rt.put`.
+    fn run_writing_dags(level: ConsistencyLevel) -> CloudburstCluster {
+        let cluster = CloudburstCluster::launch(CloudburstConfig {
+            level,
+            ..CloudburstConfig::instant()
+        });
+        let client = cluster.client();
+        client
+            .register_function("write", |rt, _args| {
+                rt.put(&Key::new("completion-path"), Bytes::from_static(b"v"));
+                Ok(Bytes::new())
+            })
+            .unwrap();
+        client
+            .register_dag(DagSpec::linear("writes", &["write", "write"]))
+            .unwrap();
+        for _ in 0..1000 {
+            let result = client.call_dag("writes", HashMap::new()).unwrap();
+            assert!(result.is_ok(), "{result:?}");
+        }
+        cluster
+    }
+
+    fn caches(cluster: &CloudburstCluster) -> Vec<Arc<crate::cache::CacheInner>> {
+        let vms = cluster.inner.vms.lock();
+        vms.values().map(|vm| vm.cache.inner()).collect()
+    }
+
+    #[test]
+    fn lww_completion_sends_no_session_complete_and_keeps_no_snapshots() {
+        // Snapshots are read only at the levels that ship session metadata;
+        // at LWW a write must not leave one behind, and the completion path
+        // must not pay a message per involved cache to evict nothing.
+        let cluster = run_writing_dags(ConsistencyLevel::Lww);
+        for cache in caches(&cluster) {
+            assert_eq!(cache.snapshot_sessions(), 0);
+            assert_eq!(cache.stats.session_completes.load(Ordering::Relaxed), 0);
+        }
+    }
+
+    #[test]
+    fn repeatable_read_completion_still_evicts_snapshots() {
+        let cluster = run_writing_dags(ConsistencyLevel::RepeatableRead);
+        let caches = caches(&cluster);
+        let completes = || -> u64 {
+            caches
+                .iter()
+                .map(|c| c.stats.session_completes.load(Ordering::Relaxed))
+                .sum()
+        };
+        // One notice per involved cache per call, delivered asynchronously.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while completes() < 1000 || caches.iter().any(|c| c.snapshot_sessions() > 0) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} notices handled, snapshots not drained",
+                completes()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    }
+}

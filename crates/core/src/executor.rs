@@ -44,34 +44,13 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// Where a DAG's final result goes.
-#[derive(Clone)]
-pub enum OutputTarget {
-    /// Respond directly to the blocked client (the common case, §3). The
-    /// handle is taken by whichever sink finishes first.
-    // lock-rank: 50 cb-reply-slot
-    Direct(Arc<Mutex<Option<ReplyHandle<InvocationResult>>>>),
-    /// Store the result in the KVS under this key; the client holds a
-    /// `CloudburstFuture` on it.
-    Kvs(Key),
-}
-
-impl std::fmt::Debug for OutputTarget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Direct(_) => f.write_str("Direct"),
-            Self::Kvs(k) => write!(f, "Kvs({k})"),
-        }
-    }
-}
-
 /// The immutable half of a DAG execution plan: topology, per-node executor
 /// assignments, and everything derivable from them. Built once by the
 /// scheduler (and reused across repeated calls via its plan cache), then
 /// shared by every hop of the execution as an `Arc` — successor fan-out in
 /// [`run_node`](ExecutorHandle) is a refcount bump, never a multi-`Vec`
-/// clone. The per-request mutable state (request id, attempt, output
-/// target, arguments) lives in the small [`DagSchedule`] header instead,
+/// clone. The per-request mutable state (request id, attempt, output key,
+/// reply slot, arguments) lives in the small [`DagSchedule`] header instead,
 /// mirroring the immutable-plan/mutable-header split Polynesia argues for.
 #[derive(Debug)]
 pub struct DagPlan {
@@ -136,8 +115,8 @@ impl DagPlan {
 
 /// The execution plan a scheduler broadcasts for one DAG request (§4.3):
 /// a shared handle on the immutable [`DagPlan`] plus the per-call header.
-/// Cloning one (per successor trigger) is two refcount bumps and an
-/// [`OutputTarget`] handle copy.
+/// Cloning one (per successor trigger) is three refcount bumps and an
+/// optional key handle copy.
 #[derive(Debug, Clone)]
 pub struct DagSchedule {
     /// The request (session) ID.
@@ -151,8 +130,15 @@ pub struct DagSchedule {
     /// shareable plan; the `Arc` makes the header clone O(1) regardless of
     /// argument size).
     pub args: Arc<HashMap<usize, Vec<Arg>>>,
-    /// Where the sink result goes.
-    pub output: OutputTarget,
+    /// If set, the sink stores its result in the KVS under this key (the
+    /// client holds a `CloudburstFuture` on it) *before* answering `reply`.
+    pub output_key: Option<Key>,
+    /// The caller's reply handle, taken by whichever sink finishes first.
+    /// The scheduler parks the same slot in its pending table, so it
+    /// survives §4.5 re-execution: a retried attempt answers the same
+    /// caller. Empty for a fire-and-forget call.
+    // lock-rank: 50 cb-reply-slot
+    pub reply: Arc<Mutex<Option<ReplyHandle<InvocationResult>>>>,
     /// The immutable, shared execution plan.
     pub plan: Arc<DagPlan>,
 }
@@ -533,58 +519,66 @@ impl Worker {
         }
     }
 
+    /// The one completion rule: store the result if the schedule carries an
+    /// output key, then answer the reply slot if it still holds a handle.
+    /// The put is *issued* before the reply is sent, so a caller that reads
+    /// the key after the notice finds the write already in flight to the
+    /// same node its read goes to.
     fn finish_dag(
         &mut self,
         schedule: &DagSchedule,
         result: InvocationResult,
         session: &SessionMeta,
     ) {
-        match &schedule.output {
-            OutputTarget::Direct(slot) => {
-                if let Some(reply) = slot.lock().take() {
-                    reply.reply(result);
-                }
-            }
-            OutputTarget::Kvs(key) => {
-                if let InvocationResult::Ok(value) = result {
-                    if self.cache.level().is_causal() {
-                        // Causal outputs merge by vector clock; concurrent
-                        // attempt writes survive as conflicts rather than
-                        // clobbering each other.
-                        let mut session = session.clone();
-                        let reads: Vec<(Key, VectorClock)> = Vec::new();
-                        self.cache
-                            .put_session(key, value, &mut session, self.id, &reads);
-                    } else {
-                        // LWW outputs are attempt-stamped: a late write from
-                        // an abandoned attempt loses the merge against any
-                        // retry that already finished. Fire-and-forget, like
-                        // the write-behind path it replaces — the client's
-                        // future polls the KVS, so an ack round trip would
-                        // only stall this executor's queue.
-                        let capsule =
-                            attempt_stamped_output(schedule.attempt, schedule.request_id, value);
-                        self.cache.merge_local(key, capsule.clone());
-                        let _ = self.anna.put_async(key, capsule);
-                    }
+        if let (Some(key), InvocationResult::Ok(value)) = (&schedule.output_key, &result) {
+            if self.cache.level().is_causal() {
+                // Causal outputs merge by vector clock; concurrent
+                // attempt writes survive as conflicts rather than
+                // clobbering each other.
+                let mut session = session.clone();
+                let reads: Vec<(Key, VectorClock)> = Vec::new();
+                self.cache
+                    .put_session(key, value.clone(), &mut session, self.id, &reads);
+            } else {
+                // LWW outputs are attempt-stamped: a late write from an
+                // abandoned attempt loses the merge against any retry that
+                // already finished. Fire-and-forget — the completion notice
+                // carries the value, so an ack round trip would only stall
+                // this executor's queue — and straight to Anna: the key is
+                // private to one caller, who reads it from the KVS, so a
+                // copy in this VM's cache would never be hit.
+                let capsule =
+                    attempt_stamped_output(schedule.attempt, schedule.request_id, value.clone());
+                if self.anna.put_async(key, capsule).is_err() {
+                    // No replica reachable from here (this VM was cut off,
+                    // or the storage tier is down): an output that was not
+                    // stored is not a completion. Leave the reply slot and
+                    // the scheduler's pending entry to the §4.5 timeout.
+                    return;
                 }
             }
         }
-        // Notify the scheduler (fault-tolerance bookkeeping, §4.5) and all
-        // involved caches (snapshot eviction, §5.3).
+        if let Some(reply) = schedule.reply.lock().take() {
+            reply.reply(result);
+        }
+        // Notify the scheduler (fault-tolerance bookkeeping, §4.5) and, at
+        // the levels that keep per-session version snapshots, all involved
+        // caches (snapshot eviction, §5.3).
         let _ = self.endpoint.send(
             schedule.plan.scheduler,
             crate::scheduler::SchedulerRequest::DagDone {
                 request_id: schedule.request_id,
             },
         );
-        for &cache in &schedule.plan.cache_addrs {
-            let _ = self.endpoint.send(
-                cache,
-                CacheRequest::SessionComplete {
-                    request_id: schedule.request_id,
-                },
-            );
+        if self.cache.level().ships_session_metadata() {
+            for &cache in &schedule.plan.cache_addrs {
+                let _ = self.endpoint.send(
+                    cache,
+                    CacheRequest::SessionComplete {
+                        request_id: schedule.request_id,
+                    },
+                );
+            }
         }
     }
 

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use crate::cache::CacheRequest;
 use crate::consistency::session::SessionMeta;
 use crate::dag::{DagError, DagSpec};
-use crate::executor::{DagPlan, DagSchedule, DagTrigger, ExecutorRequest, OutputTarget};
+use crate::executor::{DagPlan, DagSchedule, DagTrigger, ExecutorRequest};
 use crate::topology::Topology;
 use crate::types::{Arg, ConsistencyLevel, ExecutorId, InvocationResult, RequestId, VmId};
 
@@ -100,10 +100,10 @@ pub enum SchedulerRequest {
         /// The caller's region (see [`SchedulerRequest::CallFunction`]).
         region: u16,
         /// If set, the sink stores its result under this key (the client
-        /// holds a `CloudburstFuture`); otherwise the result is returned
-        /// directly through `reply`.
+        /// holds a `CloudburstFuture`) before answering `reply`.
         output_key: Option<Key>,
-        /// Direct-response channel.
+        /// Completion channel: the sink answers it with the result (after
+        /// the store, if any). `None` for a fire-and-forget call.
         reply: Option<ReplyHandle<InvocationResult>>,
     },
     /// A sink executor reports DAG completion.
@@ -501,15 +501,12 @@ impl Worker {
             }
         };
         let request_id = NEXT_REQUEST.fetch_add(1, Ordering::Relaxed);
-        let output = match &output_key {
-            Some(key) => OutputTarget::Kvs(key.clone()),
-            None => OutputTarget::Direct(Arc::clone(&reply_slot)),
-        };
         let schedule = DagSchedule {
             request_id,
             attempt: retries,
             args: Arc::clone(&args),
-            output,
+            output_key: output_key.clone(),
+            reply: Arc::clone(&reply_slot),
             plan: Arc::clone(&plan),
         };
         self.pending.insert(
@@ -805,11 +802,14 @@ impl Worker {
             let Some(p) = self.pending.remove(&request_id) else {
                 continue;
             };
-            // Evict stale snapshots of the abandoned attempt.
-            for &cache in &p.cache_addrs {
-                let _ = self
-                    .endpoint
-                    .send(cache, CacheRequest::SessionComplete { request_id });
+            // Evict stale snapshots of the abandoned attempt (only the
+            // snapshotting levels hold any).
+            if self.level.ships_session_metadata() {
+                for &cache in &p.cache_addrs {
+                    let _ = self
+                        .endpoint
+                        .send(cache, CacheRequest::SessionComplete { request_id });
+                }
             }
             if p.retries >= self.config.max_retries {
                 if let Some(reply) = p.reply_slot.lock().take() {

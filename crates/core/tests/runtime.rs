@@ -213,6 +213,148 @@ fn stored_results_via_future() {
     assert_eq!(codec::decode_i64(&value), Some(42));
 }
 
+/// Poll Anna until `key` holds a value (the sink's put is fire-and-forget).
+fn stored_copy(client: &cloudburst::CloudburstClient, key: &Key) -> cloudburst_lattice::Capsule {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(capsule) = client.anna().get(key).unwrap() {
+            return capsule;
+        }
+        assert!(std::time::Instant::now() < deadline, "output never stored");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn stored_future_settles_once_and_leaves_an_attempt_stamped_copy() {
+    let cluster = instant_cluster();
+    let client = cluster.client();
+    register_arithmetic(&client);
+    client
+        .register_dag(DagSpec::linear("stored", &["increment"]))
+        .unwrap();
+    let future = client
+        .call_dag_stored(
+            "stored",
+            HashMap::from([(0, vec![Arg::value(codec::encode_i64(41))])]),
+        )
+        .unwrap();
+    let value = future.get(Duration::from_secs(10)).unwrap();
+    assert_eq!(codec::decode_i64(&value), Some(42));
+    // A second `get` returns the same bytes.
+    assert_eq!(future.get(Duration::from_secs(10)).unwrap(), value);
+    // The KVS copy is what survives the client: first attempt => stamp 1.
+    let capsule = stored_copy(&client, future.key());
+    assert_eq!(capsule.read_value(), value);
+    assert_eq!(capsule.lww_timestamp().map(|ts| ts.clock_micros), Some(1));
+}
+
+#[test]
+fn failed_stored_dag_fails_the_future_at_once() {
+    // A failing function stores nothing; before the completion notice the
+    // future could only burn its whole timeout polling for a key that never
+    // appears.
+    let cluster = instant_cluster();
+    let client = cluster.client();
+    client
+        .register_function("fail", |_rt, _args| Err("explicit program error".into()))
+        .unwrap();
+    client
+        .register_dag(DagSpec::linear("fail-dag", &["fail"]))
+        .unwrap();
+    let future = client.call_dag_stored("fail-dag", HashMap::new()).unwrap();
+    let start = std::time::Instant::now();
+    let outcome = future.get(Duration::from_secs(30));
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "the failure took {:?} to arrive",
+        start.elapsed()
+    );
+    let Err(cloudburst::ClientError::Invocation(msg)) = &outcome else {
+        panic!("expected the function's error, got {outcome:?}");
+    };
+    assert!(msg.contains("explicit program error"));
+    assert_eq!(future.get(Duration::from_secs(30)), outcome);
+    assert_eq!(client.anna().get(future.key()).unwrap(), None);
+}
+
+#[test]
+fn dropped_future_does_not_wedge_the_executor() {
+    let cluster = instant_cluster();
+    let client = cluster.client();
+    register_arithmetic(&client);
+    client
+        .register_dag(DagSpec::linear("stored", &["increment"]))
+        .unwrap();
+    let args = |x| HashMap::from([(0, vec![Arg::value(codec::encode_i64(x))])]);
+    let mut keys = Vec::new();
+    for x in 0..50 {
+        let future = client.call_dag_stored("stored", args(x)).unwrap();
+        keys.push(future.key().clone());
+        // Dropped unread: the sink's reply lands in a closed channel.
+    }
+    // The executors keep serving, and every abandoned result was stored.
+    let result = client.call_dag("stored", args(99)).unwrap();
+    assert_eq!(codec::decode_i64(&result.unwrap()), Some(100));
+    for (x, key) in keys.iter().enumerate() {
+        let capsule = stored_copy(&client, key);
+        assert_eq!(codec::decode_i64(&capsule.read_value()), Some(x as i64 + 1));
+    }
+}
+
+#[test]
+fn sink_that_cannot_store_is_retried_into_the_same_future() {
+    // The first attempt's VM is crashed while its function runs: when the
+    // function returns, the dying sink can no longer reach Anna, so it must
+    // neither answer the future nor retire the request. The §4.5 retry
+    // stores the output and answers the *same* future.
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::{mpsc, Arc as StdArc};
+    let mut config = CloudburstConfig::instant();
+    config.vms = 2;
+    config.executors_per_vm = 2;
+    config.scheduler = SchedulerConfig {
+        dag_timeout_ms: 300.0,
+        max_retries: 5,
+        initial_pin_replicas: 4,
+    };
+    let cluster = CloudburstCluster::launch(config);
+    let client = cluster.client();
+    let calls = StdArc::new(AtomicU32::new(0));
+    let calls_in_fn = StdArc::clone(&calls);
+    let (started_tx, started_rx) = mpsc::channel();
+    client
+        .register_function("doomed_first", move |rt, _args| {
+            if calls_in_fn.fetch_add(1, Ordering::SeqCst) == 0 {
+                let _ = started_tx.send(rt.executor_id());
+                // Finishes well inside the DAG timeout — on a dead VM.
+                rt.compute(150.0);
+                Ok(Bytes::from_static(b"stale"))
+            } else {
+                Ok(Bytes::from_static(b"fresh"))
+            }
+        })
+        .unwrap();
+    client
+        .register_dag(DagSpec::linear("doomed-dag", &["doomed_first"]))
+        .unwrap();
+    let future = client
+        .call_dag_stored("doomed-dag", HashMap::new())
+        .unwrap();
+    let executor = started_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    let vm = cluster.topology().executor(executor).unwrap().vm;
+    assert!(cluster.crash_vm(vm));
+    let value = future.get(Duration::from_secs(10)).unwrap();
+    assert_eq!(
+        value.as_ref(),
+        b"fresh",
+        "the dead sink answered the future"
+    );
+    let capsule = stored_copy(&client, future.key());
+    assert_eq!(capsule.read_value().as_ref(), b"fresh");
+    assert_eq!(capsule.lww_timestamp().map(|ts| ts.clock_micros), Some(2));
+}
+
 #[test]
 fn functions_read_and_write_shared_state() {
     let cluster = instant_cluster();

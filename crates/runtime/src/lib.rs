@@ -31,17 +31,30 @@
 //! Pool workers must never block on something another actor on the same
 //! pool has to produce, or the pool can deadlock under load. Any
 //! potentially-blocking wait in product code is wrapped in
-//! [`blocking`], which (on a pool thread) spawns a *spare* worker when no
-//! idle capacity remains, so queued actors keep draining while the blocked
-//! worker waits. Spares retire once the blocking pressure subsides. Off
-//! the pool, [`blocking`] is a free pass-through.
+//! [`blocking`], which (on a pool thread) wakes a parked thread to steal
+//! whatever the blocking worker had queued for itself and spawns a *spare*
+//! worker when no spare is parked, so queued actors keep draining while the
+//! blocked worker waits. Spares retire once the blocking pressure subsides
+//! and are joined by the next spawn, so exited threads do not accumulate.
+//! Off the pool, [`blocking`] is a free pass-through.
+//!
+//! # Wake-ups
+//!
+//! A wake from idle is the dominant cost of a short request, so the pool
+//! spends as few as it can and spends them on the warmest thread. A worker
+//! that enqueues a cell from inside a poll keeps it: the cell goes to the
+//! worker's own deque and no sleeper is woken unless the deque already held
+//! work (the worker pops the cell itself when its poll returns). Idle
+//! threads — pool workers and spares alike — park on a per-thread condvar
+//! and are recorded as a stack; every wake site pops the **most recently
+//! parked** one.
 //!
 //! # Lock hierarchy
 //!
 //! Three ranked locks (see ARCHITECTURE.md's table): `rt-actor-cell` (16)
 //! guards an actor's parked state and is never held across a poll;
-//! `rt-injector` (91) guards the injector, timer heap, and parked-worker
-//! bookkeeping; `rt-worker` (92) guards one worker's local deque, and may
+//! `rt-injector` (91) guards the injector, timer heap, and the idle stack
+//! of parked threads; `rt-worker` (92) guards one worker's local deque, and may
 //! be taken while holding 91 (an idle worker stealing) but never the other
 //! way around.
 
@@ -267,7 +280,11 @@ impl Ord for TimerEntry {
 struct Sched {
     injector: VecDeque<Arc<Cell>>,
     timers: BinaryHeap<TimerEntry>,
-    sleepers: usize,
+    /// Parked threads (pool workers and spares share the one stack), most
+    /// recently parked last. Each parks on its own condvar paired with
+    /// `sched`; a waker pops the entry it notifies, so an entry still here
+    /// after a wait means the wait timed out.
+    idle: Vec<Arc<Condvar>>,
     shutdown: bool,
 }
 
@@ -278,9 +295,7 @@ struct Inner {
     epoch: Instant,
     // lock-rank: 91 rt-injector
     sched: Mutex<Sched>,
-    /// Workers park here when idle (paired with `sched`).
-    cv: Condvar,
-    /// Lock-free mirror of `sched.sleepers`, read by producers to decide
+    /// Lock-free mirror of `sched.idle.len()`, read by producers to decide
     /// whether a wakeup signal is needed at all.
     sleepers: AtomicUsize,
     /// Lock-free mirror of the timer heap's earliest deadline (ns since
@@ -305,6 +320,7 @@ struct Inner {
     actors_spawned: AtomicU64,
     polls: AtomicU64,
     timer_fires: AtomicU64,
+    wakes: AtomicU64,
     max_mailbox: AtomicUsize,
     shutdown_flag: AtomicBool,
 }
@@ -331,6 +347,9 @@ pub struct RuntimeStats {
     pub timer_fires: u64,
     /// Spare workers ever spawned to cover [`blocking`] regions.
     pub spares_spawned: u64,
+    /// Parked threads notified (one futex wake each) by enqueues, timer
+    /// re-arms and [`blocking`] entries.
+    pub wakes: u64,
 }
 
 impl RuntimeStats {
@@ -435,11 +454,10 @@ impl Runtime {
                 Sched {
                     injector: VecDeque::new(),
                     timers: BinaryHeap::new(),
-                    sleepers: 0,
+                    idle: Vec::new(),
                     shutdown: false,
                 },
             ),
-            cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
             next_deadline: AtomicU64::new(u64::MAX),
             workers,
@@ -453,6 +471,7 @@ impl Runtime {
             actors_spawned: AtomicU64::new(0),
             polls: AtomicU64::new(0),
             timer_fires: AtomicU64::new(0),
+            wakes: AtomicU64::new(0),
             max_mailbox: AtomicUsize::new(0),
             shutdown_flag: AtomicBool::new(false),
         });
@@ -552,6 +571,7 @@ impl Runtime {
             max_mailbox_depth: inner.max_mailbox.load(Ordering::Relaxed),
             timer_fires: inner.timer_fires.load(Ordering::Relaxed),
             spares_spawned: inner.spares_spawned.load(Ordering::Relaxed),
+            wakes: inner.wakes.load(Ordering::Relaxed),
         }
     }
 
@@ -577,7 +597,10 @@ impl Runtime {
         {
             let mut sched = self.inner.sched.lock();
             sched.shutdown = true;
-            self.inner.cv.notify_all();
+            for parker in sched.idle.drain(..) {
+                parker.notify_one();
+            }
+            self.inner.sleepers.store(0, Ordering::SeqCst);
         }
         let handles: Vec<_> = self.inner.threads.lock().drain(..).collect();
         for h in handles {
@@ -691,37 +714,57 @@ impl Inner {
         }
     }
 
+    /// The pool-worker index of the current thread, if it is a pool worker
+    /// of *this* runtime (not a spare, not another instance's worker).
+    fn local_worker(self: &Arc<Self>) -> Option<usize> {
+        WORKER_ID.with(|w| w.get()).flatten().filter(|_| {
+            WORKER_RT.with(|r| {
+                r.borrow()
+                    .as_ref()
+                    .and_then(Weak::upgrade)
+                    .is_some_and(|rt| Arc::ptr_eq(&rt, self))
+            })
+        })
+    }
+
+    /// Wake the most recently parked thread, if any (caller holds `sched`).
+    fn wake_one(&self, sched: &mut Sched) {
+        if let Some(parker) = sched.idle.pop() {
+            self.sleepers.store(sched.idle.len(), Ordering::SeqCst);
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            parker.notify_one();
+        }
+    }
+
     /// Push a QUEUED cell where a worker will find it. On a pool worker:
     /// its local deque (cheap, good locality). Anywhere else — and always
     /// in deterministic mode, where global FIFO order *is* the replay
     /// contract — the shared injector.
     fn enqueue(self: &Arc<Self>, cell: Arc<Cell>) {
         let local = match self.mode {
-            RuntimeMode::Pooled(_) => WORKER_ID.with(|w| w.get()).flatten().filter(|_| {
-                // A worker of *this* runtime, not of some other instance.
-                WORKER_RT.with(|r| {
-                    r.borrow()
-                        .as_ref()
-                        .and_then(Weak::upgrade)
-                        .is_some_and(|rt| Arc::ptr_eq(&rt, self))
-                })
-            }),
+            RuntimeMode::Pooled(_) => self.local_worker(),
             RuntimeMode::Deterministic => None,
         };
         match local {
             Some(wid) => {
-                self.workers[wid].deque.lock().push_back(cell);
-                if self.sleepers.load(Ordering::SeqCst) > 0 {
-                    let _sched = self.sched.lock();
-                    self.cv.notify_one();
+                // Handoff: this worker pops the cell itself as soon as its
+                // current poll returns, so a sleeper is only worth waking
+                // for work queued *behind* it. ([`blocking`] covers the
+                // case where the poll does not return promptly.)
+                let backlog = {
+                    let mut deque = self.workers[wid].deque.lock();
+                    deque.push_back(cell);
+                    deque.len() > 1
+                };
+                if backlog && self.sleepers.load(Ordering::SeqCst) > 0 {
+                    let mut sched = self.sched.lock();
+                    self.wake_one(&mut sched);
                 }
             }
             None => {
                 let mut sched = self.sched.lock();
                 sched.injector.push_back(cell);
-                if sched.sleepers > 0 {
-                    self.cv.notify_one();
-                }
+                self.wake_one(&mut sched);
             }
         }
     }
@@ -746,9 +789,7 @@ impl Inner {
             self.next_deadline.store(ns, Ordering::Relaxed);
             // A parked worker may be waiting on the previous (later)
             // deadline; wake one so it re-parks with the shorter wait.
-            if sched.sleepers > 0 {
-                self.cv.notify_one();
-            }
+            self.wake_one(&mut sched);
         }
     }
 
@@ -808,9 +849,6 @@ impl Inner {
     /// from a seeded start so backlogs drain evenly.
     fn try_steal(&self, thief: Option<usize>) -> Option<Arc<Cell>> {
         let n = self.workers.len();
-        if n <= 1 {
-            return None;
-        }
         let mix = |x: u64| {
             // splitmix64-style scramble; cheap and stateless.
             let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -915,6 +953,18 @@ impl Inner {
         if self.shutdown_flag.load(Ordering::SeqCst) {
             return;
         }
+        // Cells this worker queued for itself (see `enqueue`) would wait
+        // out the block: have a parked thread steal them. The check takes
+        // `sched` unconditionally — under it the idle stack is exact, so a
+        // worker about to park either is woken here or has yet to run its
+        // own steal pass.
+        let queued = self
+            .local_worker()
+            .is_some_and(|wid| !self.workers[wid].deque.lock().is_empty());
+        if queued {
+            let mut sched = self.sched.lock();
+            self.wake_one(&mut sched);
+        }
         if self.spares_parked.load(Ordering::SeqCst) == 0
             && self.spares_alive.load(Ordering::SeqCst) < blocked
         {
@@ -925,7 +975,23 @@ impl Inner {
                 .name("cb-worker-spare".into())
                 .spawn(move || worker_loop(rt, None));
             match spawned {
-                Ok(h) => self.threads.lock().push(h),
+                Ok(h) => {
+                    // Reap the spares that have retired since the last
+                    // spawn: an exited thread keeps its stack mapping and
+                    // a few resident pages until it is joined, so holding
+                    // every handle until shutdown grows the process with
+                    // the spawn count.
+                    let mut threads = self.threads.lock();
+                    let mut i = 0;
+                    while i < threads.len() {
+                        if threads[i].is_finished() {
+                            let _ = threads.swap_remove(i).join();
+                        } else {
+                            i += 1;
+                        }
+                    }
+                    threads.push(h);
+                }
                 Err(_) => {
                     self.spares_alive.fetch_sub(1, Ordering::SeqCst);
                 }
@@ -945,14 +1011,20 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
     let spare = wid.is_none();
     WORKER_ID.with(|w| w.set(Some(wid)));
     WORKER_RT.with(|r| *r.borrow_mut() = Some(Arc::downgrade(&inner)));
-    // Spare retirement hysteresis: only exit after a full idle park with
-    // no blocking pressure, so block/unblock churn doesn't thrash threads.
+    /// Longest a spare parks when no timer is armed.
     const SPARE_IDLE_PARK: Duration = Duration::from_millis(50);
+    // This thread's entry on the idle stack (paired with `sched`).
+    let parker = Arc::new(Condvar::new());
+    // The last park timed out and nothing has run since: this thread is
+    // the coldest, so it re-parks at the bottom of the stack instead of
+    // displacing the thread that is actually serving wake-ups.
+    let mut cold = false;
     loop {
         // 1. Local deque first (owner end).
         if let Some(w) = wid {
             let cell = inner.workers[w].deque.lock().pop_front();
             if let Some(cell) = cell {
+                cold = false;
                 inner.run_cell(cell);
                 // Due timers must not starve behind a long local backlog.
                 let now = rt_now();
@@ -966,19 +1038,10 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
         // 2. Injector + timers + stealing under the sched lock.
         let mut sched = inner.sched.lock();
         inner.expire_due_timers(&mut sched, rt_now());
-        if let Some(cell) = sched.injector.pop_front() {
+        let found = sched.injector.pop_front().or_else(|| inner.try_steal(wid));
+        if let Some(cell) = found {
             drop(sched);
-            inner.run_cell(cell);
-            continue;
-        }
-        if !spare || inner.blocked.load(Ordering::SeqCst) > 0 || wid.is_some() {
-            if let Some(cell) = inner.try_steal(wid) {
-                drop(sched);
-                inner.run_cell(cell);
-                continue;
-            }
-        } else if let Some(cell) = inner.try_steal(wid) {
-            drop(sched);
+            cold = false;
             inner.run_cell(cell);
             continue;
         }
@@ -988,8 +1051,12 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
         // 3. Park. Announce the sleep *before* releasing interest so a
         // producer that pushed right after our checks sees sleepers > 0
         // and signals (no lost wakeups).
-        sched.sleepers += 1;
-        inner.sleepers.store(sched.sleepers, Ordering::SeqCst);
+        if cold {
+            sched.idle.insert(0, Arc::clone(&parker));
+        } else {
+            sched.idle.push(Arc::clone(&parker));
+        }
+        inner.sleepers.store(sched.idle.len(), Ordering::SeqCst);
         if spare {
             inner.spares_parked.fetch_add(1, Ordering::SeqCst);
         }
@@ -1004,15 +1071,28 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
             let now_ns = inner.to_ns(rt_now());
             Duration::from_nanos(next.saturating_sub(now_ns)).min(Duration::from_millis(500))
         };
-        let timed_out = inner.cv.wait_for(&mut sched, wait).timed_out();
-        sched.sleepers -= 1;
-        inner.sleepers.store(sched.sleepers, Ordering::SeqCst);
+        parker.wait_for(&mut sched, wait);
+        // A waker pops the entry it notifies; finding ours still on the
+        // stack means the wait timed out (or woke spuriously).
+        cold = match sched.idle.iter().position(|p| Arc::ptr_eq(p, &parker)) {
+            Some(at) => {
+                sched.idle.remove(at);
+                inner.sleepers.store(sched.idle.len(), Ordering::SeqCst);
+                true
+            }
+            None => false,
+        };
         if spare {
             inner.spares_parked.fetch_sub(1, Ordering::SeqCst);
-            let idle_retire = timed_out
+            // Spare retirement: the first park that ends un-notified with
+            // an empty injector while spares outnumber blocked regions.
+            // With a timer armed that park is only as long as the next
+            // deadline, so a spare outlives its blocking region by about
+            // one timer period, not by `SPARE_IDLE_PARK`.
+            let idle_retire = cold
                 && sched.injector.is_empty()
                 && inner.spares_alive.load(Ordering::SeqCst) > inner.blocked.load(Ordering::SeqCst);
-            if idle_retire || sched.shutdown {
+            if idle_retire {
                 inner.spares_alive.fetch_sub(1, Ordering::SeqCst);
                 return;
             }
@@ -1042,11 +1122,13 @@ mod tests {
         }
     }
 
+    /// Yields rather than sleeps: the wake-path tests run a thousand
+    /// rounds of it.
     fn wait_until(cond: impl Fn() -> bool) {
         let start = Instant::now();
         while !cond() {
             assert!(start.elapsed() < Duration::from_secs(10), "timed out");
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::yield_now();
         }
     }
 
@@ -1257,6 +1339,245 @@ mod tests {
         assert!(rt.stats().spares_spawned >= 1, "a spare must have covered");
         consumer.stop();
         producer.stop();
+        rt.shutdown();
+    }
+
+    /// Each poll spends a moment inside `blocking`.
+    struct Blocker {
+        rounds: Arc<AtomicU64>,
+    }
+    impl Actor for Blocker {
+        fn poll(&mut self, _ctx: &mut ActorCtx<'_>) -> Poll {
+            blocking(|| std::thread::sleep(Duration::from_millis(1)));
+            self.rounds.fetch_add(1, Ordering::SeqCst);
+            Poll::Idle(None)
+        }
+    }
+
+    #[test]
+    fn retired_spares_are_reaped_at_the_next_spawn() {
+        // An exited thread keeps its stack mapping and a few resident pages
+        // until it is joined, so the handles of retired spares must not
+        // pile up until shutdown: each spawn joins the ones that finished.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        });
+        let rounds = Arc::new(AtomicU64::new(0));
+        let blocker = rt.spawn(
+            "blocker",
+            Blocker {
+                rounds: Arc::clone(&rounds),
+            },
+        );
+        for round in 1..=5 {
+            wait_until(|| rounds.load(Ordering::SeqCst) >= round);
+            assert_eq!(rt.stats().spares_spawned, round, "one spare a round");
+            assert_eq!(
+                rt.inner.threads.lock().len(),
+                2,
+                "the worker and this round's spare; earlier spares were joined"
+            );
+            // Let the spare retire (one idle park) and its thread finish.
+            wait_until(|| {
+                rt.inner.spares_alive.load(Ordering::SeqCst) == 0
+                    && rt
+                        .inner
+                        .threads
+                        .lock()
+                        .iter()
+                        .all(|h| h.is_finished() || h.thread().name() == Some("cb-worker-0"))
+            });
+            blocker.notify();
+        }
+        blocker.stop();
+        rt.shutdown();
+    }
+
+    fn all_parked(rt: &Runtime) -> bool {
+        rt.inner.sleepers.load(Ordering::SeqCst) == rt.inner.workers.len()
+    }
+
+    /// Counts its polls and passes the baton to `next`, if any.
+    struct Relay {
+        hits: Arc<AtomicU64>,
+        next: Option<ActorHandle>,
+    }
+
+    impl Actor for Relay {
+        fn poll(&mut self, _ctx: &mut ActorCtx<'_>) -> Poll {
+            self.hits.fetch_add(1, Ordering::SeqCst);
+            if let Some(next) = &self.next {
+                next.notify();
+            }
+            Poll::Idle(None)
+        }
+    }
+
+    #[test]
+    fn relay_stays_on_the_worker_that_was_woken() {
+        // A notifies B notifies C: each hop lands in the running worker's
+        // own deque and is popped by that worker — no second wake-up, no
+        // steal — so a round costs the one wake of the off-pool kick.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 3,
+            ..RuntimeConfig::default()
+        });
+        let hits: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
+        let c = rt.spawn(
+            "relay-c",
+            Relay {
+                hits: Arc::clone(&hits[2]),
+                next: None,
+            },
+        );
+        let b = rt.spawn(
+            "relay-b",
+            Relay {
+                hits: Arc::clone(&hits[1]),
+                next: Some(c.clone()),
+            },
+        );
+        let a = rt.spawn(
+            "relay-a",
+            Relay {
+                hits: Arc::clone(&hits[0]),
+                next: Some(b.clone()),
+            },
+        );
+        // The start() polls cascade too; let them settle.
+        wait_until(|| hits[0].load(Ordering::SeqCst) == 1);
+        for _ in 0..200 {
+            wait_until(|| all_parked(&rt));
+            let (steals, wakes) = (rt.stats().total_steals(), rt.stats().wakes);
+            let served = hits[2].load(Ordering::SeqCst);
+            a.notify();
+            wait_until(|| hits[2].load(Ordering::SeqCst) > served);
+            wait_until(|| all_parked(&rt));
+            let stats = rt.stats();
+            assert_eq!(stats.total_steals(), steals, "a hop was stolen");
+            assert!(stats.wakes - wakes <= 1, "a hop woke a second worker");
+        }
+        for h in [&a, &b, &c] {
+            h.stop();
+        }
+        rt.shutdown();
+    }
+
+    /// Once armed, notifies its peer from inside its own poll and then
+    /// blocks until the peer has run.
+    struct NotifyThenBlock {
+        armed: Arc<AtomicBool>,
+        peer: ActorHandle,
+        rx: mpsc::Receiver<u64>,
+        got: Arc<AtomicU64>,
+    }
+
+    impl Actor for NotifyThenBlock {
+        fn poll(&mut self, _ctx: &mut ActorCtx<'_>) -> Poll {
+            if !self.armed.swap(false, Ordering::SeqCst) {
+                return Poll::Idle(None);
+            }
+            while self.rx.try_recv().is_ok() {}
+            self.peer.notify();
+            if let Ok(v) = blocking(|| self.rx.recv_timeout(Duration::from_secs(5))) {
+                self.got.store(v, Ordering::SeqCst);
+            }
+            Poll::Idle(None)
+        }
+    }
+
+    #[test]
+    fn cell_queued_behind_a_blocking_poll_is_stolen() {
+        // The peer's cell sits in the blocking worker's own deque, which
+        // nobody was woken for. With two workers the parked one must be
+        // woken to steal it; with one worker the spare must (a spare may
+        // steal from a one-worker pool).
+        for workers in [2, 1] {
+            let rt = Runtime::new(RuntimeConfig {
+                workers,
+                ..RuntimeConfig::default()
+            });
+            let (tx, rx) = mpsc::channel();
+            let got = Arc::new(AtomicU64::new(0));
+            let armed = Arc::new(AtomicBool::new(false));
+            let producer = rt.spawn("peer", Producer { tx });
+            let blocker = rt.spawn(
+                "notify-then-block",
+                NotifyThenBlock {
+                    armed: Arc::clone(&armed),
+                    peer: producer.clone(),
+                    rx,
+                    got: Arc::clone(&got),
+                },
+            );
+            wait_until(|| all_parked(&rt));
+            armed.store(true, Ordering::SeqCst);
+            blocker.notify();
+            // Watchdog: the blocked poll gives up after 5 s and leaves
+            // `got` at 0, which fails here at 10 s instead of hanging.
+            wait_until(|| got.load(Ordering::SeqCst) == 7);
+            producer.stop();
+            blocker.stop();
+            rt.shutdown();
+        }
+    }
+
+    /// Records which thread polled it.
+    struct WhoPolls {
+        hits: Arc<AtomicU64>,
+        threads: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Actor for WhoPolls {
+        fn poll(&mut self, _ctx: &mut ActorCtx<'_>) -> Poll {
+            let name = std::thread::current().name().unwrap_or("?").to_string();
+            let mut threads = self.threads.lock();
+            if !threads.contains(&name) {
+                threads.push(name);
+            }
+            drop(threads);
+            self.hits.fetch_add(1, Ordering::SeqCst);
+            Poll::Idle(None)
+        }
+    }
+
+    #[test]
+    fn sequential_notifies_reuse_the_most_recently_parked_worker() {
+        // LIFO idle stack: the worker that served the last notify parked
+        // last, so it serves the next one too; the other two stay asleep
+        // (and a worker whose park merely timed out re-parks *below* it).
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 3,
+            ..RuntimeConfig::default()
+        });
+        let hits = Arc::new(AtomicU64::new(0));
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let h = rt.spawn(
+            "who-polls",
+            WhoPolls {
+                hits: Arc::clone(&hits),
+                threads: Arc::clone(&threads),
+            },
+        );
+        wait_until(|| hits.load(Ordering::SeqCst) >= 1);
+        wait_until(|| all_parked(&rt));
+        // The start() poll may have run anywhere; count from here.
+        threads.lock().clear();
+        let base = hits.load(Ordering::SeqCst);
+        for n in 1..=1000 {
+            h.notify();
+            wait_until(|| hits.load(Ordering::SeqCst) == base + n);
+            wait_until(|| all_parked(&rt));
+        }
+        assert_eq!(
+            threads.lock().len(),
+            1,
+            "notifies bounced between workers: {:?}",
+            threads.lock()
+        );
+        assert_eq!(rt.stats().total_steals(), 0);
+        h.stop();
         rt.shutdown();
     }
 
