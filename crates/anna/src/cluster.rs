@@ -586,7 +586,9 @@ impl AnnaCluster {
                     let _ = self.control_send(addr, StorageRequest::Replicate { key });
                 }
             }
-            std::thread::sleep(Duration::from_millis(2));
+            // On a pool worker (the elastic actor's failed-drain fallback)
+            // the pause must not hold back the deliveries it waits for.
+            cloudburst_runtime::blocking(|| std::thread::sleep(Duration::from_millis(2)));
         }
         (self.audit_replication(), max_rounds)
     }
@@ -611,7 +613,13 @@ impl AnnaCluster {
         timeline: Arc<crate::elastic::ScaleTimeline>,
     ) -> crate::elastic::ElasticHandle {
         let scaler: Arc<dyn crate::elastic::StorageScaler> = Arc::clone(self) as _;
-        crate::elastic::ElasticHandle::spawn(self.client(), Some(scaler), timeline, config)
+        crate::elastic::ElasticHandle::spawn(
+            &self.runtime,
+            self.client(),
+            Some(scaler),
+            timeline,
+            config,
+        )
     }
 
     /// Ask every node to recompute ownership (and wait for completion).

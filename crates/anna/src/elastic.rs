@@ -7,7 +7,7 @@
 //! both tiers add or remove machines as load shifts. This module closes
 //! that loop for the storage tier:
 //!
-//! * [`ElasticHandle`] runs the policy thread. Each tick it polls the node
+//! * [`ElasticHandle`] runs the policy actor. Each tick it polls the node
 //!   statistics the cluster already publishes (per-key heat and node load
 //!   ride the existing stats reply — see [`crate::telemetry`]), **promotes**
 //!   keys whose aggregate heat crosses a threshold by raising their
@@ -23,13 +23,13 @@
 //!   rebalance"; [`crate::AnnaCluster`] implements it.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cloudburst_lattice::Key;
 use cloudburst_net::Address;
+use cloudburst_runtime::{Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime};
 use parking_lot::Mutex;
 
 use crate::client::AnnaClient;
@@ -302,52 +302,51 @@ struct Counters {
 
 /// Handle to the running elasticity engine (storage tier's closed loop).
 pub struct ElasticHandle {
-    shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
     timeline: Arc<ScaleTimeline>,
-    handle: Option<JoinHandle<()>>,
+    handle: ActorHandle,
 }
 
 impl ElasticHandle {
-    /// Spawn the policy thread. `client` must be a dedicated client handle
-    /// (the engine owns its endpoint); `scaler` enables storage autoscaling
-    /// when `config.scaling` is set; samples are appended to `timeline`
-    /// (pass the compute monitor's timeline to interleave both tiers).
+    /// Spawn the policy actor on `runtime`. `client` must be a dedicated
+    /// client handle (the engine owns its endpoint); `scaler` enables
+    /// storage autoscaling when `config.scaling` is set; samples are
+    /// appended to `timeline` (pass the compute monitor's timeline to
+    /// interleave both tiers).
     pub fn spawn(
+        runtime: &Runtime,
         client: AnnaClient,
         scaler: Option<Arc<dyn StorageScaler>>,
         timeline: Arc<ScaleTimeline>,
         config: ElasticConfig,
     ) -> Self {
-        let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(Counters::default());
         let directory = Arc::clone(client.directory());
         let scaling = config.scaling.map(ScalingLoop::new);
+        let tick = client
+            .network()
+            .time_scale()
+            .ms(config.tick_ms)
+            .max(Duration::from_millis(1));
         let worker = Worker {
             client,
             directory,
             scaler,
             config,
             scaling,
+            tick: Cadence::new(tick),
             timeline: Arc::clone(&timeline),
-            shutdown: Arc::clone(&shutdown),
             counters: Arc::clone(&counters),
             cool: HashMap::new(),
             pending_trims: Vec::new(),
             last_ops: 0.0,
-            // lint: allow(L003): policy-loop rate sampling origin; wall-clock pacing is this loop's substrate
-            last_sample: Instant::now(),
+            last_sample: None,
         };
-        // lint: allow(L006): singleton policy loop that blocks on wall-clock sleeps; one thread per cluster, never scales with actors
-        let handle = std::thread::Builder::new()
-            .name("anna-elastic".into())
-            .spawn(move || worker.run())
-            .expect("spawn elasticity engine");
+        let handle = runtime.spawn("anna-elastic", worker);
         Self {
-            shutdown,
             counters,
             timeline,
-            handle: Some(handle),
+            handle,
         }
     }
 
@@ -367,12 +366,9 @@ impl ElasticHandle {
         Arc::clone(&self.timeline)
     }
 
-    /// Stop the policy thread.
+    /// Stop the policy actor.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.handle.stop();
     }
 }
 
@@ -396,8 +392,9 @@ struct Worker {
     scaler: Option<Arc<dyn StorageScaler>>,
     config: ElasticConfig,
     scaling: Option<ScalingLoop>,
+    /// The policy tick.
+    tick: Cadence,
     timeline: Arc<ScaleTimeline>,
-    shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
     /// Consecutive cool ticks per promoted key (the demotion hysteresis).
     cool: HashMap<Key, usize>,
@@ -405,24 +402,25 @@ struct Worker {
     /// the pre-delete `Replicate` flush has a full tick to land first.
     pending_trims: Vec<(Key, Vec<Address>)>,
     last_ops: f64,
-    last_sample: Instant,
+    /// When the last rate sample was taken (the first poll, initially).
+    last_sample: Option<Instant>,
+}
+
+impl Actor for Worker {
+    fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
+        let now = ctx.now();
+        self.last_sample.get_or_insert(now);
+        if self.tick.due(now) {
+            self.evaluate(now);
+            // Re-armed after the work, so evaluations stay a full tick apart.
+            self.tick.rearm(ctx.now());
+        }
+        Poll::Idle(Some(self.tick.deadline()))
+    }
 }
 
 impl Worker {
-    fn run(mut self) {
-        let tick = self
-            .client
-            .network()
-            .time_scale()
-            .ms(self.config.tick_ms)
-            .max(std::time::Duration::from_millis(1));
-        while !self.shutdown.load(Ordering::Acquire) {
-            std::thread::sleep(tick);
-            self.evaluate();
-        }
-    }
-
-    fn evaluate(&mut self) {
+    fn evaluate(&mut self, now: Instant) {
         self.counters.ticks.fetch_add(1, Ordering::Relaxed);
 
         // Last tick's demotions flushed their strays; delete them now.
@@ -466,12 +464,10 @@ impl Worker {
         self.scale_storage(total_load, &stats);
 
         // Timeline sample.
-        // lint: allow(L003): measures real elapsed time for ops/s; the metric is the output, not control flow
-        let now = Instant::now();
-        let dt = now.duration_since(self.last_sample).as_secs_f64().max(1e-9);
+        let last = self.last_sample.replace(now).unwrap_or(now);
+        let dt = now.duration_since(last).as_secs_f64().max(1e-9);
         let throughput = (total_ops - self.last_ops).max(0.0) / dt;
         self.last_ops = total_ops;
-        self.last_sample = now;
         self.timeline.record(ScaleSample {
             tier: ScaleTier::Storage,
             at_secs: self.timeline.elapsed_secs(),

@@ -16,8 +16,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cloudburst_lattice::{Capsule, Key};
-use cloudburst_net::{Address, Coalescer, CoalescerConfig, Endpoint, LatencyModel};
-use cloudburst_runtime::{Actor, ActorCtx, ActorHandle, Poll, Runtime};
+use cloudburst_net::{Address, Batches, Endpoint, LatencyModel};
+use cloudburst_runtime::{Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime, POLL_BUDGET};
 
 use crate::directory::Directory;
 use crate::lsm::{DiskEnv, LsmEngine, LsmOptions};
@@ -173,8 +173,6 @@ impl StorageNode {
             let waker = handle.clone();
             endpoint.set_notify(move || waker.notify());
         }
-        // lint: allow(L003): cadence anchors for the gossip/WAL batching windows (scaled paper-ms), by design
-        let now = Instant::now();
         let worker = Worker {
             id,
             endpoint,
@@ -182,15 +180,10 @@ impl StorageNode {
             store,
             disk_latency: config.disk_latency,
             service_latency: config.service_latency,
-            gossip_tick,
+            gossip: Cadence::new(gossip_tick),
             dirty: HashMap::new(),
             dirty_bytes: 0,
             push_dirty: HashSet::new(),
-            pushes: Coalescer::new(CoalescerConfig {
-                window: gossip_tick,
-                max_batch_bytes: GOSSIP_MAX_BATCH_BYTES,
-                max_batch_items: usize::MAX,
-            }),
             index: HashMap::new(),
             cache_keysets: HashMap::new(),
             telemetry: NodeTelemetry::new(TelemetryConfig {
@@ -198,11 +191,9 @@ impl StorageNode {
                 ..TelemetryConfig::default()
             }),
             wal_batching,
-            wal_tick,
+            wal: Cadence::new(wal_tick),
             pending_acks: Vec::new(),
             busy_until: None,
-            next_flush: now + gossip_tick,
-            next_sync: now + wal_tick,
         };
         runtime.start(&handle, worker);
         Self { id, addr, handle }
@@ -228,8 +219,9 @@ struct Worker {
     directory: Arc<Directory>,
     store: TieredStore,
     disk_latency: LatencyModel,
-    /// Wall-clock gossip flush period (scaled from `gossip_interval_ms`).
-    gossip_tick: Duration,
+    /// Gossip flush (and cache push) cadence, scaled from
+    /// `gossip_interval_ms`.
+    gossip: Cadence,
     /// Keys written since the last gossip flush, mapped to the last observed
     /// merged payload size (so growth of an already-dirty key still advances
     /// `dirty_bytes` toward the early-flush cap). The flush reads each key's
@@ -241,9 +233,6 @@ struct Worker {
     /// key's N writes per window collapse to one `KeyUpdate` per cache,
     /// carrying the merged state read at flush time.
     push_dirty: HashSet<Key>,
-    /// Chunks `KeyUpdate` pushes into one `Batch` envelope per cache per
-    /// gossip tick (size caps enforced by the coalescer).
-    pushes: Coalescer,
     /// key → caches that reported storing it (only meaningful for keys this
     /// node is primary for; the index is partitioned like the key space).
     index: HashMap<Key, HashSet<Address>>,
@@ -254,11 +243,11 @@ struct Worker {
     telemetry: NodeTelemetry,
     /// Synchronous service occupancy per data request (`Zero` = none).
     service_latency: LatencyModel,
-    /// Whether WAL syncs batch on `wal_tick` (durable nodes only). With
-    /// batching off, every accepted write syncs — and acks — inline.
+    /// Whether WAL syncs batch on the `wal` cadence (durable nodes only).
+    /// With batching off, every accepted write syncs — and acks — inline.
     wal_batching: bool,
-    /// Wall-clock WAL group-commit period.
-    wal_tick: Duration,
+    /// WAL group-commit cadence (meaningful while `wal_batching`).
+    wal: Cadence,
     /// Write acks held back until the WAL records they cover are synced
     /// (WAL-before-ack). Released in arrival order at the next successful
     /// sync; held across a failed sync.
@@ -267,19 +256,11 @@ struct Worker {
     /// busy and drains no further requests (see [`Worker::serve_busy`]) —
     /// the pooled replacement for the thread model's synchronous sleep.
     busy_until: Option<Instant>,
-    /// Next gossip-flush deadline.
-    next_flush: Instant,
-    /// Next WAL group-commit deadline (meaningful while `wal_batching`).
-    next_sync: Instant,
 }
-
-/// Messages a single poll drains before yielding the worker to other actors.
-const POLL_BUDGET: usize = 128;
 
 impl Actor for Worker {
     fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
-        // lint: allow(L003): gossip/WAL batching windows and service occupancy pace on wall clock (scaled paper-ms), by design
-        let now = Instant::now();
+        let now = ctx.now();
         // Still inside a service-occupancy window: drain nothing (bounded
         // serial capacity — a hot partition must genuinely saturate) and
         // come back when it closes.
@@ -312,15 +293,13 @@ impl Actor for Worker {
             // Foreign messages are ignored.
         }
         ctx.note_mailbox_depth(drained);
-        // lint: allow(L003): re-read after handling — requests may have taken real time
-        let now = Instant::now();
-        if now >= self.next_flush {
+        // Re-read after handling: requests may have taken real time.
+        let now = ctx.now();
+        if self.gossip.due(now) {
             self.flush_deltas();
-            self.next_flush = now + self.gossip_tick;
         }
-        if self.wal_batching && now >= self.next_sync {
+        if self.wal_batching && self.wal.due(now) {
             self.sync_and_release();
-            self.next_sync = now + self.wal_tick;
         }
         if budget == 0 && self.busy_until.is_none() {
             return Poll::Yield; // more queued; let other actors run first
@@ -333,12 +312,12 @@ impl Worker {
     /// The earliest of the armed cadences: service-occupancy expiry, gossip
     /// flush, WAL group commit.
     fn next_deadline(&self) -> Instant {
-        let mut deadline = self.next_flush;
+        let mut deadline = self.gossip.deadline();
         if let Some(busy) = self.busy_until {
             deadline = deadline.min(busy);
         }
         if self.wal_batching {
-            deadline = deadline.min(self.next_sync);
+            deadline = deadline.min(self.wal.deadline());
         }
         deadline
     }
@@ -673,14 +652,16 @@ impl Worker {
     }
 
     /// Send the pending cache pushes: one `KeyUpdate` per (cache, key) pair
-    /// carrying the merged state read *now*, chunked into `Batch` envelopes
-    /// by the coalescer's size caps. N writes to a hot key within a window
+    /// carrying the merged state read *now*, gathered into one `Batch`
+    /// envelope per cache and sent early whenever a cache's batch reaches
+    /// `GOSSIP_MAX_BATCH_BYTES`. N writes to a hot key within a window
     /// cost each registered cache one payload, not N.
     fn flush_pushes(&mut self) {
         if self.push_dirty.is_empty() {
             return;
         }
         let keys: Vec<Key> = self.push_dirty.drain().collect();
+        let mut batches = Batches::new(GOSSIP_MAX_BATCH_BYTES);
         for key in keys {
             // Ownership or registration may have changed since the mark.
             if !self.is_primary(&key) {
@@ -693,21 +674,17 @@ impl Worker {
                 continue;
             };
             let payload = capsule.payload_len();
-            let mut closed = Vec::new();
             for &cache in caches {
                 let update = KeyUpdate {
                     key: key.clone(),
                     capsule: capsule.clone(),
                 };
-                if let Some(batch) = self.pushes.push(cache, update, payload) {
-                    closed.push((cache, batch));
+                if let Some(full) = batches.push(cache, update, payload) {
+                    let _ = self.endpoint.send(cache, full);
                 }
             }
-            for (cache, batch) in closed {
-                let _ = self.endpoint.send(cache, batch);
-            }
         }
-        for (cache, batch) in self.pushes.drain_all() {
+        for (cache, batch) in batches.drain_all() {
             let _ = self.endpoint.send(cache, batch);
         }
     }

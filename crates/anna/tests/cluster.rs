@@ -168,6 +168,79 @@ fn cache_index_pushes_updates_to_registered_caches() {
 }
 
 #[test]
+fn pushes_batch_per_cache_and_split_at_one_mib() {
+    // One node, two registered caches, 41 × 64 KiB of merged keys landing
+    // inside one gossip tick. A gossip batch merges without advancing the
+    // dirty-byte early flush, so all 41 + 4 pushes go out in one flush:
+    // each cache gets only its own keys, and a cache's batch is sent as
+    // soon as it reaches 1 MiB (16 × 64 KiB).
+    let net = instant_net();
+    let cluster = launch(&net, 1, 1);
+    let client = cluster.client();
+    let (_, node_addr) = cluster.directory().nodes()[0];
+    let key = |prefix: &str, i: usize| Key::new(format!("{prefix}-{i}"));
+    let shared = Key::new("shared");
+    let mut keys_a: Vec<Key> = (0..40).map(|i| key("a", i)).collect();
+    let mut keys_b: Vec<Key> = (0..3).map(|i| key("b", i)).collect();
+    keys_a.push(shared.clone());
+    keys_b.push(shared.clone());
+    let (cache_a, cache_b) = (net.register(), net.register());
+    client
+        .register_cached_keys(cache_a.addr(), &keys_a)
+        .unwrap();
+    client
+        .register_cached_keys(cache_b.addr(), &keys_b)
+        .unwrap();
+
+    let value = Bytes::from(vec![7u8; 64 << 10]);
+    let mut all: Vec<Key> = keys_a.clone();
+    all.extend(keys_b.iter().filter(|k| **k != shared).cloned());
+    let entries: Vec<(Key, Capsule)> = all
+        .iter()
+        .map(|k| {
+            (
+                k.clone(),
+                Capsule::wrap_lww(client.next_timestamp(), value.clone()),
+            )
+        })
+        .collect();
+    net.send(
+        client.addr(),
+        node_addr,
+        StorageRequest::GossipBatch { entries },
+    )
+    .unwrap();
+
+    let receive = |cache: &Endpoint| -> Vec<Vec<Key>> {
+        let mut batches = Vec::new();
+        while let Ok(env) = cache.recv_timeout(Duration::from_millis(200)) {
+            let batch = env.downcast::<Batch>().expect("pushes travel in batches");
+            let updates = batch
+                .into_iter()
+                .map(|item| item.downcast::<KeyUpdate>().expect("a key update").key)
+                .collect();
+            batches.push(updates);
+        }
+        batches.sort_by_key(|b: &Vec<Key>| std::cmp::Reverse(b.len()));
+        batches
+    };
+    let sorted = |keys: Vec<Vec<Key>>| {
+        let mut keys: Vec<Key> = keys.into_iter().flatten().collect();
+        keys.sort();
+        keys
+    };
+    let batches_a = receive(&cache_a);
+    let batches_b = receive(&cache_b);
+    let sizes = |b: &[Vec<Key>]| b.iter().map(Vec::len).collect::<Vec<_>>();
+    assert_eq!(sizes(&batches_a), [16, 16, 9], "cache a splits at 1 MiB");
+    assert_eq!(sizes(&batches_b), [4], "cache b's pushes share one batch");
+    keys_a.sort();
+    keys_b.sort();
+    assert_eq!(sorted(batches_a), keys_a, "cache a gets exactly its keys");
+    assert_eq!(sorted(batches_b), keys_b, "cache b gets exactly its keys");
+}
+
+#[test]
 fn multi_get_returns_all_keys_across_nodes() {
     let net = instant_net();
     let cluster = launch(&net, 4, 2);

@@ -12,14 +12,16 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use cloudburst_anna::{AnnaClient, KeyUpdate};
 use cloudburst_lattice::{Capsule, Key, Lattice, VectorClock};
 use cloudburst_lru::SlotLru;
 use cloudburst_net::{reply_channel, Address, Batch, Endpoint, Network, ReplyHandle, Site};
-use cloudburst_runtime::{Actor, ActorCtx, ActorHandle, Poll, Runtime as ActorRuntime};
+use cloudburst_runtime::{
+    Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime as ActorRuntime, POLL_BUDGET,
+};
 use parking_lot::{Condvar, Mutex};
 
 use crate::consistency::session::SessionMeta;
@@ -273,15 +275,11 @@ impl VmCache {
             .time_scale()
             .ms(config.write_flush_interval_ms)
             .max(Duration::from_micros(100));
-        // lint: allow(L003): publish/flush windows pace on wall clock (scaled paper-ms), by design
-        let now = Instant::now();
         let server = CacheServer {
             inner: Arc::clone(&inner),
             endpoint,
-            flush_interval,
-            publish_interval,
-            next_flush: now + flush_interval,
-            next_publish: now + publish_interval,
+            flush: Cadence::new(flush_interval),
+            publish: Cadence::new(publish_interval),
         };
         runtime.start(&handle, server);
         Self { inner, handle }
@@ -942,15 +940,11 @@ impl CacheInner {
 struct CacheServer {
     inner: Arc<CacheInner>,
     endpoint: Endpoint,
-    flush_interval: Duration,
-    publish_interval: Duration,
-    next_flush: Instant,
-    next_publish: Instant,
+    /// Write-behind flush cadence.
+    flush: Cadence,
+    /// Keyset publication cadence.
+    publish: Cadence,
 }
-
-/// Per-poll mailbox budget: bound one poll's work so co-scheduled actors on
-/// the shared pool stay live under a push storm.
-const SERVER_POLL_BUDGET: usize = 128;
 
 impl Actor for CacheServer {
     fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
@@ -958,7 +952,7 @@ impl Actor for CacheServer {
             self.inner.flush_writes();
             return Poll::Shutdown;
         }
-        let mut budget = SERVER_POLL_BUDGET;
+        let mut budget = POLL_BUDGET;
         let mut drained = 0usize;
         while budget > 0 {
             let Some(envelope) = self.endpoint.try_recv() else {
@@ -972,20 +966,17 @@ impl Actor for CacheServer {
             }
         }
         ctx.note_mailbox_depth(drained);
-        // lint: allow(L003): cadence checks against the armed flush/publish deadlines
-        let now = Instant::now();
-        if now >= self.next_flush {
-            self.next_flush = now + self.flush_interval;
+        let now = ctx.now();
+        if self.flush.due(now) {
             self.inner.flush_writes();
         }
-        if now >= self.next_publish {
-            self.next_publish = now + self.publish_interval;
+        if self.publish.due(now) {
             self.inner.publish_keyset();
         }
         if budget == 0 {
             return Poll::Yield;
         }
-        Poll::Idle(Some(self.next_flush.min(self.next_publish)))
+        Poll::Idle(Some(self.flush.deadline().min(self.publish.deadline())))
     }
 }
 
@@ -1011,6 +1002,7 @@ mod tests {
     use super::*;
     use cloudburst_anna::{AnnaCluster, AnnaConfig};
     use cloudburst_net::NetConfig;
+    use std::time::Instant;
 
     /// One pooled runtime shared by every test in this module; worker
     /// threads outlive individual tests, which is fine for a test process.

@@ -323,6 +323,7 @@ impl CloudburstCluster {
         let timeline = Arc::new(ScaleTimeline::new());
         let monitor = config.monitor.map(|mcfg| {
             MonitorHandle::spawn(
+                &runtime,
                 net.clone(),
                 inner.anna_client(),
                 Arc::clone(&topology),

@@ -12,7 +12,9 @@ use cloudburst_anna::metrics as mkeys;
 use cloudburst_anna::AnnaClient;
 use cloudburst_lattice::{Key, VectorClock};
 use cloudburst_net::{Address, Endpoint, ReplyHandle};
-use cloudburst_runtime::{Actor, ActorCtx, ActorHandle, Poll, Runtime as ActorRuntime};
+use cloudburst_runtime::{
+    Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime as ActorRuntime, POLL_BUDGET,
+};
 use parking_lot::Mutex;
 
 use crate::cache::{CacheInner, CacheRequest};
@@ -276,9 +278,7 @@ impl ExecutorHandle {
             window_start: Instant::now(),
             completed: 0,
             advertised: false,
-            tick,
-            // lint: allow(L003): metrics publication paces on wall clock (scaled paper-ms), by design
-            next_publish: Instant::now() + tick,
+            publish: Cadence::new(tick),
         };
         runtime.start(&handle, worker);
         Self {
@@ -330,16 +330,9 @@ struct Worker {
     completed: u64,
     /// Whether the ID → address binding has been advertised (first poll).
     advertised: bool,
-    /// Metrics publication interval (scaled paper-ms).
-    tick: Duration,
-    /// Next metrics publication deadline, re-armed on the runtime's timer
-    /// heap via `Poll::Idle`.
-    next_publish: Instant,
+    /// Metrics publication cadence (scaled paper-ms).
+    publish: Cadence,
 }
-
-/// Per-poll mailbox budget: drain at most this many requests before
-/// yielding the worker back to the pool so co-scheduled actors stay live.
-const POLL_BUDGET: usize = 128;
 
 impl Actor for Worker {
     fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
@@ -372,16 +365,13 @@ impl Actor for Worker {
             }
         }
         ctx.note_mailbox_depth(drained);
-        // lint: allow(L003): metrics cadence check against the armed deadline
-        let now = Instant::now();
-        if now >= self.next_publish {
+        if self.publish.due(ctx.now()) {
             self.publish_metrics();
-            self.next_publish = now + self.tick;
         }
         if budget == 0 {
             Poll::Yield
         } else {
-            Poll::Idle(Some(self.next_publish))
+            Poll::Idle(Some(self.publish.deadline()))
         }
     }
 }

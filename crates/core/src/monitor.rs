@@ -15,17 +15,22 @@
 //! *least-utilized* VM from the latest metrics refresh, never an arbitrary
 //! one (killing a loaded VM would re-execute its in-flight DAGs for
 //! nothing).
+//!
+//! The monitor is an actor on the cluster's runtime: its policy tick is a
+//! [`Cadence`], and each pending VM boot is a deadline it holds until the
+//! boot completes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use cloudburst_anna::elastic::{ScaleDecision, ScalingConfig, ScalingLoop};
 pub use cloudburst_anna::elastic::{ScaleSample, ScaleTier, ScaleTimeline};
 use cloudburst_anna::metrics as mkeys;
 use cloudburst_anna::AnnaClient;
 use cloudburst_net::Network;
+use cloudburst_runtime::{Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime};
 
 use crate::scheduler::SchedulerRequest;
 use crate::topology::Topology;
@@ -102,17 +107,17 @@ impl MonitorConfig {
 
 /// Handle to the running monitor.
 pub struct MonitorHandle {
-    shutdown: Arc<AtomicBool>,
     timeline: Arc<ScaleTimeline>,
     pending_vms: Arc<AtomicU64>,
-    handle: Option<JoinHandle<()>>,
+    handle: ActorHandle,
 }
 
 impl MonitorHandle {
-    /// Spawn the monitoring engine, recording its samples into `timeline`
-    /// (share one timeline with the storage elasticity engine to get the
-    /// combined cross-tier series).
+    /// Spawn the monitoring engine as an actor on `runtime`, recording its
+    /// samples into `timeline` (share one timeline with the storage
+    /// elasticity engine to get the combined cross-tier series).
     pub fn spawn(
+        runtime: &Runtime,
         net: Network,
         anna: AnnaClient,
         topology: Arc<Topology>,
@@ -120,8 +125,11 @@ impl MonitorHandle {
         timeline: Arc<ScaleTimeline>,
         config: MonitorConfig,
     ) -> Self {
-        let shutdown = Arc::new(AtomicBool::new(false));
         let pending_vms = Arc::new(AtomicU64::new(0));
+        let tick = net
+            .time_scale()
+            .ms(config.tick_ms)
+            .max(Duration::from_millis(1));
         let worker = Worker {
             net,
             anna,
@@ -129,24 +137,19 @@ impl MonitorHandle {
             scaler,
             config,
             scaling: ScalingLoop::new(config.scaling()),
-            shutdown: Arc::clone(&shutdown),
+            tick: Cadence::new(tick),
+            boots: Vec::new(),
             timeline: Arc::clone(&timeline),
             pending_vms: Arc::clone(&pending_vms),
             last_completed: 0.0,
             last_incoming: 0.0,
-            // lint: allow(L003): autoscaler rate-sampling origin; wall-clock pacing is this loop's substrate
-            last_sample: std::time::Instant::now(),
+            last_sample: None,
         };
-        // lint: allow(L006): singleton control loop that blocks on wall-clock sleeps; one thread per cluster, never scales with actors
-        let handle = std::thread::Builder::new()
-            .name("cb-monitor".into())
-            .spawn(move || worker.run())
-            .expect("spawn monitor");
+        let handle = runtime.spawn("cb-monitor", worker);
         Self {
-            shutdown,
             timeline,
             pending_vms,
-            handle: Some(handle),
+            handle,
         }
     }
 
@@ -167,12 +170,9 @@ impl MonitorHandle {
         self.pending_vms.load(Ordering::Relaxed)
     }
 
-    /// Stop the monitor.
+    /// Stop the monitor. VMs still booting are abandoned with it.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.handle.stop();
     }
 }
 
@@ -189,28 +189,44 @@ struct Worker {
     scaler: Arc<dyn ComputeScaler>,
     config: MonitorConfig,
     scaling: ScalingLoop,
-    shutdown: Arc<AtomicBool>,
+    /// The policy tick.
+    tick: Cadence,
+    /// Boot-completion deadlines of the VMs being spun up.
+    boots: Vec<Instant>,
     timeline: Arc<ScaleTimeline>,
+    /// Mirror of `boots.len()` for [`MonitorHandle::pending_vms`].
     pending_vms: Arc<AtomicU64>,
     last_completed: f64,
     last_incoming: f64,
-    last_sample: std::time::Instant,
+    /// When the last rate sample was taken (the first poll, initially).
+    last_sample: Option<Instant>,
+}
+
+impl Actor for Worker {
+    fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
+        let now = ctx.now();
+        self.last_sample.get_or_insert(now);
+        // VMs whose simulated boot finished join the cluster.
+        let booting = self.boots.len();
+        self.boots.retain(|&ready| ready > now);
+        for _ in self.boots.len()..booting {
+            self.scaler.add_vm();
+        }
+        if self.tick.due(now) {
+            self.evaluate(now);
+            // Re-armed after the work, so evaluations stay a full tick apart.
+            self.tick.rearm(ctx.now());
+        }
+        self.pending_vms
+            .store(self.boots.len() as u64, Ordering::Relaxed);
+        let next_boot = self.boots.iter().min().copied();
+        let deadline = self.tick.deadline();
+        Poll::Idle(Some(next_boot.map_or(deadline, |boot| boot.min(deadline))))
+    }
 }
 
 impl Worker {
-    fn run(mut self) {
-        let tick = self
-            .net
-            .time_scale()
-            .ms(self.config.tick_ms)
-            .max(std::time::Duration::from_millis(1));
-        while !self.shutdown.load(Ordering::Acquire) {
-            std::thread::sleep(tick);
-            self.evaluate();
-        }
-    }
-
-    fn evaluate(&mut self) {
+    fn evaluate(&mut self, now: Instant) {
         let executors = self.topology.executors();
         // Aggregate executor metrics from Anna (§4.4), keeping the per-VM
         // breakdown the scale-down victim choice needs.
@@ -257,14 +273,12 @@ impl Worker {
         }
 
         // Timeline sample.
-        // lint: allow(L003): measures real elapsed time for rates; the metric is the output, not control flow
-        let now = std::time::Instant::now();
-        let dt = now.duration_since(self.last_sample).as_secs_f64().max(1e-9);
+        let last = self.last_sample.replace(now).unwrap_or(now);
+        let dt = now.duration_since(last).as_secs_f64().max(1e-9);
         let throughput = (completed_total - self.last_completed).max(0.0) / dt;
         let incoming_rate = (incoming_total - self.last_incoming).max(0.0) / dt;
         self.last_completed = completed_total;
         self.last_incoming = incoming_total;
-        self.last_sample = now;
         self.timeline.record(ScaleSample {
             tier: ScaleTier::Compute,
             at_secs: self.timeline.elapsed_secs(),
@@ -290,13 +304,14 @@ impl Worker {
         // Policy 2: cluster sizing on average utilization (§4.4), decided
         // by the generalized scaling loop.
         let vms_now = self.scaler.vm_ids().len();
-        let pending = self.pending_vms.load(Ordering::Relaxed) as usize;
-        match self.scaling.observe(avg_util, vms_now, pending) {
+        match self.scaling.observe(avg_util, vms_now, self.boots.len()) {
             ScaleDecision::Hold => {}
             ScaleDecision::Up(n) => {
-                for _ in 0..n {
-                    self.spawn_vm_after_boot();
-                }
+                // Allocate after the simulated EC2 boot delay — "we are
+                // mostly limited by the high cost of spinning up new EC2
+                // instances" (§6.1.4).
+                let ready = now + self.net.time_scale().ms(self.config.vm_spinup_ms);
+                self.boots.extend(std::iter::repeat_n(ready, n));
             }
             ScaleDecision::Down => {
                 let ids = self.scaler.vm_ids();
@@ -305,27 +320,6 @@ impl Worker {
                 }
             }
         }
-    }
-
-    /// Allocate a VM after the simulated EC2 boot delay — "we are mostly
-    /// limited by the high cost of spinning up new EC2 instances" (§6.1.4).
-    fn spawn_vm_after_boot(&self) {
-        let boot = self.net.time_scale().ms(self.config.vm_spinup_ms);
-        let scaler = Arc::clone(&self.scaler);
-        let pending = Arc::clone(&self.pending_vms);
-        let shutdown = Arc::clone(&self.shutdown);
-        pending.fetch_add(1, Ordering::Relaxed);
-        // lint: allow(L006): models the EC2 boot delay with a real sleep; parking it on the pool would stall a worker for seconds
-        std::thread::Builder::new()
-            .name("cb-vm-boot".into())
-            .spawn(move || {
-                std::thread::sleep(boot);
-                pending.fetch_sub(1, Ordering::Relaxed);
-                if !shutdown.load(Ordering::Acquire) {
-                    let _ = scaler.add_vm();
-                }
-            })
-            .expect("spawn vm-boot thread");
     }
 }
 
@@ -368,6 +362,67 @@ impl std::fmt::Debug for MonitorHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudburst_anna::Directory;
+    use cloudburst_net::NetConfig;
+    use cloudburst_runtime::RuntimeConfig;
+
+    /// Counts `add_vm` calls; never owns a VM.
+    struct CountingScaler {
+        added: Arc<AtomicU64>,
+    }
+
+    impl ComputeScaler for CountingScaler {
+        fn add_vm(&self) -> VmId {
+            self.added.fetch_add(1, Ordering::SeqCst)
+        }
+        fn remove_vm(&self, _vm: VmId) -> bool {
+            false
+        }
+        fn vm_ids(&self) -> Vec<VmId> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn shutdown_abandons_pending_boots_and_releases_the_scaler() {
+        // A boot still pending at shutdown must neither complete nor keep
+        // the scaler alive: for a cluster the scaler is its whole inner
+        // state (network, runtime handle, registry, VMs).
+        let net = Network::new(NetConfig::instant());
+        let runtime = Runtime::new(RuntimeConfig::default());
+        let added = Arc::new(AtomicU64::new(0));
+        let scaler = Arc::new(CountingScaler {
+            added: Arc::clone(&added),
+        });
+        let weak = Arc::downgrade(&scaler);
+        let mut monitor = MonitorHandle::spawn(
+            &runtime,
+            net.clone(),
+            AnnaClient::new(&net, Arc::new(Directory::new(1))),
+            Arc::new(Topology::new()),
+            scaler,
+            Arc::new(ScaleTimeline::new()),
+            MonitorConfig {
+                tick_ms: 1.0,
+                // Any load is "high": the first tick scales up.
+                high_utilization: -1.0,
+                vm_spinup_ms: 600_000.0,
+                ..MonitorConfig::default()
+            },
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while monitor.pending_vms() == 0 {
+            assert!(Instant::now() < deadline, "the monitor never scaled up");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        monitor.shutdown();
+        assert!(
+            weak.upgrade().is_none(),
+            "a pending boot outlived shutdown holding the scaler"
+        );
+        assert_eq!(added.load(Ordering::SeqCst), 0, "a boot completed");
+        runtime.shutdown();
+    }
 
     #[test]
     fn victim_is_least_utilized_not_last() {

@@ -12,7 +12,9 @@ use cloudburst_anna::metrics as mkeys;
 use cloudburst_anna::AnnaClient;
 use cloudburst_lattice::Key;
 use cloudburst_net::{Address, Endpoint, ReplyHandle};
-use cloudburst_runtime::{Actor, ActorCtx, ActorHandle, Poll, Runtime as ActorRuntime};
+use cloudburst_runtime::{
+    Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime as ActorRuntime, POLL_BUDGET,
+};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -190,9 +192,7 @@ impl SchedulerHandle {
             plan_hits: 0,
             plan_misses: 0,
             rng: StdRng::seed_from_u64(0x5CAF ^ scheduler_id),
-            tick,
-            // lint: allow(L003): metrics refresh paces on wall clock (scaled paper-ms), by design
-            next_refresh: Instant::now() + tick,
+            refresh: Cadence::new(tick),
         };
         runtime.start(&handle, worker);
         Self { addr, handle }
@@ -288,17 +288,11 @@ struct Worker {
     plan_hits: u64,
     plan_misses: u64,
     rng: StdRng,
-    /// Metrics refresh / timeout sweep interval (scaled paper-ms).
-    tick: Duration,
-    /// Next refresh deadline, re-armed on the runtime's timer heap.
-    next_refresh: Instant,
+    /// Metrics refresh / timeout sweep cadence (scaled paper-ms).
+    refresh: Cadence,
 }
 
 static NEXT_REQUEST: AtomicU64 = AtomicU64::new(1);
-
-/// Per-poll mailbox budget: bound one poll's work so co-scheduled actors on
-/// the shared pool stay live under a call storm.
-const POLL_BUDGET: usize = 128;
 
 impl Actor for Worker {
     fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
@@ -317,10 +311,7 @@ impl Actor for Worker {
             }
         }
         ctx.note_mailbox_depth(drained);
-        // lint: allow(L003): refresh cadence check against the armed deadline
-        let now = Instant::now();
-        if now >= self.next_refresh {
-            self.next_refresh = now + self.tick;
+        if self.refresh.due(ctx.now()) {
             self.refresh_metrics();
             self.check_timeouts();
             self.publish_stats();
@@ -328,7 +319,7 @@ impl Actor for Worker {
         if budget == 0 {
             Poll::Yield
         } else {
-            Poll::Idle(Some(self.next_refresh))
+            Poll::Idle(Some(self.refresh.deadline()))
         }
     }
 }
@@ -886,9 +877,7 @@ mod tests {
             plan_hits: 0,
             plan_misses: 0,
             rng: StdRng::seed_from_u64(7),
-            tick: Duration::from_millis(100),
-            // lint: allow(L003): test worker never runs on the runtime; field is inert
-            next_refresh: Instant::now() + Duration::from_millis(100),
+            refresh: Cadence::new(Duration::from_millis(100)),
         }
     }
 

@@ -23,7 +23,12 @@ mod lexer;
 mod rules;
 
 use rules::{ConfigField, FileCtx, Violation};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+/// The rules the summary line reports escape counts for (every one, zero
+/// or not, so a count reaching zero stays visible).
+const RULES: [&str; 6] = ["L001", "L002", "L003", "L004", "L005", "L006"];
 
 fn main() {
     let root = match workspace_root() {
@@ -71,6 +76,7 @@ fn run(root: &Path) -> Result<usize, String> {
 
     let mut all: Vec<(String, Violation)> = Vec::new();
     let mut config_fields: Vec<(String, ConfigField)> = Vec::new();
+    let mut escapes: BTreeMap<String, usize> = RULES.iter().map(|r| (r.to_string(), 0)).collect();
     for file in &files {
         let rel = file
             .strip_prefix(root)
@@ -93,6 +99,9 @@ fn run(root: &Path) -> Result<usize, String> {
         }
         for f in ctx.l004_config_fields() {
             config_fields.push((rel.clone(), f));
+        }
+        for (rule, n) in ctx.escape_counts() {
+            *escapes.entry(rule).or_insert(0) += n;
         }
     }
 
@@ -154,12 +163,22 @@ fn run(root: &Path) -> Result<usize, String> {
         println!("{} {}:{}: {}", v.rule, rel, v.line, v.msg);
     }
     println!(
-        "cb-lint: {} files, {} config knobs checked, {} violation(s)",
+        "cb-lint: {} files, {} config knobs checked, escapes {}, {} violation(s)",
         files.len(),
         config_fields.len(),
+        escape_summary(&escapes),
         all.len()
     );
     Ok(all.len())
+}
+
+/// `L001=0 L002=1 …`: escapes per rule, in rule order.
+fn escape_summary(escapes: &BTreeMap<String, usize>) -> String {
+    escapes
+        .iter()
+        .map(|(rule, n)| format!("{rule}={n}"))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -246,6 +265,17 @@ mod tests {
         assert!(s.contains("`alpha`"));
         assert!(!s.contains("`decoy`"));
         assert!(!s.contains("`not_a_knob`"));
+    }
+
+    #[test]
+    fn escape_summary_lists_every_rule_in_order() {
+        let mut escapes: BTreeMap<String, usize> =
+            RULES.iter().map(|r| (r.to_string(), 0)).collect();
+        escapes.insert("L003".into(), 28);
+        assert_eq!(
+            escape_summary(&escapes),
+            "L001=0 L002=0 L003=28 L004=0 L005=0 L006=0"
+        );
     }
 
     #[test]

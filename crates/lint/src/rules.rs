@@ -11,15 +11,17 @@
 //!
 //! ## Escapes
 //!
-//! A violation is suppressed by an inline comment on the same line or the
-//! line(s) immediately above the offending code:
+//! A violation is suppressed by an inline `//` comment (not a doc comment)
+//! on the same line or the line(s) immediately above the offending code:
 //!
 //! ```text
 //! // lint: allow(L003): reason the exception is sound
 //! ```
 //!
 //! The reason is mandatory — an escape without one is itself a violation
-//! (`no blanket allowlists`). Structural exemptions are limited to: test
+//! (`no blanket allowlists`). L006 takes no escape at all: a new component
+//! must be an actor, so an L006 escape in a product crate is itself a
+//! violation. Structural exemptions are limited to: test
 //! code (files under `tests/`, `#[cfg(test)]` regions) for
 //! L002/L003/L005/L006; `crates/bench` for L003 and L006 (it is the
 //! measurement harness: wall clocks are its subject matter, and its load
@@ -63,6 +65,8 @@ pub struct FileCtx {
     test_regions: Vec<(u32, u32)>,
     /// rule → lines where an allow escape applies.
     allows: BTreeMap<String, BTreeSet<u32>>,
+    /// Every well-formed escape: (rule, line of the escape comment).
+    escapes: Vec<(String, u32)>,
     /// Escapes with a missing/empty reason (reported as violations).
     bad_escapes: Vec<u32>,
 }
@@ -95,6 +99,7 @@ impl FileCtx {
             attr_lines,
             test_regions: Vec::new(),
             allows: BTreeMap::new(),
+            escapes: Vec::new(),
             bad_escapes: Vec::new(),
         };
         ctx.find_test_regions();
@@ -197,11 +202,13 @@ impl FileCtx {
 
     /// Parse `lint: allow(LXXX[, LYYY]): reason` escapes out of comments.
     /// An escape covers its own line and the next line with code on it.
+    /// Doc comments (`///`, `//!`) document escapes; they never are one.
     fn find_allows(&mut self) {
         let entries: Vec<(u32, String)> = self
             .comments
             .iter()
             .flat_map(|(&line, texts)| texts.iter().map(move |t| (line, t.clone())))
+            .filter(|(_, t)| !t.starts_with('/') && !t.starts_with('!'))
             .collect();
         for (line, text) in entries {
             let Some(at) = text.find("lint: allow(") else {
@@ -229,9 +236,25 @@ impl FileCtx {
                 covered.insert(next_code);
             }
             for r in rules {
-                self.allows.entry(r).or_default().extend(covered.iter());
+                self.allows
+                    .entry(r.clone())
+                    .or_default()
+                    .extend(covered.iter());
+                self.escapes.push((r, line));
             }
         }
+    }
+
+    /// Escapes in non-test code, per rule — the number of argued
+    /// exceptions each rule carries.
+    pub fn escape_counts(&self) -> BTreeMap<String, usize> {
+        let mut counts = BTreeMap::new();
+        for (rule, line) in &self.escapes {
+            if !self.in_test(*line) {
+                *counts.entry(rule.clone()).or_insert(0) += 1;
+            }
+        }
+        counts
     }
 
     fn allowed(&self, rule: &str, line: u32) -> bool {
@@ -741,8 +764,9 @@ impl FileCtx {
     /// scaling wall the runtime exists to remove. Structurally exempt:
     /// `crates/runtime` (the pool itself), `crates/net` (the delivery
     /// runtime under the pool), `crates/bench` (load drivers model
-    /// external clients), and test code. Anything else must argue its
-    /// case with a `// lint: allow(L006): reason` escape.
+    /// external clients), and test code. Nothing else can argue its way
+    /// out: an L006 escape is reported as a violation of its own, and does
+    /// not suppress the spawn it sits on.
     pub fn l006_thread_spawns(&self) -> Vec<Violation> {
         let mut out = Vec::new();
         if self.path.starts_with("crates/runtime/")
@@ -750,6 +774,17 @@ impl FileCtx {
             || self.is_bench_crate()
         {
             return out;
+        }
+        for (rule, line) in &self.escapes {
+            if rule == "L006" && !self.in_test(*line) {
+                out.push(Violation {
+                    line: *line,
+                    rule: "L006",
+                    msg: "L006 takes no escape: a new component must be an actor on the \
+                          shared runtime pool"
+                        .into(),
+                });
+            }
         }
         let n = self.code_len();
         for i in 3..n {
@@ -764,17 +799,16 @@ impl FileCtx {
             if !hit || self.in_test(t.line) {
                 continue;
             }
-            self.report(
-                &mut out,
-                "L006",
-                t.line,
-                format!(
+            out.push(Violation {
+                line: t.line,
+                rule: "L006",
+                msg: format!(
                     "`thread::{}` spawns a raw OS thread; product actors run on the \
                      shared runtime pool (`cloudburst_runtime::Runtime::start`) so \
                      actor count stays decoupled from thread count",
                     t.text
                 ),
-            );
+            });
         }
         out
     }
@@ -1026,10 +1060,52 @@ mod tests {
 
     #[test]
     fn l006_allow_escape_with_reason() {
+        // Even a reasoned escape is refused: the spawn is still reported,
+        // and so is the escape itself.
         let c = ctx("fn f() {\n\
              // lint: allow(L006): long-lived monitor loop; never scales with actors\n\
              std::thread::spawn(|| {});\n}");
+        let v = c.l006_thread_spawns();
+        assert_eq!(v.len(), 2);
+        assert_eq!((v[0].line, v[1].line), (2, 3));
+        assert!(v[0].msg.contains("takes no escape"));
+    }
+
+    #[test]
+    fn l006_escape_outside_product_scope_is_harmless() {
+        let src = "fn f() {\n// lint: allow(L006): the pool itself\nstd::thread::spawn(|| {});\n}";
+        let c = FileCtx::new("crates/runtime/src/lib.rs", src);
         assert!(c.l006_thread_spawns().is_empty());
+        let c = ctx(&format!("#[cfg(test)]\nmod tests {{\n{src}\n}}"));
+        assert!(c.l006_thread_spawns().is_empty());
+    }
+
+    // ------------------------------------------------------------ escapes
+
+    #[test]
+    fn escape_counts_are_per_rule_and_skip_tests_and_docs() {
+        let c = ctx(
+            "//! lint: allow(L003): documents the syntax, is not an escape\n\
+             fn f() {\n\
+             // lint: allow(L003): one\n\
+             let a = Instant::now();\n\
+             // lint: allow(L003, L005): two rules, one comment\n\
+             let b = Instant::now();\n\
+             // lint: allow(L001)\n\
+             }\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+             // lint: allow(L003): test code needs no escape\n\
+             }",
+        );
+        let counts = c.escape_counts();
+        assert_eq!(counts.get("L003"), Some(&2));
+        assert_eq!(counts.get("L005"), Some(&1));
+        assert_eq!(
+            counts.get("L001"),
+            None,
+            "an escape without a reason is no escape"
+        );
     }
 
     #[test]

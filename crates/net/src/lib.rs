@@ -33,10 +33,9 @@
 //! * **RPC** — [`reply_channel`] gives request/response semantics with the
 //!   return path subject to the same latency injection as the request, and
 //!   [`PipelinedWaiter`] keeps many correlated requests in flight at once.
-//! * **Batching** — a [`Coalescer`] merges same-destination messages into
-//!   [`Batch`] envelopes within a configurable window, which is how Anna
-//!   gossip and executor KVS traffic amortize per-message fabric overhead
-//!   (paper §4).
+//! * **Batching** — a [`Batch`] envelope carries many same-destination
+//!   messages as one delivery, which is how Anna's cache pushes amortize
+//!   per-message fabric overhead (paper §4).
 
 #![warn(missing_docs)]
 
@@ -48,7 +47,7 @@ pub mod shardmap;
 pub mod time;
 pub mod transport;
 
-pub use batch::{Batch, Coalescer, CoalescerConfig};
+pub use batch::{Batch, Batches};
 pub use delay::DelayQueue;
 pub use latency::LatencyModel;
 pub use region::{LinkTier, Site, TieredLatency};

@@ -30,13 +30,6 @@ impl Address {
     pub fn raw(self) -> u64 {
         self.0
     }
-
-    /// A synthetic address for crate-internal tests that never touch the
-    /// endpoint table (e.g. exercising a [`crate::Coalescer`] offline).
-    #[cfg(test)]
-    pub(crate) const fn test_only(raw: u64) -> Self {
-        Self(raw)
-    }
 }
 
 impl fmt::Display for Address {

@@ -12,6 +12,12 @@
 //! returned from `poll` and armed on a shared timer heap instead of a
 //! `recv_timeout` tick per thread.
 //!
+//! # Time
+//!
+//! The runtime owns actor time. A poll reads the clock through
+//! [`ActorCtx::now`], and every periodic job is a [`Cadence`], which holds
+//! the one re-arm rule all of them share.
+//!
 //! # Modes
 //!
 //! [`RuntimeConfig`] resolves (after the `CB_DETERMINISTIC` environment
@@ -166,6 +172,56 @@ pub enum Poll {
     Shutdown,
 }
 
+/// One periodic job of an actor (gossip flush, WAL group commit, metrics
+/// publication, a policy tick): a period and the next deadline, which the
+/// actor hands back to the runtime through [`Poll::Idle`].
+///
+/// The re-arm rule lives here and nowhere else: a deadline served at `now`
+/// re-arms one period after `now` — relative to the poll that served it,
+/// not on an absolute grid. A cadence anchors on its first [`Cadence::due`]
+/// call; [`Runtime::start`] forces a first poll, so an actor's cadences
+/// are armed without a clock read at its spawn site.
+#[derive(Debug, Clone, Copy)]
+pub struct Cadence {
+    period: Duration,
+    next: Option<Instant>,
+}
+
+impl Cadence {
+    /// An unanchored cadence with this period.
+    pub fn new(period: Duration) -> Self {
+        Self { period, next: None }
+    }
+
+    /// Whether the deadline has passed as of `now`; if so, re-arm, so this
+    /// returns true at most once per deadline. The first call only anchors
+    /// the cadence (first deadline one period after `now`) and returns
+    /// false.
+    pub fn due(&mut self, now: Instant) -> bool {
+        let due = self.next.is_some_and(|next| now >= next);
+        if due || self.next.is_none() {
+            self.rearm(now);
+        }
+        due
+    }
+
+    /// Re-arm one period after `now`, whatever the current deadline. For
+    /// a job that must keep a full period *between* runs, re-arm from a
+    /// clock read taken after the work.
+    pub fn rearm(&mut self, now: Instant) {
+        self.next = Some(now + self.period);
+    }
+
+    /// The next deadline.
+    ///
+    /// # Panics
+    /// Panics before the first [`Cadence::due`] or [`Cadence::rearm`].
+    pub fn deadline(&self) -> Instant {
+        self.next
+            .expect("Cadence::deadline before the cadence was anchored")
+    }
+}
+
 /// A mailbox-driven actor. `poll` is called by pool workers with exclusive
 /// access to the actor state; it should drain its mailbox (bounded by a
 /// message budget, returning [`Poll::Yield`] when the budget runs out), do
@@ -175,6 +231,10 @@ pub trait Actor: Send + 'static {
     fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll;
 }
 
+/// Messages an actor's poll drains before it returns [`Poll::Yield`], so
+/// co-scheduled actors on the shared pool stay live under a message storm.
+pub const POLL_BUDGET: usize = 128;
+
 /// Per-poll context handed to [`Actor::poll`].
 pub struct ActorCtx<'a> {
     cell: &'a Cell,
@@ -182,10 +242,15 @@ pub struct ActorCtx<'a> {
 }
 
 impl ActorCtx<'_> {
-    /// This actor's runtime-unique id (the same value [`current_actor`]
-    /// reports while inside the poll).
+    /// This actor's runtime-unique id.
     pub fn actor_id(&self) -> u64 {
         self.cell.id
+    }
+
+    /// The runtime's clock: what actors pace their [`Cadence`]s and
+    /// service windows by, read here instead of at each call site.
+    pub fn now(&self) -> Instant {
+        rt_now()
     }
 
     /// Record the mailbox depth observed at the start of this poll, for the
@@ -364,7 +429,6 @@ thread_local! {
     /// worker `i`, `Some(None)` on a spare, `None` off-pool. Paired with a
     /// weak runtime reference in WORKER_RT.
     static WORKER_ID: StdCell<Option<Option<usize>>> = const { StdCell::new(None) };
-    static ACTOR_ID: StdCell<Option<u64>> = const { StdCell::new(None) };
 }
 
 // The runtime the current worker thread belongs to. Separate from
@@ -372,35 +436,6 @@ thread_local! {
 thread_local! {
     static WORKER_RT: std::cell::RefCell<Option<Weak<Inner>>> =
         const { std::cell::RefCell::new(None) };
-}
-
-/// The id of the actor whose `poll` is running on this thread, if any.
-/// This is the owner token pooled actors bind cadence-keyed state (e.g. a
-/// `Coalescer`) to: it stays stable while the actor migrates workers.
-pub fn current_actor() -> Option<u64> {
-    ACTOR_ID.with(|a| a.get())
-}
-
-/// RAII scope declaring "this thread is running actor `id`". The runtime
-/// enters it around every poll; tests use it to exercise
-/// actor-identity-bound state from arbitrary threads.
-pub struct ActorScope {
-    prev: Option<u64>,
-}
-
-impl ActorScope {
-    /// Enter the scope; restored on drop.
-    pub fn enter(id: u64) -> Self {
-        let prev = ACTOR_ID.with(|a| a.replace(Some(id)));
-        ActorScope { prev }
-    }
-}
-
-impl Drop for ActorScope {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        ACTOR_ID.with(|a| a.set(prev));
-    }
 }
 
 /// Run `f`, declaring it may block on something produced by another actor
@@ -893,14 +928,10 @@ impl Inner {
         };
         cell.polls.fetch_add(1, Ordering::Relaxed);
         self.polls.fetch_add(1, Ordering::Relaxed);
-        let poll = {
-            let _scope = ActorScope::enter(cell.id);
-            let mut ctx = ActorCtx {
-                cell: &cell,
-                inner: self,
-            };
-            actor.poll(&mut ctx)
-        };
+        let poll = actor.poll(&mut ActorCtx {
+            cell: &cell,
+            inner: self,
+        });
         if cell.stop.load(Ordering::Acquire) || poll == Poll::Shutdown {
             // Drop the actor outside every runtime lock: its Drop may take
             // product locks of lower rank (e.g. releasing a disk handle).
@@ -1263,9 +1294,9 @@ mod tests {
     }
 
     impl Actor for Ticker {
-        fn poll(&mut self, _ctx: &mut ActorCtx<'_>) -> Poll {
+        fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
             self.fires.fetch_add(1, Ordering::SeqCst);
-            Poll::Idle(Some(Instant::now() + self.every))
+            Poll::Idle(Some(ctx.now() + self.every))
         }
     }
 
@@ -1586,19 +1617,41 @@ mod tests {
         assert_eq!(blocking(|| 42), 42);
     }
 
+    const PERIOD: Duration = Duration::from_millis(10);
+
     #[test]
-    fn actor_scope_nests_and_restores() {
-        assert_eq!(current_actor(), None);
-        {
-            let _a = ActorScope::enter(5);
-            assert_eq!(current_actor(), Some(5));
-            {
-                let _b = ActorScope::enter(9);
-                assert_eq!(current_actor(), Some(9));
-            }
-            assert_eq!(current_actor(), Some(5));
-        }
-        assert_eq!(current_actor(), None);
+    fn cadence_first_deadline_is_one_period_after_the_anchor() {
+        let anchor = Instant::now();
+        let mut c = Cadence::new(PERIOD);
+        assert!(!c.due(anchor), "anchoring is not a fire");
+        assert_eq!(c.deadline(), anchor + PERIOD);
+    }
+
+    #[test]
+    fn cadence_is_due_once_per_deadline() {
+        let anchor = Instant::now();
+        let mut c = Cadence::new(PERIOD);
+        c.due(anchor);
+        assert!(!c.due(anchor + PERIOD / 2));
+        let at = c.deadline();
+        assert!(c.due(at));
+        assert!(!c.due(at), "a deadline fires once");
+        assert_eq!(c.deadline(), at + PERIOD);
+    }
+
+    #[test]
+    fn late_due_rearms_one_period_after_now() {
+        // The re-arm rule: relative to the poll that served the deadline,
+        // not the absolute grid (which would give `anchor + 4 × PERIOD`).
+        let anchor = Instant::now();
+        let mut c = Cadence::new(PERIOD);
+        c.due(anchor);
+        let late = anchor + PERIOD * 3 + PERIOD / 2;
+        assert!(c.due(late));
+        assert_eq!(c.deadline(), late + PERIOD);
+        let after_work = late + PERIOD / 4;
+        c.rearm(after_work);
+        assert_eq!(c.deadline(), after_work + PERIOD);
     }
 
     #[test]
