@@ -25,7 +25,7 @@ pub struct Bloom {
 
 /// 64-bit FNV-1a, finalized with a splitmix64 avalanche so short keys still
 /// spread across the whole filter.
-fn digest(key: &[u8]) -> u64 {
+pub(crate) fn digest(key: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in key {
         h ^= u64::from(b);
@@ -39,21 +39,19 @@ fn digest(key: &[u8]) -> u64 {
 }
 
 impl Bloom {
-    /// Build a filter sized for `keys` at `bits_per_key`. Zero bits per key
-    /// (or an empty key set) yields an always-maybe filter of zero bytes.
-    pub fn build<'a>(
-        keys: impl Iterator<Item = &'a [u8]>,
-        n_keys: usize,
-        bits_per_key: usize,
-    ) -> Self {
-        if bits_per_key == 0 || n_keys == 0 {
+    /// A filter over the keys whose [`digest`]s are given, sized at
+    /// `bits_per_key`. Zero bits per key (or no keys) yields an
+    /// always-maybe filter of zero bytes. Taking digests rather than keys
+    /// lets a writer that streams its keys keep eight bytes per key.
+    pub(crate) fn from_digests(digests: &[u64], bits_per_key: usize) -> Self {
+        if bits_per_key == 0 || digests.is_empty() {
             return Self {
                 bits: Vec::new(),
                 nbits: 0,
                 hashes: 0,
             };
         }
-        let nbits = (n_keys * bits_per_key).max(64) as u32;
+        let nbits = (digests.len() * bits_per_key).max(64) as u32;
         // k = bits_per_key * ln 2, clamped to a sane range.
         let hashes = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 16);
         let mut filter = Self {
@@ -61,14 +59,13 @@ impl Bloom {
             nbits,
             hashes,
         };
-        for key in keys {
-            filter.insert(key);
+        for &d in digests {
+            filter.insert(d);
         }
         filter
     }
 
-    fn insert(&mut self, key: &[u8]) {
-        let d = digest(key);
+    fn insert(&mut self, d: u64) {
         let h1 = (d >> 32) as u32;
         let h2 = d as u32 | 1; // odd step so probes cycle the whole filter
         for i in 0..self.hashes {
@@ -129,6 +126,11 @@ impl Bloom {
 mod tests {
     use super::*;
 
+    fn build(keys: &[Vec<u8>], bits_per_key: usize) -> Bloom {
+        let digests: Vec<u64> = keys.iter().map(|k| digest(k)).collect();
+        Bloom::from_digests(&digests, bits_per_key)
+    }
+
     fn keys(n: usize) -> Vec<Vec<u8>> {
         (0..n)
             .map(|i| format!("user:{i}:profile").into_bytes())
@@ -138,7 +140,7 @@ mod tests {
     #[test]
     fn no_false_negatives() {
         let ks = keys(500);
-        let bloom = Bloom::build(ks.iter().map(|k| k.as_slice()), ks.len(), 10);
+        let bloom = build(&ks, 10);
         for k in &ks {
             assert!(bloom.may_contain(k), "inserted key reported absent");
         }
@@ -147,7 +149,7 @@ mod tests {
     #[test]
     fn false_positive_rate_is_low() {
         let ks = keys(1000);
-        let bloom = Bloom::build(ks.iter().map(|k| k.as_slice()), ks.len(), 10);
+        let bloom = build(&ks, 10);
         let mut fp = 0;
         let probes = 2000;
         for i in 0..probes {
@@ -165,7 +167,7 @@ mod tests {
     #[test]
     fn disabled_filter_always_maybe() {
         let ks = keys(10);
-        let bloom = Bloom::build(ks.iter().map(|k| k.as_slice()), ks.len(), 0);
+        let bloom = build(&ks, 0);
         assert!(bloom.may_contain(b"anything"));
         assert_eq!(bloom.encoded_len(), 12);
     }
@@ -173,7 +175,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let ks = keys(64);
-        let bloom = Bloom::build(ks.iter().map(|k| k.as_slice()), ks.len(), 8);
+        let bloom = build(&ks, 8);
         let mut buf = Vec::new();
         bloom.encode(&mut buf);
         assert_eq!(buf.len(), bloom.encoded_len());
@@ -184,7 +186,7 @@ mod tests {
     #[test]
     fn truncated_decode_errors() {
         let ks = keys(64);
-        let bloom = Bloom::build(ks.iter().map(|k| k.as_slice()), ks.len(), 8);
+        let bloom = build(&ks, 8);
         let mut buf = Vec::new();
         bloom.encode(&mut buf);
         for cut in 0..buf.len() {

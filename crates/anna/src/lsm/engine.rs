@@ -8,7 +8,10 @@
 //! atomically, and a fresh WAL segment begins; once enough runs accumulate,
 //! a full-merge compaction folds them into one run **via lattice `merge`** —
 //! concurrent CRDT states survive compaction because runs are joined, never
-//! last-writer-wins'd.
+//! last-writer-wins'd. Compaction streams: a k-way merge over per-run
+//! cursors that copies a key held by one run verbatim and decodes only the
+//! keys it has to join, into one `TableWriter` whose buffer is handed to
+//! the env by value.
 //!
 //! Read path: memtable → per-table bloom filter → sparse index → one ranged
 //! read. Tombstones and fragments are ordered by engine sequence number:
@@ -30,7 +33,7 @@ use cloudburst_lattice::codec::{crc32, put_str, put_u32, put_u64, ByteReader};
 use cloudburst_lattice::{Capsule, Key};
 
 use super::env::{DiskEnv, DiskError};
-use super::sstable::{SsTable, TableEntry};
+use super::sstable::{RunCursor, SsTable, TableEntry, TableWriter};
 use super::wal::{encode_record, replay, WalRecord};
 
 /// Engine tuning knobs (all per-node).
@@ -67,6 +70,13 @@ struct MemRecord {
     /// Highest delete sequence observed (0 = none).
     tomb_seq: u64,
 }
+
+/// A key's fragments as `(sequence, fragment)` pairs, for [`LsmEngine::resolve`].
+type Fragments = Vec<(u64, Capsule)>;
+
+/// What a tombstone adds to the flush trigger beyond its key: the table
+/// entry it becomes (key length prefix, two sequence numbers, flag byte).
+const TOMBSTONE_BYTES: usize = 21;
 
 const MANIFEST: &str = "MANIFEST";
 const MANIFEST_MAGIC: u32 = 0x414E_4D31; // "ANM1"
@@ -156,7 +166,8 @@ pub struct LsmEngine {
     env: Arc<dyn DiskEnv>,
     opts: LsmOptions,
     memtable: BTreeMap<Key, MemRecord>,
-    /// Approximate payload bytes held by the memtable (flush trigger).
+    /// Approximate bytes the next flush writes: fragment payloads plus one
+    /// [`TOMBSTONE_BYTES`] record per delete (the flush trigger).
     mem_bytes: usize,
     /// Open runs, oldest first.
     tables: Vec<SsTable>,
@@ -308,6 +319,7 @@ impl LsmEngine {
         self.env.append(&self.active_wal(), &frame);
         self.wal_dirty = true;
         self.apply_delete(key, seq);
+        self.maybe_flush();
     }
 
     fn apply_put(&mut self, key: Key, delta: Capsule, seq: u64) {
@@ -336,6 +348,9 @@ impl LsmEngine {
         }
         entry.frag_seq = 0;
         entry.tomb_seq = entry.tomb_seq.max(seq);
+        // Every tombstone counts, so delete-only traffic still flushes and
+        // rolls the WAL segment.
+        self.mem_bytes += key.as_str().len() + TOMBSTONE_BYTES;
     }
 
     /// Make every accepted record durable (group-commit point). Idempotent
@@ -353,7 +368,7 @@ impl LsmEngine {
     /// across the memtable and every run.
     pub fn get(&self, key: &Key) -> Option<Capsule> {
         let mut tomb = 0u64;
-        let mut frags: Vec<(u64, Capsule)> = Vec::new();
+        let mut frags = Fragments::new();
         if let Some(m) = self.memtable.get(key) {
             tomb = tomb.max(m.tomb_seq);
             if let Some(frag) = &m.frag {
@@ -371,7 +386,7 @@ impl LsmEngine {
         Self::resolve(tomb, frags)
     }
 
-    fn resolve(tomb: u64, mut frags: Vec<(u64, Capsule)>) -> Option<Capsule> {
+    fn resolve(tomb: u64, mut frags: Fragments) -> Option<Capsule> {
         frags.retain(|(seq, _)| *seq > tomb);
         frags.sort_by_key(|(seq, _)| *seq);
         let mut it = frags.into_iter();
@@ -387,27 +402,31 @@ impl LsmEngine {
     /// Every live `(key, merged capsule)` pair. Used to rebuild the store's
     /// key accounting after recovery; O(total data), not for the hot path.
     pub fn scan(&self) -> Vec<(Key, Capsule)> {
-        let mut sources: BTreeMap<Key, (u64, Vec<(u64, Capsule)>)> = BTreeMap::new();
-        for table in &self.tables {
-            for e in table.iter_all() {
-                let slot = sources.entry(e.key).or_default();
-                slot.0 = slot.0.max(e.tomb_seq);
-                if let Some(frag) = e.frag {
-                    slot.1.push((e.frag_seq, frag));
-                }
+        let mut out = Vec::new();
+        let mut emit = |key: &Key, tomb: u64, frags| {
+            if let Some(c) = Self::resolve(tomb, frags) {
+                out.push((key.clone(), c));
             }
-        }
-        for (key, m) in &self.memtable {
-            let slot = sources.entry(key.clone()).or_default();
-            slot.0 = slot.0.max(m.tomb_seq);
-            if let Some(frag) = &m.frag {
-                slot.1.push((m.frag_seq, frag.clone()));
+        };
+        let mut mem = self.memtable.iter().peekable();
+        let mut cursors: Vec<RunCursor<'_>> = self.tables.iter().map(SsTable::cursor).collect();
+        merge_runs(&mut cursors, |cursors, group| {
+            let Some((key, mut tomb, mut frags)) = fold(cursors, group) else {
+                return;
+            };
+            while let Some((k, m)) = mem.next_if(|(k, _)| **k < key) {
+                emit(k, m.tomb_seq, m.frags());
             }
+            if let Some((_, m)) = mem.next_if(|(k, _)| **k == key) {
+                tomb = tomb.max(m.tomb_seq);
+                frags.extend(m.frags());
+            }
+            emit(&key, tomb, frags);
+        });
+        for (k, m) in mem {
+            emit(k, m.tomb_seq, m.frags());
         }
-        sources
-            .into_iter()
-            .filter_map(|(key, (tomb, frags))| Self::resolve(tomb, frags).map(|c| (key, c)))
-            .collect()
+        out
     }
 
     fn maybe_flush(&mut self) {
@@ -426,25 +445,22 @@ impl LsmEngine {
         if self.memtable.is_empty() {
             return Ok(());
         }
-        let entries: Vec<TableEntry> = self
-            .memtable
-            .iter()
-            .map(|(key, m)| TableEntry {
+        let mut writer = TableWriter::new(
+            self.opts.bloom_bits_per_key,
+            self.opts.index_every,
+            self.mem_bytes + 64 * self.memtable.len(),
+        );
+        for (key, m) in &self.memtable {
+            writer.push(&TableEntry {
                 key: key.clone(),
                 frag_seq: m.frag_seq,
                 tomb_seq: m.tomb_seq,
                 frag: m.frag.clone(),
-            })
-            .collect();
+            });
+        }
         let table_id = self.manifest.next_table_id;
         let file = table_name(table_id);
-        let table = SsTable::build(
-            Arc::clone(&self.env),
-            file.clone(),
-            &entries,
-            self.opts.bloom_bits_per_key,
-            self.opts.index_every,
-        )?;
+        let table = writer.finish(Arc::clone(&self.env), file.clone())?;
         let old_wal = self.active_wal();
         let mut next = Manifest {
             flushed_seq: self.next_seq - 1,
@@ -453,7 +469,7 @@ impl LsmEngine {
             tables: self.manifest.tables.clone(),
         };
         next.tables.push(file);
-        self.env.write_atomic(MANIFEST, &next.encode())?;
+        self.env.write_atomic_owned(MANIFEST, next.encode())?;
         // Manifest landed: the flush is committed. Finish the transition.
         self.manifest = next;
         self.tables.push(table);
@@ -475,48 +491,57 @@ impl LsmEngine {
     /// compaction by construction. Tombstones are dropped: after a full
     /// merge no older run can hide behind them, and every memtable record
     /// outranks flushed sequence numbers.
+    ///
+    /// The merge streams over the runs in key order. A key only one run
+    /// holds, with a fragment and no tombstone, is copied as raw bytes —
+    /// exactly what decoding, resolving and re-encoding it would write.
+    /// Every other key is decoded and joined.
     pub fn compact(&mut self) -> Result<(), DiskError> {
         if self.tables.len() < 2 {
             return Ok(());
         }
-        let mut merged: BTreeMap<Key, (u64, Vec<(u64, Capsule)>)> = BTreeMap::new();
-        for table in &self.tables {
-            for e in table.iter_all() {
-                let slot = merged.entry(e.key).or_default();
-                slot.0 = slot.0.max(e.tomb_seq);
-                if let Some(frag) = e.frag {
-                    slot.1.push((e.frag_seq, frag));
+        let size_hint: u64 = self
+            .tables
+            .iter()
+            .filter_map(|t| self.env.size_of(&t.file))
+            .sum();
+        let mut writer = TableWriter::new(
+            self.opts.bloom_bits_per_key,
+            self.opts.index_every,
+            size_hint as usize,
+        );
+        let mut cursors: Vec<RunCursor<'_>> = self.tables.iter().map(SsTable::cursor).collect();
+        merge_runs(&mut cursors, |cursors, group| {
+            if let [only] = group {
+                if cursors[*only].is_plain() {
+                    writer.push_raw(&cursors[*only]);
+                    return;
                 }
             }
-        }
-        let entries: Vec<TableEntry> = merged
-            .into_iter()
-            .filter_map(|(key, (tomb, frags))| {
-                let frag_seq = frags.iter().map(|(s, _)| *s).max().unwrap_or(0).max(tomb);
-                Self::resolve(tomb, frags).map(|frag| TableEntry {
+            let Some((key, tomb, frags)) = fold(cursors, group) else {
+                return;
+            };
+            let frag_seq = frags.iter().map(|(s, _)| *s).max().unwrap_or(0).max(tomb);
+            if let Some(frag) = Self::resolve(tomb, frags) {
+                writer.push(&TableEntry {
                     key,
                     frag_seq,
                     tomb_seq: 0,
                     frag: Some(frag),
-                })
-            })
-            .collect();
+                });
+            }
+        });
+        drop(cursors);
         let table_id = self.manifest.next_table_id;
         let file = table_name(table_id);
-        let table = SsTable::build(
-            Arc::clone(&self.env),
-            file.clone(),
-            &entries,
-            self.opts.bloom_bits_per_key,
-            self.opts.index_every,
-        )?;
+        let table = writer.finish(Arc::clone(&self.env), file.clone())?;
         let next = Manifest {
             flushed_seq: self.manifest.flushed_seq,
             next_table_id: table_id + 1,
             active_wal_id: self.manifest.active_wal_id,
             tables: vec![file],
         };
-        self.env.write_atomic(MANIFEST, &next.encode())?;
+        self.env.write_atomic_owned(MANIFEST, next.encode())?;
         for old in &self.tables {
             self.env.remove(&old.file);
         }
@@ -524,6 +549,61 @@ impl LsmEngine {
         self.tables = vec![table];
         Ok(())
     }
+}
+
+impl MemRecord {
+    fn frags(&self) -> Fragments {
+        self.frag
+            .iter()
+            .map(|f| (self.frag_seq, f.clone()))
+            .collect()
+    }
+}
+
+/// Walk every cursor in key order, calling `visit` once per distinct key
+/// with the indices of the cursors positioned on it (in run order, oldest
+/// first), then step those cursors past it.
+fn merge_runs(cursors: &mut [RunCursor<'_>], mut visit: impl FnMut(&[RunCursor<'_>], &[usize])) {
+    let mut group = Vec::with_capacity(cursors.len());
+    loop {
+        group.clear();
+        let mut min: Option<&[u8]> = None;
+        for (i, cursor) in cursors.iter().enumerate() {
+            let Some(key) = cursor.key() else { continue };
+            match min.map(|m| key.cmp(m)) {
+                None | Some(std::cmp::Ordering::Less) => {
+                    min = Some(key);
+                    group.clear();
+                    group.push(i);
+                }
+                Some(std::cmp::Ordering::Equal) => group.push(i),
+                Some(std::cmp::Ordering::Greater) => {}
+            }
+        }
+        if group.is_empty() {
+            return;
+        }
+        visit(cursors, &group);
+        for &i in &group {
+            cursors[i].advance();
+        }
+    }
+}
+
+/// Decode the entries the cursors in `group` sit on into the key, its
+/// newest tombstone, and its fragments in run order.
+fn fold(cursors: &[RunCursor<'_>], group: &[usize]) -> Option<(Key, u64, Fragments)> {
+    let mut key = None;
+    let mut tomb = 0u64;
+    let mut frags = Vec::with_capacity(group.len());
+    for e in group.iter().filter_map(|&i| cursors[i].decode()) {
+        tomb = tomb.max(e.tomb_seq);
+        if let Some(frag) = e.frag {
+            frags.push((e.frag_seq, frag));
+        }
+        key = Some(e.key);
+    }
+    Some((key?, tomb, frags))
 }
 
 #[cfg(test)]
@@ -778,6 +858,28 @@ mod tests {
     }
 
     #[test]
+    fn deletes_alone_trigger_flushes() {
+        let env = FaultDisk::new();
+        let opts = LsmOptions {
+            memtable_flush_bytes: 4 << 10,
+            compact_min_runs: 4,
+            ..opts_small()
+        };
+        let mut e = LsmEngine::open(env.clone(), opts);
+        for i in 0..20_000 {
+            e.delete(&Key::new(format!("gone-{i:05}")));
+        }
+        e.sync().unwrap();
+        assert!(
+            e.flushed_seq() > 0,
+            "tombstones must reach the flush trigger"
+        );
+        assert!(e.memtable_len() < 1_000, "memtable must stay bounded");
+        let wal = env.read(&e.active_wal()).map_or(0, |w| w.len());
+        assert!(wal < 64 << 10, "WAL segment must roll, holds {wal} bytes");
+    }
+
+    #[test]
     fn scan_matches_gets() {
         let env = FaultDisk::new();
         let mut e = LsmEngine::open(env, opts_small());
@@ -794,5 +896,201 @@ mod tests {
         for (k, c) in scan {
             assert_eq!(e.get(&k).unwrap(), c);
         }
+    }
+}
+
+/// The streaming merge against the decode-everything merge it replaced.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::lsm::env::FaultDisk;
+    use bytes::Bytes;
+    use cloudburst_lattice::codec::decode_capsule;
+    use cloudburst_lattice::{Timestamp, VectorClock};
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+
+    /// Every entry of a table, decoded from one read of its whole entry
+    /// block.
+    fn decode_all(env: &FaultDisk, file: &str) -> Vec<TableEntry> {
+        let content = env.durable_content(file).expect("table present");
+        let n = content.len();
+        let meta_offset = u64::from_le_bytes(content[n - 12..n - 4].try_into().unwrap()) as usize;
+        let mut r = ByteReader::new(&content[4..meta_offset]);
+        let mut out = Vec::new();
+        while r.remaining() > 0 {
+            let key = Key::new(r.str().unwrap());
+            let frag_seq = r.u64().unwrap();
+            let tomb_seq = r.u64().unwrap();
+            let frag = match r.u8().unwrap() {
+                0 => None,
+                _ => Some(decode_capsule(&mut r).unwrap()),
+            };
+            out.push(TableEntry {
+                key,
+                frag_seq,
+                tomb_seq,
+                frag,
+            });
+        }
+        out
+    }
+
+    type Sources = BTreeMap<Key, (u64, Vec<(u64, Capsule)>)>;
+
+    fn gather(runs: &[Vec<TableEntry>]) -> Sources {
+        let mut sources = Sources::new();
+        for e in runs.iter().flatten() {
+            let slot = sources.entry(e.key.clone()).or_default();
+            slot.0 = slot.0.max(e.tomb_seq);
+            if let Some(frag) = &e.frag {
+                slot.1.push((e.frag_seq, frag.clone()));
+            }
+        }
+        sources
+    }
+
+    fn reference_compaction(runs: &[Vec<TableEntry>]) -> Vec<TableEntry> {
+        gather(runs)
+            .into_iter()
+            .filter_map(|(key, (tomb, frags))| {
+                let frag_seq = frags.iter().map(|(s, _)| *s).max().unwrap_or(0).max(tomb);
+                LsmEngine::resolve(tomb, frags).map(|frag| TableEntry {
+                    key,
+                    frag_seq,
+                    tomb_seq: 0,
+                    frag: Some(frag),
+                })
+            })
+            .collect()
+    }
+
+    fn reference_scan(runs: &[Vec<TableEntry>], e: &LsmEngine) -> Vec<(Key, Capsule)> {
+        let mut sources = gather(runs);
+        for (key, m) in &e.memtable {
+            let slot = sources.entry(key.clone()).or_default();
+            slot.0 = slot.0.max(m.tomb_seq);
+            slot.1.extend(m.frags());
+        }
+        sources
+            .into_iter()
+            .filter_map(|(key, (tomb, frags))| LsmEngine::resolve(tomb, frags).map(|c| (key, c)))
+            .collect()
+    }
+
+    /// Flushes and compactions only when the test asks.
+    fn manual() -> LsmOptions {
+        LsmOptions {
+            memtable_flush_bytes: usize::MAX,
+            bloom_bits_per_key: 10,
+            compact_min_runs: usize::MAX,
+            index_every: 3,
+        }
+    }
+
+    /// Bigger than a cursor window on its own.
+    const OUTSIZED: usize = 70 << 10;
+
+    /// A write of `arg` to key `k`: the key's index picks the lattice kind
+    /// (LWW, causal or set) so one key never changes kind.
+    fn write(k: usize, arg: u32, outsized: bool) -> Capsule {
+        let v = Bytes::from(format!("v{arg}"));
+        match k % 3 {
+            0 if outsized => Capsule::wrap_lww(
+                Timestamp::new(u64::from(arg), 0),
+                Bytes::from(vec![arg as u8; OUTSIZED]),
+            ),
+            0 => Capsule::wrap_lww(Timestamp::new(u64::from(arg), 0), v),
+            1 => Capsule::wrap_causal(
+                VectorClock::singleton(u64::from(arg % 3), u64::from(arg)),
+                [(
+                    Key::new(format!("dep{}", arg % 5)),
+                    VectorClock::singleton(1, 1),
+                )],
+                v,
+            ),
+            _ => Capsule::wrap_set_element(v),
+        }
+    }
+
+    fn check_scan(env: &FaultDisk, e: &LsmEngine) {
+        let runs: Vec<_> = e.tables.iter().map(|t| decode_all(env, &t.file)).collect();
+        assert_eq!(e.scan(), reference_scan(&runs, e));
+    }
+
+    fn check_compaction(env: &Arc<FaultDisk>, e: &mut LsmEngine) {
+        let runs: Vec<_> = e.tables.iter().map(|t| decode_all(env, &t.file)).collect();
+        e.compact().unwrap();
+        if runs.len() < 2 {
+            return;
+        }
+        let expected = FaultDisk::new();
+        SsTable::build(
+            expected.clone(),
+            "expected".into(),
+            &reference_compaction(&runs),
+            e.opts.bloom_bits_per_key,
+            e.opts.index_every,
+        )
+        .unwrap();
+        assert_eq!(
+            env.durable_content(&e.tables[0].file),
+            expected.durable_content("expected"),
+            "compacted table differs from the reference merge"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn streaming_merge_matches_decode_all(
+            ops in pvec((0u8..10, 0usize..24, any::<u32>()), 1..160),
+        ) {
+            let env = FaultDisk::new();
+            let mut e = LsmEngine::open(env.clone(), manual());
+            for (op, k, arg) in ops {
+                let key = Key::new(format!("key-{k:02}"));
+                match op {
+                    0..=4 => e.put(key, write(k, arg, op == 4 && arg % 4 == 0)),
+                    5 | 6 => e.delete(&key),
+                    7 | 8 => e.flush().unwrap(),
+                    _ => {
+                        check_scan(&env, &e);
+                        check_compaction(&env, &mut e);
+                    }
+                }
+            }
+            check_scan(&env, &e);
+            e.flush().unwrap();
+            check_compaction(&env, &mut e);
+            check_scan(&env, &e);
+        }
+    }
+
+    #[test]
+    fn keys_held_by_one_to_five_runs() {
+        let env = FaultDisk::new();
+        let mut e = LsmEngine::open(env.clone(), manual());
+        // Key `k` is written in runs 0..=k%5, so groups of every size from
+        // one to five meet in the merge; every fourth key is deleted in the
+        // last run it appears in, and a few are deleted without a value.
+        for run in 0..5 {
+            for k in 0..200usize {
+                if run <= k % 5 {
+                    let key = Key::new(format!("key-{k:03}"));
+                    if k % 4 == 0 && run == k % 5 {
+                        e.delete(&key);
+                    } else {
+                        e.put(key, write(k, run as u32 * 1000 + k as u32, k == 7));
+                    }
+                }
+            }
+            e.delete(&Key::new(format!("never-{run}")));
+            e.flush().unwrap();
+        }
+        assert_eq!(e.table_count(), 5);
+        check_scan(&env, &e);
+        check_compaction(&env, &mut e);
+        assert_eq!(e.table_count(), 1);
+        check_scan(&env, &e);
     }
 }

@@ -18,7 +18,9 @@
 //!   [`DiskEnv::sync`] returns `Ok`.
 //! * [`DiskEnv::write_atomic`] is all-or-nothing *and* durable on return
 //!   (temp file + fsync + rename): after a power loss the file holds either
-//!   its old content or the new content, never a mix.
+//!   its old content or the new content, never a mix. The engine writes
+//!   every table and manifest through [`DiskEnv::write_atomic_owned`], which
+//!   hands the finished buffer over so an in-memory env need not copy it.
 //! * [`DiskEnv::power_loss`] models pulling the plug: every un-synced
 //!   suffix vanishes (modulo a scripted torn tail); synced and
 //!   atomically-written data survives.
@@ -69,6 +71,13 @@ pub trait DiskEnv: Send + Sync + fmt::Debug {
     /// Replace `file` with `data`, atomically and durably (temp + rename).
     /// After a crash the file holds either its old or its new content.
     fn write_atomic(&self, file: &str, data: &[u8]) -> Result<(), DiskError>;
+
+    /// [`DiskEnv::write_atomic`] for a buffer the caller hands over, with
+    /// the same contract. An env that keeps file contents in memory stores
+    /// `data` as is instead of copying it; the default borrows it.
+    fn write_atomic_owned(&self, file: &str, data: Vec<u8>) -> Result<(), DiskError> {
+        self.write_atomic(file, &data)
+    }
 
     /// The full current content of `file` (durable + buffered), or `None`
     /// if it does not exist.
@@ -300,7 +309,8 @@ impl FaultDisk {
         self.state.lock().torn_tail = bytes;
     }
 
-    /// Allow `n` more [`DiskEnv::write_atomic`] calls to succeed; later ones
+    /// Allow `n` more atomic writes ([`DiskEnv::write_atomic`] or
+    /// [`DiskEnv::write_atomic_owned`]) to succeed; later ones
     /// write their temp file and then fail — the crash-mid-flush /
     /// crash-mid-compaction model. `None` disables the fault.
     pub fn fail_atomic_writes_after(&self, n: Option<u32>) {
@@ -343,20 +353,30 @@ impl DiskEnv for FaultDisk {
     }
 
     fn write_atomic(&self, file: &str, data: &[u8]) -> Result<(), DiskError> {
+        self.write_atomic_owned(file, data.to_vec())
+    }
+
+    fn write_atomic_owned(&self, file: &str, data: Vec<u8>) -> Result<(), DiskError> {
         let mut s = self.state.lock();
-        if let Some(left) = s.atomic_writes_left {
-            if left == 0 {
-                // The crash happened after the temp file was written but
-                // before the rename: leave the orphan behind.
-                s.durable.insert(format!("{file}.tmp"), data.to_vec());
-                return Err(DiskError::new(format!(
+        let (target, result) = match s.atomic_writes_left {
+            // The crash happened after the temp file was written but before
+            // the rename: leave the orphan behind.
+            Some(0) => (
+                format!("{file}.tmp"),
+                Err(DiskError::new(format!(
                     "injected atomic-write failure on {file}"
-                )));
+                ))),
+            ),
+            left => {
+                s.atomic_writes_left = left.map(|n| n - 1);
+                (file.to_string(), Ok(()))
             }
-            s.atomic_writes_left = Some(left - 1);
-        }
-        s.durable.insert(file.to_string(), data.to_vec());
-        Ok(())
+        };
+        let replaced = s.durable.insert(target, data);
+        drop(s);
+        // Free the replaced content outside the lock.
+        drop(replaced);
+        result
     }
 
     fn read(&self, file: &str) -> Option<Vec<u8>> {
@@ -490,6 +510,24 @@ mod tests {
         assert!(env.write_atomic("manifest", b"new").is_err());
         assert_eq!(env.read("manifest").unwrap(), b"old");
         assert!(env.list().contains(&"manifest.tmp".to_string()));
+    }
+
+    #[test]
+    fn owned_atomic_write_honours_the_failure_script() {
+        let env = FaultDisk::new();
+        env.write_atomic_owned("table", b"old".to_vec()).unwrap();
+        env.fail_atomic_writes_after(Some(1));
+        env.write_atomic_owned("table", b"new".to_vec()).unwrap();
+        assert_eq!(env.durable_content("table").unwrap(), b"new");
+        let err = env.write_atomic_owned("table", b"newer".to_vec());
+        assert!(err.is_err(), "the scripted crash must surface");
+        assert_eq!(env.durable_content("table").unwrap(), b"new");
+        assert_eq!(env.durable_content("table.tmp").unwrap(), b"newer");
+        // The provided default (what `RealDisk` and wrapping envs inherit)
+        // delegates to `write_atomic`.
+        let real = RealDisk::new_temp();
+        real.write_atomic_owned("f", b"x".to_vec()).unwrap();
+        assert_eq!(real.read("f").unwrap(), b"x");
     }
 
     #[test]

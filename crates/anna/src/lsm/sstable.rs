@@ -15,23 +15,36 @@
 //!
 //! A reader keeps only the meta block (sparse index + bloom) in memory; a
 //! point lookup probes the bloom filter, binary-searches the sparse index
-//! for the covering entry range, and reads just that byte range from disk.
-//! The meta block is CRC-guarded; the entry block needs no CRC of its own
-//! because tables are written with [`DiskEnv::write_atomic`] — after a crash
-//! the file is either fully present or absent, never torn.
+//! for the covering entry range, reads just that byte range from disk, and
+//! decodes only the entry it was looking for. The meta block is
+//! CRC-guarded; the entry block needs no CRC of its own because tables are
+//! written with [`DiskEnv::write_atomic_owned`] — after a crash the file is
+//! either fully present or absent, never torn.
+//!
+//! Whole-table walks (compaction, [`super::LsmEngine::scan`]) go through a
+//! `RunCursor`, which reads the entry block in fixed 64 KiB ranges and
+//! exposes each entry's key, sequence numbers and raw bytes without
+//! decoding its capsule. Tables are produced by one incremental
+//! `TableWriter`, shared by memtable flush and compaction.
 
 use std::sync::Arc;
 
 use cloudburst_lattice::codec::{
-    crc32, decode_capsule, encode_capsule, put_str, put_u32, put_u64, put_u8, ByteReader,
+    crc32, decode_capsule, encode_capsule, put_str, put_u32, put_u64, put_u8, skip_capsule,
+    ByteReader, CodecError,
 };
 use cloudburst_lattice::{Capsule, Key};
 
-use super::bloom::Bloom;
+use super::bloom::{digest, Bloom};
 use super::env::{DiskEnv, DiskError};
 
 const MAGIC: u32 = 0x5353_5431; // "SST1"
 const FOOTER_LEN: u64 = 12;
+
+/// Bytes a [`RunCursor`] reads from the entry block at a time (more only
+/// when a single entry is larger). Fixed: it bounds a walk's buffer, it is
+/// not a tuning knob.
+const WINDOW: usize = 64 << 10;
 
 /// One key's record inside a table: the lattice fragment merged from every
 /// write the run covers, plus the sequence bookkeeping that lets readers
@@ -77,7 +90,7 @@ fn encode_entry(out: &mut Vec<u8>, e: &TableEntry) {
     }
 }
 
-fn decode_entry(r: &mut ByteReader<'_>) -> Result<TableEntry, cloudburst_lattice::CodecError> {
+fn decode_entry(r: &mut ByteReader<'_>) -> Result<TableEntry, CodecError> {
     let key = Key::new(r.str()?);
     let frag_seq = r.u64()?;
     let tomb_seq = r.u64()?;
@@ -93,10 +106,243 @@ fn decode_entry(r: &mut ByteReader<'_>) -> Result<TableEntry, cloudburst_lattice
     })
 }
 
+/// Where one encoded entry's parts sit in the buffer it was parsed from.
+#[derive(Debug, Clone, Copy)]
+struct EntrySpan {
+    start: usize,
+    key_start: usize,
+    key_end: usize,
+    frag_seq: u64,
+    tomb_seq: u64,
+    has_frag: bool,
+    end: usize,
+}
+
+impl EntrySpan {
+    /// Parse the entry starting at `buf[start..]`: its key and sequence
+    /// numbers are read, its capsule only skipped.
+    fn parse(buf: &[u8], start: usize) -> Result<Self, CodecError> {
+        let mut r = ByteReader::new(&buf[start..]);
+        let key_len = r.str()?.len();
+        let key_end = start + r.pos();
+        let frag_seq = r.u64()?;
+        let tomb_seq = r.u64()?;
+        let has_frag = r.u8()? != 0;
+        if has_frag {
+            skip_capsule(&mut r)?;
+        }
+        Ok(Self {
+            start,
+            key_start: key_end - key_len,
+            key_end,
+            frag_seq,
+            tomb_seq,
+            has_frag,
+            end: start + r.pos(),
+        })
+    }
+
+    fn key<'b>(&self, buf: &'b [u8]) -> &'b [u8] {
+        &buf[self.key_start..self.key_end]
+    }
+
+    fn decode(&self, buf: &[u8]) -> Option<TableEntry> {
+        decode_entry(&mut ByteReader::new(&buf[self.start..self.end])).ok()
+    }
+}
+
+/// Builds one table entry by entry, in key order: the entry block grows in
+/// one buffer while the sparse index and the bloom digests are collected
+/// alongside; [`TableWriter::finish`] appends the meta block and footer and
+/// hands the buffer to the env.
+#[derive(Debug)]
+pub(crate) struct TableWriter {
+    buf: Vec<u8>,
+    index: Vec<(Key, u64)>,
+    digests: Vec<u64>,
+    bits_per_key: usize,
+    index_every: usize,
+}
+
+impl TableWriter {
+    /// A writer for a table of about `size_hint` bytes.
+    pub(crate) fn new(bits_per_key: usize, index_every: usize, size_hint: usize) -> Self {
+        let mut buf = Vec::with_capacity(size_hint);
+        put_u32(&mut buf, MAGIC);
+        Self {
+            buf,
+            index: Vec::new(),
+            digests: Vec::new(),
+            bits_per_key,
+            index_every: index_every.max(1),
+        }
+    }
+
+    fn start_entry(&mut self, key: impl FnOnce() -> Key, key_bytes: &[u8]) {
+        if self.digests.len().is_multiple_of(self.index_every) {
+            self.index.push((key(), self.buf.len() as u64));
+        }
+        self.digests.push(digest(key_bytes));
+    }
+
+    /// Append an entry (keys must arrive in ascending order, once each).
+    pub(crate) fn push(&mut self, e: &TableEntry) {
+        self.start_entry(|| e.key.clone(), e.key.as_str().as_bytes());
+        encode_entry(&mut self.buf, e);
+    }
+
+    /// Append the entry under the cursor's current position, verbatim.
+    pub(crate) fn push_raw(&mut self, cursor: &RunCursor<'_>) {
+        let span = cursor.span.expect("cursor positioned on an entry");
+        let key = span.key(&cursor.buf);
+        self.start_entry(
+            || Key::new(std::str::from_utf8(key).expect("validated when parsed")),
+            key,
+        );
+        self.buf
+            .extend_from_slice(&cursor.buf[span.start..span.end]);
+    }
+
+    /// Append the meta block and footer, persist the table atomically as
+    /// `file`, and return the opened handle.
+    pub(crate) fn finish(self, env: Arc<dyn DiskEnv>, file: String) -> Result<SsTable, DiskError> {
+        let Self {
+            mut buf,
+            index,
+            digests,
+            bits_per_key,
+            ..
+        } = self;
+        let meta_offset = buf.len();
+        put_u32(&mut buf, digests.len() as u32);
+        put_u32(&mut buf, index.len() as u32);
+        for (key, offset) in &index {
+            put_str(&mut buf, key.as_str());
+            put_u64(&mut buf, *offset);
+        }
+        let bloom = Bloom::from_digests(&digests, bits_per_key);
+        bloom.encode(&mut buf);
+        let meta_crc = crc32(&buf[meta_offset..]);
+        put_u32(&mut buf, meta_crc);
+        put_u64(&mut buf, meta_offset as u64);
+        put_u32(&mut buf, MAGIC);
+        // The env may keep the buffer as the file: give back the slack.
+        buf.shrink_to_fit();
+        env.write_atomic_owned(&file, buf)?;
+        Ok(SsTable {
+            env,
+            file,
+            index,
+            bloom,
+            meta_offset: meta_offset as u64,
+            n_entries: digests.len() as u32,
+        })
+    }
+}
+
+/// A forward walk over one table's entries in key order, reading the entry
+/// block [`WINDOW`] bytes at a time. The current entry's key and sequence
+/// numbers are parsed; its capsule is decoded only on request. A read
+/// failure or a malformed entry ends the walk, as if the block ended there.
+#[derive(Debug)]
+pub(crate) struct RunCursor<'t> {
+    table: &'t SsTable,
+    /// Entry-block bytes read but not yet walked past.
+    buf: Vec<u8>,
+    /// File offset of the first byte not yet read into `buf`.
+    next_read: u64,
+    /// The current entry, `None` once the walk is over.
+    span: Option<EntrySpan>,
+}
+
+impl<'t> RunCursor<'t> {
+    fn new(table: &'t SsTable) -> Self {
+        let mut cursor = Self {
+            table,
+            buf: Vec::new(),
+            next_read: 4, // the entry block starts after MAGIC
+
+            span: None,
+        };
+        cursor.load(0);
+        cursor
+    }
+
+    /// Parse the entry at `buf[at..]`, reading further windows while it
+    /// runs past the buffered bytes.
+    fn load(&mut self, mut at: usize) {
+        self.span = loop {
+            match EntrySpan::parse(&self.buf, at) {
+                Ok(span) => break Some(span),
+                Err(CodecError::Truncated) if self.next_read < self.table.meta_offset => {
+                    if !self.read_window(at) {
+                        break None;
+                    }
+                    at = 0;
+                }
+                Err(_) => break None,
+            }
+        };
+    }
+
+    /// Drop the walked-past prefix `buf[..keep_from]` and append the next
+    /// window — at least as many bytes as are still buffered, so an entry
+    /// larger than a window takes a logarithmic number of reads.
+    fn read_window(&mut self, keep_from: usize) -> bool {
+        let left = (self.table.meta_offset - self.next_read) as usize;
+        self.buf.drain(..keep_from);
+        let want = WINDOW.max(self.buf.len()).min(left);
+        let Some(chunk) = self
+            .table
+            .env
+            .read_range(&self.table.file, self.next_read, want)
+        else {
+            return false;
+        };
+        if chunk.is_empty() {
+            return false;
+        }
+        self.next_read += chunk.len() as u64;
+        if self.buf.is_empty() {
+            self.buf = chunk;
+        } else {
+            self.buf.extend_from_slice(&chunk);
+        }
+        true
+    }
+
+    /// Step to the next entry.
+    pub(crate) fn advance(&mut self) {
+        if let Some(span) = self.span {
+            self.load(span.end);
+        }
+    }
+
+    /// The current entry's key bytes, `None` once the walk is over.
+    pub(crate) fn key(&self) -> Option<&[u8]> {
+        self.span.map(|s| s.key(&self.buf))
+    }
+
+    /// Whether the current entry can be copied into a full merge verbatim
+    /// when no other run holds its key: no tombstone, and a fragment the
+    /// merge would keep.
+    pub(crate) fn is_plain(&self) -> bool {
+        self.span
+            .is_some_and(|s| s.has_frag && s.tomb_seq == 0 && s.frag_seq > 0)
+    }
+
+    /// Decode the current entry.
+    pub(crate) fn decode(&self) -> Option<TableEntry> {
+        self.span.and_then(|s| s.decode(&self.buf))
+    }
+}
+
 impl SsTable {
     /// Build and atomically persist a table from `entries` (must be sorted
-    /// by key, one entry per key), then return the opened handle.
-    pub fn build(
+    /// by key, one entry per key), then return the opened handle: one
+    /// [`TableWriter`] pass, for tests that start from entries.
+    #[cfg(test)]
+    pub(crate) fn build(
         env: Arc<dyn DiskEnv>,
         file: String,
         entries: &[TableEntry],
@@ -104,43 +350,11 @@ impl SsTable {
         index_every: usize,
     ) -> Result<Self, DiskError> {
         debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key));
-        let index_every = index_every.max(1);
-        let mut buf = Vec::new();
-        put_u32(&mut buf, MAGIC);
-        let mut index: Vec<(Key, u64)> = Vec::new();
-        for (i, e) in entries.iter().enumerate() {
-            if i % index_every == 0 {
-                index.push((e.key.clone(), buf.len() as u64));
-            }
-            encode_entry(&mut buf, e);
+        let mut writer = TableWriter::new(bits_per_key, index_every, 0);
+        for e in entries {
+            writer.push(e);
         }
-        let meta_offset = buf.len() as u64;
-        let meta_start = buf.len();
-        put_u32(&mut buf, entries.len() as u32);
-        put_u32(&mut buf, index.len() as u32);
-        for (key, offset) in &index {
-            put_str(&mut buf, key.as_str());
-            put_u64(&mut buf, *offset);
-        }
-        let bloom = Bloom::build(
-            entries.iter().map(|e| e.key.as_str().as_bytes()),
-            entries.len(),
-            bits_per_key,
-        );
-        bloom.encode(&mut buf);
-        let meta_crc = crc32(&buf[meta_start..]);
-        put_u32(&mut buf, meta_crc);
-        put_u64(&mut buf, meta_offset);
-        put_u32(&mut buf, MAGIC);
-        env.write_atomic(&file, &buf)?;
-        Ok(Self {
-            env,
-            file,
-            index,
-            bloom,
-            meta_offset,
-            n_entries: entries.len() as u32,
-        })
+        writer.finish(env, file)
     }
 
     /// Open a previously-built table: read footer + meta block, verify the
@@ -218,8 +432,14 @@ impl SsTable {
         self.bloom.may_contain(key.as_str().as_bytes())
     }
 
+    /// A cursor over every entry, in key order.
+    pub(crate) fn cursor(&self) -> RunCursor<'_> {
+        RunCursor::new(self)
+    }
+
     /// Point lookup: bloom probe → sparse-index binary search → one ranged
-    /// read of the covering entry span → linear scan within it.
+    /// read of the covering entry span → a walk over it that compares keys
+    /// in place and decodes only the match.
     pub fn get(&self, key: &Key) -> Option<TableEntry> {
         if !self.may_contain(key) {
             return None;
@@ -238,36 +458,17 @@ impl SsTable {
         let span = self
             .env
             .read_range(&self.file, start, (end - start) as usize)?;
-        let mut r = ByteReader::new(&span);
-        while r.remaining() > 0 {
-            let Ok(entry) = decode_entry(&mut r) else {
-                return None;
-            };
-            if &entry.key == key {
-                return Some(entry);
-            }
-            if &entry.key > key {
-                return None; // sorted: we ran past it
+        let wanted = key.as_str().as_bytes();
+        let mut at = 0;
+        while at < span.len() {
+            let entry = EntrySpan::parse(&span, at).ok()?;
+            match entry.key(&span).cmp(wanted) {
+                std::cmp::Ordering::Less => at = entry.end,
+                std::cmp::Ordering::Equal => return entry.decode(&span),
+                std::cmp::Ordering::Greater => return None, // sorted: ran past it
             }
         }
         None
-    }
-
-    /// Read and decode every entry (used by compaction and recovery scans).
-    pub fn iter_all(&self) -> Vec<TableEntry> {
-        let len = (self.meta_offset - 4) as usize;
-        let Some(block) = self.env.read_range(&self.file, 4, len) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(self.n_entries as usize);
-        let mut r = ByteReader::new(&block);
-        while r.remaining() > 0 {
-            match decode_entry(&mut r) {
-                Ok(e) => out.push(e),
-                Err(_) => break,
-            }
-        }
-        out
     }
 }
 
@@ -288,6 +489,17 @@ mod tests {
                 Bytes::from(format!("value-{i}")),
             )),
         }
+    }
+
+    /// Every entry, in the order a cursor walks them.
+    fn walk(table: &SsTable) -> Vec<TableEntry> {
+        let mut cursor = table.cursor();
+        let mut out = Vec::new();
+        while let Some(e) = cursor.decode() {
+            out.push(e);
+            cursor.advance();
+        }
+        out
     }
 
     fn build_sample(n: usize) -> (Arc<FaultDisk>, SsTable) {
@@ -325,15 +537,88 @@ mod tests {
             let key = Key::new(format!("key-{i:04}"));
             assert_eq!(reopened.get(&key), table.get(&key));
         }
-        assert_eq!(reopened.iter_all(), table.iter_all());
+        assert_eq!(walk(&reopened), walk(&table));
     }
 
     #[test]
-    fn iter_all_is_sorted_and_complete() {
+    fn cursor_is_sorted_and_complete() {
         let (_env, table) = build_sample(37);
-        let all = table.iter_all();
+        let all = walk(&table);
         assert_eq!(all.len(), 37);
         assert!(all.windows(2).all(|w| w[0].key < w[1].key));
+    }
+
+    #[test]
+    fn cursor_crosses_windows_and_outsized_entries() {
+        let env = FaultDisk::new();
+        // Entries straddle window boundaries, and one is several windows
+        // long on its own.
+        let entries: Vec<TableEntry> = (0..400)
+            .map(|i| {
+                let len = if i == 123 { 3 * WINDOW + 17 } else { 700 + i };
+                TableEntry {
+                    key: Key::new(format!("key-{i:04}")),
+                    frag_seq: i as u64 + 1,
+                    tomb_seq: 0,
+                    frag: Some(Capsule::wrap_lww(
+                        Timestamp::new(1, 0),
+                        Bytes::from(vec![i as u8; len]),
+                    )),
+                }
+            })
+            .collect();
+        let table = SsTable::build(env.clone(), "t".into(), &entries, 10, 16).unwrap();
+        assert!(env.size_of("t").unwrap() > 8 * WINDOW as u64);
+        assert_eq!(walk(&table), entries);
+        for e in &entries {
+            assert_eq!(table.get(&e.key).as_ref(), Some(e));
+        }
+    }
+
+    /// The table format as it was first written: one buffer, every entry
+    /// encoded in turn, then the meta block and footer.
+    fn reference_bytes(entries: &[TableEntry], bits_per_key: usize, index_every: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, MAGIC);
+        let mut index: Vec<(Key, u64)> = Vec::new();
+        for (i, e) in entries.iter().enumerate() {
+            if i % index_every == 0 {
+                index.push((e.key.clone(), buf.len() as u64));
+            }
+            encode_entry(&mut buf, e);
+        }
+        let meta_offset = buf.len() as u64;
+        put_u32(&mut buf, entries.len() as u32);
+        put_u32(&mut buf, index.len() as u32);
+        for (key, offset) in &index {
+            put_str(&mut buf, key.as_str());
+            put_u64(&mut buf, *offset);
+        }
+        let digests: Vec<u64> = entries
+            .iter()
+            .map(|e| digest(e.key.as_str().as_bytes()))
+            .collect();
+        Bloom::from_digests(&digests, bits_per_key).encode(&mut buf);
+        let meta_crc = crc32(&buf[meta_offset as usize..]);
+        put_u32(&mut buf, meta_crc);
+        put_u64(&mut buf, meta_offset);
+        put_u32(&mut buf, MAGIC);
+        buf
+    }
+
+    #[test]
+    fn writer_output_matches_the_table_format() {
+        let env = FaultDisk::new();
+        let mut entries: Vec<TableEntry> = (0..50).map(|i| entry(i, i as u64 + 1)).collect();
+        entries[7].frag = None;
+        entries[7].tomb_seq = 99;
+        for bits in [0, 10] {
+            SsTable::build(env.clone(), "t".into(), &entries, bits, 4).unwrap();
+            assert_eq!(
+                env.durable_content("t").unwrap(),
+                reference_bytes(&entries, bits, 4)
+            );
+        }
     }
 
     #[test]

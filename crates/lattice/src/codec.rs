@@ -280,6 +280,42 @@ pub fn decode_capsule(r: &mut ByteReader<'_>) -> Result<Capsule, CodecError> {
     }
 }
 
+fn skip_vector_clock(r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+    let n = r.u32()? as usize;
+    r.take(n.checked_mul(16).ok_or(CodecError::Truncated)?)?;
+    Ok(())
+}
+
+/// Advance the reader past one encoded capsule without decoding it: the
+/// walk [`decode_capsule`] makes, minus every allocation. Lets a reader
+/// find where a capsule ends (to copy its bytes verbatim) for the price of
+/// reading its length prefixes.
+pub fn skip_capsule(r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+    match r.u8()? {
+        TAG_LWW => {
+            r.take(16)?;
+            r.byte_slice()?;
+        }
+        TAG_CAUSAL => {
+            for _ in 0..r.u32()? {
+                skip_vector_clock(r)?;
+                for _ in 0..r.u32()? {
+                    r.str()?;
+                    skip_vector_clock(r)?;
+                }
+                r.byte_slice()?;
+            }
+        }
+        TAG_SET => {
+            for _ in 0..r.u32()? {
+                r.byte_slice()?;
+            }
+        }
+        tag => return Err(CodecError::BadTag(tag)),
+    }
+    Ok(())
+}
+
 /// Convenience: encode `capsule` into a fresh buffer.
 pub fn capsule_to_vec(capsule: &Capsule) -> Vec<u8> {
     let mut out = Vec::with_capacity(capsule.payload_len() + 32);
@@ -363,6 +399,25 @@ mod tests {
                 assert!(err.is_err(), "cut at {cut} must not decode");
             }
         }
+    }
+
+    #[test]
+    fn skip_ends_where_decode_ends() {
+        for capsule in sample_capsules() {
+            let mut buf = capsule_to_vec(&capsule);
+            let len = buf.len();
+            buf.extend_from_slice(b"trailer");
+            let mut r = ByteReader::new(&buf);
+            skip_capsule(&mut r).expect("skip");
+            assert_eq!(r.pos(), len);
+            for cut in 0..len {
+                assert!(skip_capsule(&mut ByteReader::new(&buf[..cut])).is_err());
+            }
+        }
+        assert_eq!(
+            skip_capsule(&mut ByteReader::new(&[9])),
+            Err(CodecError::BadTag(9))
+        );
     }
 
     #[test]
@@ -472,6 +527,17 @@ mod proptests {
         #[test]
         fn random_bytes_never_panic(buf in pvec(any::<u8>(), 0..64)) {
             let _ = capsule_from_slice(&buf);
+        }
+
+        #[test]
+        fn skip_agrees_with_decode(buf in pvec(any::<u8>(), 0..64)) {
+            let mut decoded = ByteReader::new(&buf);
+            let mut skipped = ByteReader::new(&buf);
+            let ok = decode_capsule(&mut decoded).is_ok();
+            prop_assert_eq!(skip_capsule(&mut skipped).is_ok(), ok);
+            if ok {
+                prop_assert_eq!(skipped.pos(), decoded.pos());
+            }
         }
     }
 }

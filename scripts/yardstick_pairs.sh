@@ -4,21 +4,34 @@
 # One base-then-head measurement confounds the change with whatever the box
 # was doing second. This runs N pairs, flipping which side goes first each
 # pair, prints `compare` for every pair, and ends with one row per
-# (workload, metric): each side's median and quartiles over the pairs, and
-# in how many pairs the head read better (ties count for neither).
+# (workload, metric): each side's median and quartiles over the pairs, in
+# how many pairs the head read better (ties count for neither), and a
+# verdict on the medians by the metric's BENCHMARK.json bound:
 #
-#   scripts/yardstick_pairs.sh <base-bin> <head-bin> [N] [--workload W] [--seed S] [--out DIR]
+#   REGRESSED   the head's median is worse than the base's by more than the bound
+#   UNRESOLVED  either side's quartile distance exceeds the bound (relative to
+#               the base median), so the pairs cannot tell
+#   improved    better by more than the bound;  ok  otherwise
+#
+#   scripts/yardstick_pairs.sh <base-bin> <head-bin> [N] [--workload W] [--seed S]
+#                              [--out DIR] [--claim WORKLOAD/METRIC]
+#
+# --claim names the metric a change claims to improve. Its row is judged by
+# the acceptance rule instead: the head wins at least 9 of every 10 pairs,
+# and its median beats the base's by more than the base's quartile distance.
+# The verdict line reads CLAIM HOLDS or CLAIM FAILS.
 #
 # <base-bin> / <head-bin> are `cloudburst-benchmark` executables built from
 # the two commits. Without --workload each side of a pair is one `all` run
 # (every workload, untraced and traced); with it, one untraced run of W.
 # Result sets land in DIR (default: a fresh temp dir) as base-<i>.json /
 # head-<i>.json. Exit status: 1 if any pair's compare printed REGRESSED or
-# could not be read, else 0 — UNRESOLVED rows are reported, not failed on.
+# could not be read, if a summary row is REGRESSED, or if the claim fails;
+# else 0 — UNRESOLVED rows are reported, not failed on.
 set -euo pipefail
 
 usage() {
-  echo "usage: yardstick_pairs.sh <base-bin> <head-bin> [N] [--workload W] [--seed S] [--out DIR]" >&2
+  echo "usage: yardstick_pairs.sh <base-bin> <head-bin> [N] [--workload W] [--seed S] [--out DIR] [--claim WORKLOAD/METRIC]" >&2
   exit 2
 }
 
@@ -28,11 +41,13 @@ pairs=10
 workload=""
 seed=()
 out=""
+claim=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) workload="${2:?}"; shift 2 ;;
     --seed) seed=(--seed "${2:?}"); shift 2 ;;
     --out) out="${2:?}"; shift 2 ;;
+    --claim) claim="${2:?}"; shift 2 ;;
     ''|*[!0-9]*) usage ;;
     *) pairs="$1"; shift ;;
   esac
@@ -69,13 +84,14 @@ for i in $(seq 1 "$pairs"); do
   echo
 done
 
-python3 - "$manifest" "$out" "$pairs" <<'PYEOF'
+set +e
+python3 - "$manifest" "$out" "$pairs" "$claim" <<'PYEOF'
 import json
 import statistics
 import sys
 
-manifest_path, out, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
-better = {m["name"]: m["better"] for m in json.load(open(manifest_path))["end_to_end"]}
+manifest_path, out, pairs, claim = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+defs = {m["name"]: m for m in json.load(open(manifest_path))["end_to_end"]}
 
 
 def untraced(path):
@@ -94,27 +110,61 @@ rows = {}
 for i in range(1, pairs + 1):
     a, b = untraced(f"{out}/base-{i}.json"), untraced(f"{out}/head-{i}.json")
     for workload in a:
-        for name in better:
+        for name in defs:
             try:
                 va, vb = a[workload][name]["value"], b[workload][name]["value"]
             except KeyError:
                 continue
             rows.setdefault((workload, name), []).append((va, vb))
 
+claimed = tuple(claim.split("/", 1)) if claim else None
+if claimed is not None and len(claimed) != 2:
+    sys.exit(f"--claim wants WORKLOAD/METRIC, got {claim!r}")
+
 print(f"== summary over {pairs} alternating pairs (results in {out}) ==")
 print(f"{'workload':<14} {'metric':<14} {'base median [q1, q3]':>36} "
-      f"{'head median [q1, q3]':>36} {'change':>8}  head wins")
+      f"{'head median [q1, q3]':>36} {'change':>8}  head wins  verdict")
+failed = False
+claim_line = None
 for (workload, name), values in rows.items():
     base, head = [v[0] for v in values], [v[1] for v in values]
-    lower = better[name] == "lower"
+    lower = defs[name]["better"] == "lower"
     wins = sum(1 for va, vb in values if (vb < va if lower else vb > va))
     mb, mh = statistics.median(base), statistics.median(head)
     change = f"{(mh - mb) / mb * 100:+.1f}%" if mb else "n/a"
-    cells = []
+    cells, iqrs = [], []
     for med, side in ((mb, base), (mh, head)):
         q1, q3 = quartiles(side)
         cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
+        iqrs.append(q3 - q1)
+    gap = mb - mh if lower else mh - mb  # how much better the head reads
+    if claimed == (workload, name):
+        holds = wins * 10 >= 9 * len(values) and gap > iqrs[0]
+        verdict = "CLAIM HOLDS" if holds else "CLAIM FAILS"
+        claim_line = (f"{verdict}: {workload}/{name} head won {wins}/{len(values)} pairs "
+                      f"(needs >= 9/10); median gap {gap:.4g} vs base quartile distance "
+                      f"{iqrs[0]:.4g}")
+        failed |= not holds
+    else:
+        bound = defs[name]["bound"]
+        # Relative to the base median, as `compare` judges one pair.
+        worse = -gap / mb if mb else 0.0
+        spread = max(iqrs) / mb if mb else 0.0
+        if spread > bound:
+            verdict = "UNRESOLVED"
+        elif worse > bound:
+            verdict = "REGRESSED"
+            failed = True
+        elif worse < -bound:
+            verdict = "improved"
+        else:
+            verdict = "ok"
     print(f"{workload:<14} {name:<14} {cells[0]:>36} {cells[1]:>36} {change:>8}  "
-          f"{wins}/{len(values)}")
+          f"{wins:>2}/{len(values):<6}  {verdict}")
+if claimed is not None:
+    print(claim_line or f"CLAIM FAILS: no {claim} rows in the result sets")
+    failed |= claim_line is None
+sys.exit(1 if failed else 0)
 PYEOF
+[ $? -eq 0 ] || status=1
 exit "$status"
