@@ -5,6 +5,14 @@
 //! requests via the shared [`Directory`], wraps bare values in lattice
 //! capsules, and stamps LWW writes with a per-client
 //! [`TimestampGenerator`].
+//!
+//! There is one data path per direction. Every read — `get`, `get_spread`,
+//! `get_primary`, the `multi_get` family — runs the read round loop with
+//! [`StorageRequest::MultiGet`]; every write but the quorum
+//! `put_replicated` — `put`, `put_async`, `delete`, `multi_put`,
+//! `multi_put_async` — runs the write round loop with
+//! [`StorageRequest::MultiPut`] (or `Delete`). A single key is a batch of
+//! one.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -15,14 +23,13 @@ use std::time::Duration;
 use bytes::Bytes;
 use cloudburst_lattice::{Capsule, Key, Timestamp, TimestampGenerator, VectorClock};
 use cloudburst_net::{
-    reply_channel, Address, Endpoint, LatencyModel, Network, PipelinedWaiter, RecvError, SendError,
-    Site,
+    reply_channel, Address, Endpoint, LatencyModel, Network, PipelinedWaiter, RecvError,
+    ReplyHandle, SendError, Site,
 };
 
 use crate::directory::Directory;
-use crate::msg::{
-    GetResponse, MultiGetResponse, MultiPutResponse, NodeStats, PutResponse, StorageRequest,
-};
+use crate::msg::{MultiGetResponse, MultiPutResponse, NodeStats, StorageRequest};
+use crate::ring::NodeId;
 
 /// Errors surfaced by Anna client operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,26 +176,28 @@ impl AnnaClient {
     }
 
     /// Read the capsule stored for `key`, failing over across its replica
-    /// list: the primary is tried first, and a dead, slow, or lagging
-    /// replica falls through to the next one instead of surfacing an error
-    /// (paper §4.5 — replication is what makes a storage-node crash
-    /// non-fatal). A read recovered from a later replica is repaired back to
-    /// the lagging ones (lattice merges make that idempotent).
+    /// list: the nearest replica is tried first, and a dead, slow, or
+    /// lagging replica falls through to the next one instead of surfacing
+    /// an error (paper §4.5 — replication is what makes a storage-node
+    /// crash non-fatal). A read recovered from a later replica is repaired
+    /// back to the lagging ones (lattice merges make that idempotent).
     ///
     /// For a key whose replication was raised by a hot-key override, the
     /// starting replica round-robins across the raised set instead of always
     /// being the primary, so selective replication actually spreads read
     /// load (paper §2.2); default-replication keys keep primary-first reads.
+    /// This is a one-key [`AnnaClient::multi_get`].
     pub fn get(&self, key: &Key) -> Result<Option<Capsule>, AnnaError> {
-        self.get_failover(key, None)
+        self.get_spread(key, 0)
     }
 
-    /// Read `key` starting from the replica chosen by `index` into the
-    /// replica list (spreads hot-key load across the raised replication
-    /// factor), failing over to the remaining replicas like
-    /// [`AnnaClient::get`].
+    /// Read `key` starting `index` replicas into its read plan, failing over
+    /// to the remaining replicas like [`AnnaClient::get`]; a one-key
+    /// [`AnnaClient::multi_get_spread`], so both start at the same replica.
     pub fn get_spread(&self, key: &Key, index: usize) -> Result<Option<Capsule>, AnnaError> {
-        self.get_failover(key, Some(index))
+        let mut slots = [self.read_slot(key, index)];
+        self.read_rounds(std::slice::from_ref(key), &mut slots, false)?;
+        Ok(slots[0].value.take())
     }
 
     /// Single-shot read from the primary replica only — no failover, no
@@ -199,81 +208,138 @@ impl AnnaClient {
     /// [`AnnaClient::get`] when this errors (dead primary) or when a miss
     /// must be distinguished from a lagging replica.
     pub fn get_primary(&self, key: &Key) -> Result<Option<Capsule>, AnnaError> {
-        let (_, addr) = self.directory.primary(key).ok_or(AnnaError::NoNodes)?;
-        self.get_from(addr, key)
+        let primary = self.directory.primary(key).into_iter().collect();
+        let mut slots = [Slot::new(primary, 0, 1)];
+        self.read_rounds(std::slice::from_ref(key), &mut slots, false)?;
+        Ok(slots[0].value.take())
     }
 
-    /// Failover read: walk the read plan from `start` (`None` = the nearest
-    /// replica, or the round-robin spread cursor when the key's replication
-    /// is overridden). The plan orders same-region replicas first
-    /// ([`Directory::read_plan`]); both the explicit `start` and the spread
-    /// cursor rotate *within the local group* so hot-key load spreads
-    /// without leaving the region, then failover continues into the remote
-    /// tail. Replicas that error are skipped; replicas that answer `None`
-    /// are remembered as possibly lagging and read-repaired if a later
-    /// replica has the value. `Ok(None)` is a *definitive* miss — returned
-    /// only when every replica confirmed it; if any replica failed and none
-    /// produced the value, the read is indeterminate (the failed replica
-    /// might hold it) and the error is surfaced instead.
-    fn get_failover(&self, key: &Key, start: Option<usize>) -> Result<Option<Capsule>, AnnaError> {
-        let plan = self.directory.read_plan(key, self.region);
-        let replicas = &plan.replicas;
-        if replicas.is_empty() {
-            return Err(AnnaError::NoNodes);
-        }
-        let start = match start {
-            Some(s) => s,
-            None if plan.overridden => self.spread.fetch_add(1, Ordering::Relaxed) as usize,
-            None => 0,
-        };
-        let n = replicas.len();
-        // Rotation stays inside the local group (the first `plan.local`
-        // entries); on a flat deployment `local == n` and this is the
-        // historical whole-list rotation byte-for-byte.
-        let domain = plan.local.min(n).max(1);
-        let mut lagging: Vec<Address> = Vec::new();
-        let mut last_err: Option<AnnaError> = None;
-        for i in 0..n {
-            let pos = if i < domain { (start + i) % domain } else { i };
-            let (_, addr) = replicas[pos];
-            match self.get_from(addr, key) {
-                Ok(Some(capsule)) => {
-                    self.note_read_from(addr);
-                    self.read_repair(key, &capsule, &lagging);
-                    return Ok(Some(capsule));
-                }
-                Ok(None) => lagging.push(addr),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match last_err {
-            Some(e) => Err(e),
-            None => Ok(None),
-        }
+    /// Read many keys with one request per responsible node (coalesced
+    /// fan-out, pipelined round trips). Results align with `keys` by index.
+    ///
+    /// Keys are grouped by the replica each tries first, one
+    /// [`StorageRequest::MultiGet`] goes to each such node, and every round
+    /// trip overlaps through a [`cloudburst_net::PipelinedWaiter`].
+    pub fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Capsule>>, AnnaError> {
+        self.multi_get_spread(keys, 0)
     }
 
-    /// Walk `key`'s replica list, trying `op` against each address until one
-    /// succeeds — the write-side failover loop shared by [`AnnaClient::put`],
-    /// [`AnnaClient::put_async`], [`AnnaClient::delete`], and the
-    /// `multi_put_async` fallback. Returns the last error once every replica
-    /// failed.
-    fn with_replica_failover<T>(
+    /// Like [`AnnaClient::multi_get`], but each key is read starting from
+    /// the replica chosen by `index` into its read plan (the batched
+    /// counterpart of [`AnnaClient::get_spread`]).
+    pub fn multi_get_spread(
         &self,
-        key: &Key,
-        mut op: impl FnMut(Address) -> Result<T, AnnaError>,
-    ) -> Result<T, AnnaError> {
+        keys: &[Key],
+        index: usize,
+    ) -> Result<Vec<Option<Capsule>>, AnnaError> {
+        let mut slots: Vec<Slot> = keys.iter().map(|key| self.read_slot(key, index)).collect();
+        self.read_rounds(keys, &mut slots, false)?;
+        Ok(values(slots))
+    }
+
+    /// Best-effort batched read: like [`AnnaClient::multi_get`], but a key
+    /// whose every replica fails resolves to `None` instead of failing the
+    /// whole call, and a live replica's `None` is accepted without probing
+    /// the rest of the replica list (partial-but-fresh beats all-or-nothing
+    /// for sweeps like the schedulers' metric refresh).
+    pub fn multi_get_lenient(&self, keys: &[Key]) -> Vec<Option<Capsule>> {
+        let mut slots: Vec<Slot> = keys.iter().map(|key| self.read_slot(key, 0)).collect();
+        match self.read_rounds(keys, &mut slots, true) {
+            Ok(()) => values(slots),
+            Err(_) => vec![None; keys.len()],
+        }
+    }
+
+    /// A read walk over `key`'s region-aware read plan
+    /// ([`Directory::read_plan`]), starting `start` replicas into the local
+    /// group. A key whose replication was raised also advances the spread
+    /// cursor, so hot-key reads rotate across the raised replica set without
+    /// leaving the region; failover then continues into the remote tail.
+    fn read_slot(&self, key: &Key, start: usize) -> Slot {
+        let plan = self.directory.read_plan(key, self.region);
+        let mut start = start;
+        if plan.overridden && plan.replicas.len() > 1 {
+            start = start.wrapping_add(self.spread.fetch_add(1, Ordering::Relaxed) as usize);
+        }
+        Slot::new(plan.replicas, start, plan.local)
+    }
+
+    /// A write walk over `key`'s replicas in placement order (any replica
+    /// is a valid write target).
+    fn write_slot(&self, key: &Key) -> Slot {
         let replicas = self.directory.replicas(key);
-        if replicas.is_empty() {
-            return Err(AnnaError::NoNodes);
-        }
-        let mut last_err = AnnaError::NoNodes;
-        for (_, addr) in replicas {
-            match op(addr) {
-                Ok(v) => return Ok(v),
-                Err(e) => last_err = e,
+        let local = replicas.len();
+        Slot::new(replicas, 0, local)
+    }
+
+    /// The read round loop behind every read. Each round sends one
+    /// [`StorageRequest::MultiGet`] per replica that some unresolved key
+    /// tries next. Keys whose node failed — or, in strict mode, answered
+    /// `None` while a later replica might be fresher — move to their next
+    /// replica for the next round. A key recovered from a later replica is
+    /// read-repaired back to the live replicas that answered `None` for it.
+    /// In strict mode a key resolves to `None` only when *every* replica
+    /// confirmed the miss; if any replica failed and none produced the
+    /// value, the read is indeterminate and the call errors. All replicas
+    /// healthy is exactly one round of one request per responsible node.
+    /// Each key's result is left in its slot's `value`.
+    fn read_rounds(
+        &self,
+        keys: &[Key],
+        slots: &mut [Slot],
+        lenient: bool,
+    ) -> Result<(), AnnaError> {
+        let mut last_err: Option<AnnaError> = None;
+        loop {
+            // A key out of replicas is a miss only when the miss was
+            // unanimous; any replica failure leaves a strict read
+            // indeterminate (the failed replica might hold the value).
+            let targets = next_round(slots, |slot| {
+                lenient || !(slot.errored || slot.replicas.is_empty())
+            })
+            .ok_or_else(|| last_err.take().unwrap_or(AnnaError::NoNodes))?;
+            if targets.is_empty() {
+                return Ok(());
             }
+            let waiter = self.send_round(
+                &targets,
+                |g, reply| StorageRequest::MultiGet {
+                    keys: members(slots, g).map(|i| keys[i].clone()).collect(),
+                    reply,
+                },
+                &mut last_err,
+            );
+            self.collect_round(
+                waiter,
+                |g, response: MultiGetResponse| {
+                    let from = targets[g];
+                    let mut capsules = response.capsules.into_iter();
+                    for (i, slot) in slots.iter_mut().enumerate() {
+                        if !slot.in_group(g) {
+                            continue;
+                        }
+                        slot.pending = false;
+                        match capsules.next().flatten() {
+                            Some(capsule) => {
+                                self.note_read_from(from);
+                                self.read_repair(&keys[i], &capsule, &slot.lagging);
+                                slot.value = Some(capsule);
+                                slot.done = true;
+                            }
+                            None if lenient => slot.done = true,
+                            None => {
+                                // Possibly a lagging replica: keep probing,
+                                // repair it if so.
+                                slot.lagging.push(from);
+                                slot.attempt += 1;
+                            }
+                        }
+                    }
+                },
+                &mut last_err,
+            );
+            fail_unanswered(slots);
         }
-        Err(last_err)
     }
 
     /// Push the freshest capsule seen for `key` back to replicas that missed
@@ -288,350 +354,49 @@ impl AnnaClient {
         }
     }
 
-    fn get_from(&self, addr: Address, key: &Key) -> Result<Option<Capsule>, AnnaError> {
-        let (reply, waiter) = reply_channel::<GetResponse>(self.endpoint.network());
-        let reply = reply.with_latency(self.reply_latency(addr));
-        self.endpoint.send(
-            addr,
-            StorageRequest::Get {
-                key: key.clone(),
-                reply,
-            },
-        )?;
-        let response = waiter.wait_timeout(self.timeout).map_err(map_recv)?;
-        Ok(response.capsule)
-    }
-
-    /// Read many keys with one request per responsible node (coalesced
-    /// fan-out, pipelined round trips). Results align with `keys` by index.
-    ///
-    /// Where a `get` loop pays one sequential RPC per key, this groups keys
-    /// by their primary replica, sends one [`StorageRequest::MultiGet`] per
-    /// node, and overlaps every round trip through a
-    /// [`cloudburst_net::PipelinedWaiter`].
-    pub fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Capsule>>, AnnaError> {
-        self.multi_get_failover(keys, 0, false)
-    }
-
-    /// Like [`AnnaClient::multi_get`], but each key is read starting from
-    /// the replica chosen by `index` into its replica list (the batched
-    /// counterpart of [`AnnaClient::get_spread`]).
-    pub fn multi_get_spread(
-        &self,
-        keys: &[Key],
-        index: usize,
-    ) -> Result<Vec<Option<Capsule>>, AnnaError> {
-        self.multi_get_failover(keys, index, false)
-    }
-
-    /// Best-effort batched read: like [`AnnaClient::multi_get`], but a key
-    /// whose every replica fails resolves to `None` instead of failing the
-    /// whole call, and a live replica's `None` is accepted without probing
-    /// the rest of the replica list (partial-but-fresh beats all-or-nothing
-    /// for sweeps like the schedulers' metric refresh).
-    pub fn multi_get_lenient(&self, keys: &[Key]) -> Vec<Option<Capsule>> {
-        self.multi_get_failover(keys, 0, true)
-            .unwrap_or_else(|_| vec![None; keys.len()])
-    }
-
-    /// Round-based batched read with replica failover. Each round groups the
-    /// unresolved keys by their current-preference replica and sends one
-    /// [`StorageRequest::MultiGet`] per node (pipelined round trips). Keys
-    /// whose node failed — or, in strict mode, answered `None` while a later
-    /// replica might be fresher — advance to their next replica for the next
-    /// round. A key recovered from a later replica is read-repaired back to
-    /// the live replicas that answered `None` for it. In strict mode a key
-    /// resolves to `None` only when *every* replica confirmed the miss; if
-    /// any replica failed and none produced the value, the read is
-    /// indeterminate and the call errors. All replicas healthy is still
-    /// exactly one round of one request per responsible node.
-    fn multi_get_failover(
-        &self,
-        keys: &[Key],
-        start: usize,
-        lenient: bool,
-    ) -> Result<Vec<Option<Capsule>>, AnnaError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Per-key replica preference list from the region-aware read plan,
-        // rotated by `start` within the local group (nearest-first failover
-        // like single `get`s); keys with a raised replication override
-        // additionally rotate through the client's round-robin cursor so
-        // batched hot-key reads spread across the raised replica set.
-        let prefs: Vec<Vec<Address>> = keys
-            .iter()
-            .map(|key| {
-                let plan = self.directory.read_plan(key, self.region);
-                let n = plan.replicas.len();
-                let domain = plan.local.min(n).max(1);
-                let mut s = start;
-                if plan.overridden && n > 1 {
-                    s = s.wrapping_add(self.spread.fetch_add(1, Ordering::Relaxed) as usize);
-                }
-                (0..n)
-                    .map(|i| {
-                        let pos = if i < domain { (s + i) % domain } else { i };
-                        plan.replicas[pos].1
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut out: Vec<Option<Capsule>> = vec![None; keys.len()];
-        let mut done = vec![false; keys.len()];
-        let mut attempt = vec![0usize; keys.len()];
-        let mut errored = vec![false; keys.len()];
-        let mut lagging: Vec<Vec<Address>> = vec![Vec::new(); keys.len()];
-        let mut last_err: Option<AnnaError> = None;
-        loop {
-            // Group unresolved key indices by their current-attempt replica.
-            let mut groups: BTreeMap<Address, Vec<usize>> = BTreeMap::new();
-            for i in 0..keys.len() {
-                if done[i] {
-                    continue;
-                }
-                match prefs[i].get(attempt[i]) {
-                    Some(&addr) => groups.entry(addr).or_default().push(i),
-                    None => {
-                        // Every replica tried. Only a unanimous `None` is a
-                        // definitive miss; any replica failure leaves the
-                        // strict read indeterminate (the failed replica
-                        // might hold the value).
-                        if !lenient && (errored[i] || prefs[i].is_empty()) {
-                            return Err(last_err.take().unwrap_or(AnnaError::NoNodes));
-                        }
-                        done[i] = true;
-                    }
-                }
-            }
-            if groups.is_empty() {
-                return Ok(out);
-            }
-            let groups: Vec<(Address, Vec<usize>)> = groups.into_iter().collect();
-            let mut waiter = PipelinedWaiter::<MultiGetResponse>::new(self.endpoint.network());
-            for (g, (addr, indices)) in groups.iter().enumerate() {
-                let reply = waiter
-                    .handle(g as u64)
-                    .with_latency(self.reply_latency(*addr));
-                let sent = self.endpoint.send(
-                    *addr,
-                    StorageRequest::MultiGet {
-                        keys: indices.iter().map(|&i| keys[i].clone()).collect(),
-                        reply,
-                    },
-                );
-                if let Err(e) = sent {
-                    // The dropped reply handle reports itself to the waiter
-                    // as a prompt disconnect; the group retries next round.
-                    last_err = Some(e.into());
-                }
-            }
-            let mut answered: HashSet<u64> = HashSet::new();
-            while waiter.outstanding() > 0 {
-                match waiter.wait_next(self.timeout) {
-                    Ok((g, response)) => {
-                        answered.insert(g);
-                        let indices = &groups[g as usize].1;
-                        let from = groups[g as usize].0;
-                        for (&slot, capsule) in indices.iter().zip(response.capsules) {
-                            match capsule {
-                                Some(capsule) => {
-                                    self.note_read_from(from);
-                                    self.read_repair(&keys[slot], &capsule, &lagging[slot]);
-                                    out[slot] = Some(capsule);
-                                    done[slot] = true;
-                                }
-                                None if lenient => done[slot] = true,
-                                None => {
-                                    // Possibly a lagging replica: keep
-                                    // probing, repair it if so.
-                                    lagging[slot].push(from);
-                                    attempt[slot] += 1;
-                                }
-                            }
-                        }
-                    }
-                    Err(RecvError::Disconnected) => {
-                        last_err = Some(AnnaError::Disconnected);
-                    }
-                    Err(RecvError::Timeout) => {
-                        // Nothing arrived inside the window: everything still
-                        // outstanding counts as failed this round.
-                        last_err = Some(AnnaError::Timeout);
-                        break;
-                    }
-                }
-            }
-            // Groups that never answered fail over to each key's next
-            // replica.
-            for (g, (_, indices)) in groups.iter().enumerate() {
-                if answered.contains(&(g as u64)) {
-                    continue;
-                }
-                for &i in indices {
-                    if !done[i] {
-                        errored[i] = true;
-                        attempt[i] += 1;
-                    }
-                }
-            }
-        }
-    }
-
     /// Merge many `(key, capsule)` pairs with one request per responsible
     /// node, waiting for every node's single acknowledgement. A node that
     /// fails mid-flight only costs its batch a retry against each key's next
     /// replica (merges gossip onward, so any replica is a valid write
     /// target); the call errors only when some key ran out of replicas.
     pub fn multi_put(&self, entries: Vec<(Key, Capsule)>) -> Result<(), AnnaError> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        let prefs: Vec<Vec<Address>> = entries
+        let mut slots: Vec<Slot> = entries
             .iter()
-            .map(|(key, _)| {
-                self.directory
-                    .replicas(key)
-                    .into_iter()
-                    .map(|(_, a)| a)
-                    .collect()
-            })
+            .map(|(key, _)| self.write_slot(key))
             .collect();
-        let mut done = vec![false; entries.len()];
-        let mut attempt = vec![0usize; entries.len()];
-        let mut last_err: Option<AnnaError> = None;
-        loop {
-            let mut groups: BTreeMap<Address, Vec<usize>> = BTreeMap::new();
-            for i in 0..entries.len() {
-                if done[i] {
-                    continue;
-                }
-                match prefs[i].get(attempt[i]) {
-                    Some(&addr) => groups.entry(addr).or_default().push(i),
-                    None => return Err(last_err.take().unwrap_or(AnnaError::NoNodes)),
-                }
-            }
-            if groups.is_empty() {
-                return Ok(());
-            }
-            let groups: Vec<(Address, Vec<usize>)> = groups.into_iter().collect();
-            let mut waiter = PipelinedWaiter::<MultiPutResponse>::new(self.endpoint.network());
-            for (g, (addr, indices)) in groups.iter().enumerate() {
-                let reply = waiter
-                    .handle(g as u64)
-                    .with_latency(self.reply_latency(*addr));
-                let batch: Vec<(Key, Capsule)> =
-                    indices.iter().map(|&i| entries[i].clone()).collect();
-                if let Err(e) = self.endpoint.send(
-                    *addr,
-                    StorageRequest::MultiPut {
-                        entries: batch,
-                        reply: Some(reply),
-                    },
-                ) {
-                    last_err = Some(e.into());
-                }
-            }
-            let mut acked: HashSet<u64> = HashSet::new();
-            while waiter.outstanding() > 0 {
-                match waiter.wait_next(self.timeout) {
-                    Ok((g, _)) => {
-                        acked.insert(g);
-                    }
-                    Err(RecvError::Disconnected) => last_err = Some(AnnaError::Disconnected),
-                    Err(RecvError::Timeout) => {
-                        last_err = Some(AnnaError::Timeout);
-                        break;
-                    }
-                }
-            }
-            for (g, (_, indices)) in groups.iter().enumerate() {
-                for &i in indices {
-                    if acked.contains(&(g as u64)) {
-                        done[i] = true;
-                    } else {
-                        attempt[i] += 1;
-                    }
-                }
-            }
-        }
+        self.put_rounds(&entries, &mut slots, true)
     }
 
     /// Fire-and-forget batched merge — the write-behind flush path of
     /// Cloudburst caches (paper §4.2), batched. A group whose node rejects
-    /// the send (dead endpoint) degrades to per-entry sends that walk each
-    /// key's replica list; entries with no reachable replica are dropped, as
-    /// any unacknowledged write may be.
+    /// the send (dead endpoint) moves on to each key's next replica; the
+    /// call errors when some entry found no replica that accepted it (the
+    /// rest were still sent), as any unacknowledged write may be lost.
     pub fn multi_put_async(&self, entries: Vec<(Key, Capsule)>) -> Result<(), AnnaError> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        let mut groups: BTreeMap<Address, Vec<(Key, Capsule)>> = BTreeMap::new();
-        for (key, capsule) in entries {
-            let (_, addr) = self.directory.primary(&key).ok_or(AnnaError::NoNodes)?;
-            groups.entry(addr).or_default().push((key, capsule));
-        }
-        for (addr, entries) in groups {
-            let sent = self.endpoint.send(
-                addr,
-                StorageRequest::MultiPut {
-                    entries: entries.clone(),
-                    reply: None,
-                },
-            );
-            if sent.is_err() {
-                for (key, capsule) in entries {
-                    let _ = self.with_replica_failover(&key, |a| {
-                        if a == addr {
-                            // The batch send to this address just failed;
-                            // don't repeat the guaranteed-failed send.
-                            return Err(AnnaError::Send(SendError::EndpointDown(a)));
-                        }
-                        self.endpoint
-                            .send(
-                                a,
-                                StorageRequest::Put {
-                                    key: key.clone(),
-                                    capsule: capsule.clone(),
-                                    reply: None,
-                                },
-                            )
-                            .map_err(Into::into)
-                    });
-                }
-            }
-        }
-        Ok(())
+        let mut slots: Vec<Slot> = entries
+            .iter()
+            .map(|(key, _)| self.write_slot(key))
+            .collect();
+        self.put_rounds(&entries, &mut slots, false)
     }
 
     /// Merge a capsule into `key` and wait for one acknowledgement, failing
     /// over across the replica list: any replica is a valid write target
     /// (the receiving node gossips the merged state to the others), so a
-    /// dead primary costs a retry, not an error.
+    /// dead primary costs a retry, not an error. A one-entry
+    /// [`AnnaClient::multi_put`].
     pub fn put(&self, key: &Key, capsule: Capsule) -> Result<(), AnnaError> {
-        self.with_replica_failover(key, |addr| self.put_to(addr, key, capsule.clone()))
-    }
-
-    fn put_to(&self, addr: Address, key: &Key, capsule: Capsule) -> Result<(), AnnaError> {
-        let (reply, waiter) = reply_channel::<PutResponse>(self.endpoint.network());
-        let reply = reply.with_latency(self.reply_latency(addr));
-        self.endpoint.send(
-            addr,
-            StorageRequest::Put {
-                key: key.clone(),
-                capsule,
-                reply: Some(reply),
-            },
-        )?;
-        waiter.wait_timeout(self.timeout).map_err(map_recv)?;
-        Ok(())
+        let mut slots = [self.write_slot(key)];
+        self.put_rounds(&[(key.clone(), capsule)], &mut slots, true)
     }
 
     /// Merge a capsule into `key` on `min_acks` *distinct* replicas and wait
     /// for every acknowledgement — the durable write the chaos harness
     /// builds on: once `Ok`, the value survives any `min_acks - 1`
     /// simultaneous node crashes regardless of gossip timing. Fails (rather
-    /// than silently degrading) when fewer than `min_acks` replicas exist.
+    /// than silently degrading) when fewer than `min_acks` replicas exist,
+    /// or when failed and silent replicas leave too few untried ones to
+    /// reach `min_acks`.
     pub fn put_replicated(
         &self,
         key: &Key,
@@ -643,75 +408,141 @@ impl AnnaClient {
         if replicas.len() < want {
             return Err(AnnaError::NoNodes);
         }
-        let mut waiter = PipelinedWaiter::<PutResponse>::new(self.endpoint.network());
-        let mut next = 0usize;
-        let mut in_flight = 0usize;
+        let mut untried = replicas.iter().map(|&(_, addr)| addr);
         let mut acked = 0usize;
         let mut last_err: Option<AnnaError> = None;
         while acked < want {
-            // Top up in-flight writes; a failed replica is replaced by the
-            // next untried one, and running out of replicas fails the call.
-            while acked + in_flight < want {
-                let Some(&(_, addr)) = replicas.get(next) else {
-                    return Err(last_err.take().unwrap_or(AnnaError::Timeout));
-                };
-                next += 1;
-                let reply = waiter
-                    .handle(next as u64)
-                    .with_latency(self.reply_latency(addr));
-                match self.endpoint.send(
-                    addr,
-                    StorageRequest::Put {
-                        key: key.clone(),
-                        capsule: capsule.clone(),
-                        reply: Some(reply),
-                    },
-                ) {
-                    // A failed send drops its reply handle, which reports a
-                    // prompt disconnect below — count it in-flight so the
-                    // bookkeeping stays aligned with the waiter's.
-                    Ok(()) => in_flight += 1,
-                    Err(e) => {
-                        last_err = Some(e.into());
-                        in_flight += 1;
-                    }
-                }
+            // Top up: every replica that failed or stayed silent last round
+            // is replaced by the next untried one.
+            let targets: Vec<Address> = untried.by_ref().take(want - acked).collect();
+            if targets.len() < want - acked {
+                return Err(last_err.unwrap_or(AnnaError::Timeout));
             }
-            // Every issued handle produces exactly one Ok/Disconnected event,
-            // so `in_flight` stays exact; a full window with *nothing*
-            // arriving aborts the call (a merely slow replica means the
-            // write was never acknowledged — the caller retries).
-            match waiter.wait_next(self.timeout) {
-                Ok(_) => {
-                    acked += 1;
-                    in_flight -= 1;
-                }
-                Err(RecvError::Disconnected) => {
-                    last_err = Some(AnnaError::Disconnected);
-                    in_flight -= 1;
-                }
-                Err(RecvError::Timeout) => return Err(AnnaError::Timeout),
-            }
+            let waiter = self.send_round(
+                &targets,
+                |_, reply| StorageRequest::MultiPut {
+                    entries: vec![(key.clone(), capsule.clone())],
+                    reply: Some(reply),
+                },
+                &mut last_err,
+            );
+            self.collect_round(waiter, |_, _: MultiPutResponse| acked += 1, &mut last_err);
         }
         Ok(())
     }
 
     /// Fire-and-forget merge (no acknowledgement round trip). Used for
     /// asynchronous write-back from Cloudburst caches (paper §4.2). Falls
-    /// over to the next replica when a send is rejected outright.
+    /// over to the next replica when a send is rejected outright. A
+    /// one-entry [`AnnaClient::multi_put_async`].
     pub fn put_async(&self, key: &Key, capsule: Capsule) -> Result<(), AnnaError> {
-        self.with_replica_failover(key, |addr| {
-            self.endpoint
-                .send(
-                    addr,
-                    StorageRequest::Put {
-                        key: key.clone(),
-                        capsule: capsule.clone(),
-                        reply: None,
-                    },
-                )
-                .map_err(Into::into)
+        let mut slots = [self.write_slot(key)];
+        self.put_rounds(&[(key.clone(), capsule)], &mut slots, false)
+    }
+
+    /// [`AnnaClient::write_rounds`] carrying `entries` as
+    /// [`StorageRequest::MultiPut`]s.
+    fn put_rounds(
+        &self,
+        entries: &[(Key, Capsule)],
+        slots: &mut [Slot],
+        ack: bool,
+    ) -> Result<(), AnnaError> {
+        self.write_rounds(slots, ack, |slots, g, reply| StorageRequest::MultiPut {
+            entries: members(slots, g).map(|i| entries[i].clone()).collect(),
+            reply,
         })
+    }
+
+    /// The write round loop behind every write but the quorum one. Each
+    /// round sends one request per replica that some unacknowledged key
+    /// tries next (`request` builds it from the group's slots); keys whose
+    /// node failed move to their next replica (in placement order — any
+    /// replica is a valid write target) for the next round. With `ack` each
+    /// round waits for the nodes' acknowledgements; without, a send the
+    /// fabric accepts counts as delivered. A key that runs out of replicas
+    /// is dropped while the rest carry on, and the call then errors.
+    fn write_rounds<R: Send + 'static>(
+        &self,
+        slots: &mut [Slot],
+        ack: bool,
+        mut request: impl FnMut(&[Slot], usize, Option<ReplyHandle<R>>) -> StorageRequest,
+    ) -> Result<(), AnnaError> {
+        let mut last_err: Option<AnnaError> = None;
+        let mut lost = false;
+        loop {
+            let targets = next_round(slots, |_| {
+                lost = true;
+                true
+            })
+            .unwrap_or_default();
+            if targets.is_empty() {
+                break;
+            }
+            if ack {
+                let waiter = self.send_round(
+                    &targets,
+                    |g, reply| request(slots, g, Some(reply)),
+                    &mut last_err,
+                );
+                self.collect_round(waiter, |g, _: R| settle(slots, g), &mut last_err);
+            } else {
+                for (g, &addr) in targets.iter().enumerate() {
+                    match self.endpoint.send(addr, request(slots, g, None)) {
+                        Ok(()) => settle(slots, g),
+                        Err(e) => last_err = Some(e.into()),
+                    }
+                }
+            }
+            fail_unanswered(slots);
+        }
+        if lost {
+            return Err(last_err.unwrap_or(AnnaError::NoNodes));
+        }
+        Ok(())
+    }
+
+    /// Send one request per target, built by `request` around reply handle
+    /// `g` of a fresh pipelined waiter, so every round trip overlaps. A
+    /// failed send drops its handle, which reports itself to the waiter as
+    /// a prompt disconnect.
+    fn send_round<R: Send + 'static>(
+        &self,
+        targets: &[Address],
+        mut request: impl FnMut(usize, ReplyHandle<R>) -> StorageRequest,
+        last_err: &mut Option<AnnaError>,
+    ) -> PipelinedWaiter<R> {
+        let mut waiter = PipelinedWaiter::new(self.endpoint.network());
+        for (g, &addr) in targets.iter().enumerate() {
+            let reply = waiter
+                .handle(g as u64)
+                .with_latency(self.reply_latency(addr));
+            if let Err(e) = self.endpoint.send(addr, request(g, reply)) {
+                *last_err = Some(e.into());
+            }
+        }
+        waiter
+    }
+
+    /// Hand each reply of a [`AnnaClient::send_round`] to `on_reply` with
+    /// its target's index, until all arrived or one timeout window passes
+    /// with nothing arriving (everything still outstanding has then failed).
+    fn collect_round<R: Send + 'static>(
+        &self,
+        mut waiter: PipelinedWaiter<R>,
+        mut on_reply: impl FnMut(usize, R),
+        last_err: &mut Option<AnnaError>,
+    ) {
+        while waiter.outstanding() > 0 {
+            match waiter.wait_next(self.timeout) {
+                Ok((g, response)) => on_reply(g as usize, response),
+                Err(RecvError::Disconnected) => *last_err = Some(AnnaError::Disconnected),
+                Err(RecvError::Timeout) => {
+                    *last_err = Some(AnnaError::Timeout);
+                    break;
+                }
+            }
+        }
     }
 
     /// Write a bare value with LWW encapsulation (Cloudburst's default mode).
@@ -738,19 +569,14 @@ impl AnnaClient {
     /// Delete `key`, failing over across its replica list like
     /// [`AnnaClient::put`] (the receiving replica propagates the delete).
     pub fn delete(&self, key: &Key) -> Result<(), AnnaError> {
-        self.with_replica_failover(key, |addr| {
-            let (reply, waiter) = reply_channel::<PutResponse>(self.endpoint.network());
-            let reply = reply.with_latency(self.reply_latency(addr));
-            self.endpoint.send(
-                addr,
-                StorageRequest::Delete {
-                    key: key.clone(),
-                    reply: Some(reply),
-                },
-            )?;
-            waiter.wait_timeout(self.timeout).map_err(map_recv)?;
-            Ok(())
-        })
+        self.write_rounds(
+            &mut [self.write_slot(key)],
+            true,
+            |_, _, reply: Option<ReplyHandle<()>>| StorageRequest::Delete {
+                key: key.clone(),
+                reply,
+            },
+        )
     }
 
     /// Raise (or change) the replication factor of a hot key and propagate
@@ -925,4 +751,120 @@ fn map_recv(e: RecvError) -> AnnaError {
         // a slow one and sent callers into pointless retries.
         RecvError::Disconnected => AnnaError::Disconnected,
     }
+}
+
+/// One key's walk along its replicas through a round loop.
+struct Slot {
+    /// The key's replicas: read-plan order for reads, placement order for
+    /// writes.
+    replicas: Vec<(NodeId, Address)>,
+    /// The walk starts `start` replicas into the first `local` entries (the
+    /// same-region group) and rotates within them before the remote tail.
+    start: usize,
+    local: usize,
+    /// Replicas tried so far; the walk's next position.
+    attempt: usize,
+    /// This round's target index, while `pending`.
+    group: usize,
+    /// Sent this round and not yet answered.
+    pending: bool,
+    done: bool,
+    /// Some replica failed for this key: a strict read that finds nothing
+    /// is then indeterminate rather than a miss.
+    errored: bool,
+    /// Live replicas that answered a read with `None` (read-repair targets).
+    lagging: Vec<Address>,
+    /// A read's result.
+    value: Option<Capsule>,
+}
+
+impl Slot {
+    fn new(replicas: Vec<(NodeId, Address)>, start: usize, local: usize) -> Self {
+        let local = local.min(replicas.len()).max(1);
+        Self {
+            replicas,
+            start: start % local,
+            local,
+            attempt: 0,
+            group: 0,
+            pending: false,
+            done: false,
+            errored: false,
+            lagging: Vec::new(),
+            value: None,
+        }
+    }
+
+    /// The replica the walk tries next, or `None` once every one was tried.
+    fn target(&self) -> Option<Address> {
+        let i = self.attempt;
+        let pos = if i < self.local {
+            (self.start + i) % self.local
+        } else {
+            i
+        };
+        self.replicas.get(pos).map(|&(_, addr)| addr)
+    }
+
+    fn in_group(&self, g: usize) -> bool {
+        self.pending && self.group == g
+    }
+}
+
+/// Group the unresolved slots by the replica each tries next, returning
+/// the round's targets in first-appearance order — so send order is a
+/// function of the input alone, which seeded chaos replays depend on. A
+/// slot with no replica left is done if `exhausted` accepts it, and fails
+/// the round (`None`) otherwise.
+fn next_round(
+    slots: &mut [Slot],
+    mut exhausted: impl FnMut(&Slot) -> bool,
+) -> Option<Vec<Address>> {
+    let mut targets: Vec<Address> = Vec::new();
+    for slot in slots.iter_mut().filter(|slot| !slot.done) {
+        let Some(addr) = slot.target() else {
+            if !exhausted(slot) {
+                return None;
+            }
+            slot.done = true;
+            continue;
+        };
+        slot.group = match targets.iter().position(|&t| t == addr) {
+            Some(g) => g,
+            None => {
+                targets.push(addr);
+                targets.len() - 1
+            }
+        };
+        slot.pending = true;
+    }
+    Some(targets)
+}
+
+/// Indices of the slots sent to target `g` this round, in input order.
+fn members(slots: &[Slot], g: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..slots.len()).filter(move |&i| slots[i].in_group(g))
+}
+
+/// Target `g` acknowledged a write: its slots are done.
+fn settle(slots: &mut [Slot], g: usize) {
+    for slot in slots.iter_mut().filter(|slot| slot.in_group(g)) {
+        slot.pending = false;
+        slot.done = true;
+    }
+}
+
+/// Slots whose target never answered this round move to their next
+/// replica.
+fn fail_unanswered(slots: &mut [Slot]) {
+    for slot in slots.iter_mut().filter(|slot| slot.pending) {
+        slot.pending = false;
+        slot.errored = true;
+        slot.attempt += 1;
+    }
+}
+
+/// The results of a batched read, in input order.
+fn values(slots: Vec<Slot>) -> Vec<Option<Capsule>> {
+    slots.into_iter().map(|slot| slot.value).collect()
 }

@@ -51,9 +51,6 @@ pub use elastic::{
     ScalingConfig, ScalingLoop, StorageScaler,
 };
 pub use lsm::{DiskEnv, DiskError, FaultDisk, LsmEngine, LsmOptions, RealDisk};
-pub use msg::{
-    GetResponse, KeyUpdate, MultiGetResponse, MultiPutResponse, NodeStats, PutResponse,
-    StorageRequest,
-};
+pub use msg::{KeyUpdate, MultiGetResponse, MultiPutResponse, NodeStats, StorageRequest};
 pub use ring::HashRing;
 pub use store::TieredStore;

@@ -7,52 +7,43 @@ use cloudburst_net::{Address, ReplyHandle};
 use crate::ring::{HashRing, NodeId};
 
 /// A request sent to a storage node.
+///
+/// Every data read and write is a batch: a single-key `get` or `put` is a
+/// one-key [`StorageRequest::MultiGet`] or a one-entry
+/// [`StorageRequest::MultiPut`], so there is one wire message, one node arm
+/// and one client failover loop per direction.
 #[derive(Debug)]
 pub enum StorageRequest {
-    /// Read a key.
-    Get {
-        /// Requested key.
-        key: Key,
-        /// Where to deliver the response.
-        reply: ReplyHandle<GetResponse>,
-    },
-    /// Merge a capsule into a key (Anna semantics: `put` is a lattice join,
-    /// never a blind overwrite).
-    Put {
-        /// Target key.
-        key: Key,
-        /// Value to merge.
-        capsule: Capsule,
-        /// Optional acknowledgement channel.
-        reply: Option<ReplyHandle<PutResponse>>,
-    },
-    /// Remove a key.
-    Delete {
-        /// Target key.
-        key: Key,
-        /// Optional acknowledgement channel.
-        reply: Option<ReplyHandle<PutResponse>>,
-    },
-    /// Read many keys in one request (one envelope, one reply). Issued by
-    /// [`crate::AnnaClient::multi_get`], which fans one `MultiGet` out per
-    /// responsible node instead of one `Get` per key.
+    /// Read keys in one request (one envelope, one reply). Issued by every
+    /// [`crate::AnnaClient`] read, which fans one `MultiGet` out per
+    /// responsible node.
     MultiGet {
         /// Requested keys.
         keys: Vec<Key>,
         /// Where to deliver the batched response.
         reply: ReplyHandle<MultiGetResponse>,
     },
-    /// Merge many `(key, capsule)` pairs in one request with a single
-    /// acknowledgement — the write-behind path of a Cloudburst cache flush.
+    /// Merge `(key, capsule)` pairs in one request with a single
+    /// acknowledgement (Anna semantics: a put is a lattice join, never a
+    /// blind overwrite). Carries every client write, from a one-entry `put`
+    /// to the write-behind path of a Cloudburst cache flush.
     MultiPut {
         /// Key/value pairs to merge.
         entries: Vec<(Key, Capsule)>,
         /// Optional acknowledgement channel (one ack for the whole batch).
         reply: Option<ReplyHandle<MultiPutResponse>>,
     },
+    /// Remove a key; the receiving replica propagates the delete.
+    Delete {
+        /// Target key.
+        key: Key,
+        /// Optional acknowledgement channel, answered once the delete is
+        /// durable.
+        reply: Option<ReplyHandle<()>>,
+    },
     /// Replica synchronization: one periodic delta envelope per peer
     /// carrying every key dirtied since the last gossip tick. Merged on
-    /// receive and, unlike `Put`, never re-propagated (no loops). Forced
+    /// receive and, unlike `MultiPut`, never re-propagated (no loops). Forced
     /// propagation (`Replicate`) and client read repair send the same
     /// message with a single entry.
     GossipBatch {
@@ -111,39 +102,20 @@ pub enum StorageRequest {
     Shutdown,
 }
 
-/// Response to [`StorageRequest::Get`].
-#[derive(Debug, Clone)]
-pub struct GetResponse {
-    /// The requested key.
-    pub key: Key,
-    /// The stored capsule, if present.
-    pub capsule: Option<Capsule>,
-    /// Whether the read was served from the (slower) disk tier.
-    pub from_disk: bool,
-}
-
-/// Acknowledgement of a `Put` / `Delete`.
-#[derive(Debug, Clone)]
-pub struct PutResponse {
-    /// The written key.
-    pub key: Key,
-}
-
 /// Response to [`StorageRequest::MultiGet`]: one slot per requested key, in
 /// request order.
 #[derive(Debug, Clone)]
 pub struct MultiGetResponse {
     /// The stored capsule for each requested key (`None` if absent).
     pub capsules: Vec<Option<Capsule>>,
-    /// How many of the hits were served from the (slower) disk tier.
-    pub disk_hits: usize,
 }
 
 /// Acknowledgement of a [`StorageRequest::MultiPut`] batch.
 #[derive(Debug, Clone)]
 pub struct MultiPutResponse {
-    /// Number of entries merged (kind-mismatched writes are dropped but
-    /// still counted as acknowledged, matching single-`Put` behaviour).
+    /// Number of entries merged (kind-mismatched writes are dropped
+    /// without failing the batch, as Anna ignores type-incompatible
+    /// merges).
     pub merged: usize,
 }
 
@@ -183,9 +155,9 @@ pub struct NodeStats {
     /// Per-key index entry sizes in bytes (8 bytes per registered cache),
     /// the quantity whose median / p99 the paper reports in §6.1.4.
     pub index_entry_bytes: Vec<usize>,
-    /// Get requests served since startup.
+    /// Keys read since startup (a `MultiGet` of n keys counts n).
     pub gets_served: u64,
-    /// Put requests served since startup.
+    /// Keys written since startup (a `MultiPut` of n entries counts n).
     pub puts_served: u64,
     /// The node's hottest keys with their decayed access heat, hottest
     /// first ([`crate::telemetry::NodeTelemetry`]). Rides the existing

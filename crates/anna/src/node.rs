@@ -1,9 +1,11 @@
 //! [`StorageNode`]: one Anna storage-node actor.
 //!
-//! Each node owns a [`TieredStore`], serves get/put/delete requests (puts are
-//! lattice merges), gossips merged state to the key's other replicas, and —
-//! for the keys it is primary for — maintains the key→cache index and pushes
-//! merged updates to registered Cloudburst caches (paper §4.2).
+//! Each node owns a [`TieredStore`], serves batched reads and writes
+//! (`MultiGet`/`MultiPut`; a single-key client call is a batch of one, and
+//! writes are lattice merges) and deletes, gossips merged state to the
+//! key's other replicas, and — for the keys it is primary for — maintains
+//! the key→cache index and pushes merged updates to registered Cloudburst
+//! caches (paper §4.2).
 //!
 //! The node is a mailbox-driven actor on the shared
 //! [`cloudburst_runtime::Runtime`]: message delivery enqueues it, a pool
@@ -21,9 +23,7 @@ use cloudburst_runtime::{Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime, P
 
 use crate::directory::Directory;
 use crate::lsm::{DiskEnv, LsmEngine, LsmOptions};
-use crate::msg::{
-    GetResponse, MultiGetResponse, MultiPutResponse, NodeStats, PutResponse, StorageRequest,
-};
+use crate::msg::{MultiGetResponse, MultiPutResponse, NodeStats, StorageRequest};
 use crate::ring::NodeId;
 use crate::store::{Tier, TieredStore};
 use crate::telemetry::{NodeTelemetry, TelemetryConfig};
@@ -42,10 +42,10 @@ pub struct NodeConfig {
     /// coalesce on the same cadence. The scaled window is floored at 100 µs
     /// of wall clock, so `0.0` means "as often as the floor allows".
     pub gossip_interval_ms: f64,
-    /// Synchronous per-request service time for data requests (get / put /
-    /// multi-get / multi-put): the node thread is *occupied* for this long
-    /// per request, so a node has finite serial service capacity and a hot
-    /// partition genuinely saturates. `Zero` (the default) keeps the
+    /// Synchronous per-request service time for data requests (multi-get /
+    /// multi-put, whatever their size): the node thread is *occupied* for
+    /// this long per request, so a node has finite serial service capacity
+    /// and a hot partition genuinely saturates. `Zero` (the default) keeps the
     /// pre-existing infinite-capacity behaviour; the skew benchmark sets it
     /// to model the single-node bottleneck selective replication relieves.
     pub service_latency: LatencyModel,
@@ -351,78 +351,18 @@ impl Worker {
     fn handle(&mut self, request: StorageRequest) -> bool {
         {
             match request {
-                StorageRequest::Get { key, reply } => {
-                    self.serve_busy();
-                    self.telemetry.record_get(&key);
-                    match self.store.get(&key) {
-                        Some((capsule, tier)) => {
-                            let mut extra = self.transfer_time(capsule.payload_len());
-                            if tier == Tier::Disk {
-                                extra += self.endpoint.network().sample(self.disk_latency);
-                            }
-                            reply.reply_with_extra(
-                                extra,
-                                GetResponse {
-                                    key,
-                                    capsule: Some(capsule),
-                                    from_disk: tier == Tier::Disk,
-                                },
-                            );
-                        }
-                        None => reply.reply(GetResponse {
-                            key,
-                            capsule: None,
-                            from_disk: false,
-                        }),
-                    }
-                }
-                StorageRequest::Put {
-                    key,
-                    capsule,
-                    reply,
-                } => {
-                    self.serve_busy();
-                    self.telemetry.record_put(&key);
-                    match self.store.merge(key.clone(), capsule) {
-                        Ok((merged, tier)) => {
-                            let payload = merged.payload_len();
-                            self.push_to_caches(&key);
-                            self.mark_dirty(&key, payload);
-                            if let Some(reply) = reply {
-                                let mut extra = self.transfer_time(payload);
-                                if tier == Tier::Disk {
-                                    extra += self.endpoint.network().sample(self.disk_latency);
-                                }
-                                self.ack_durable(move || {
-                                    reply.reply_with_extra(extra, PutResponse { key });
-                                });
-                            }
-                        }
-                        Err(_mismatch) => {
-                            // Capsule-kind mismatch is a caller bug; drop the
-                            // write but still acknowledge so callers don't
-                            // hang (matches Anna's behaviour of ignoring
-                            // type-incompatible merges).
-                            if let Some(reply) = reply {
-                                reply.reply(PutResponse { key });
-                            }
-                        }
-                    }
-                }
                 StorageRequest::MultiGet { keys, reply } => {
                     self.serve_busy();
                     for key in &keys {
                         self.telemetry.record_get(key);
                     }
                     let mut capsules = Vec::with_capacity(keys.len());
-                    let mut disk_hits = 0;
                     let mut extra = Duration::ZERO;
                     for key in keys {
                         match self.store.get(&key) {
                             Some((capsule, tier)) => {
                                 extra += self.transfer_time(capsule.payload_len());
                                 if tier == Tier::Disk {
-                                    disk_hits += 1;
                                     extra += self.endpoint.network().sample(self.disk_latency);
                                 }
                                 capsules.push(Some(capsule));
@@ -430,13 +370,7 @@ impl Worker {
                             None => capsules.push(None),
                         }
                     }
-                    reply.reply_with_extra(
-                        extra,
-                        MultiGetResponse {
-                            capsules,
-                            disk_hits,
-                        },
-                    );
+                    reply.reply_with_extra(extra, MultiGetResponse { capsules });
                 }
                 StorageRequest::MultiPut { entries, reply } => {
                     self.serve_busy();
@@ -456,8 +390,10 @@ impl Worker {
                             }
                             merged_count += 1;
                         }
-                        // Kind mismatches are dropped but still acknowledged,
-                        // matching single-`Put` behaviour.
+                        // A capsule-kind mismatch is a caller bug: the entry
+                        // is dropped but the batch still acknowledged, so
+                        // callers don't hang (Anna ignores type-incompatible
+                        // merges).
                     }
                     if let Some(reply) = reply {
                         let respond = move || {
@@ -486,7 +422,7 @@ impl Worker {
                         }
                     }
                     if let Some(reply) = reply {
-                        let respond = move || reply.reply(PutResponse { key });
+                        let respond = move || reply.reply(());
                         if existed {
                             // The tombstone must be durable before the ack.
                             self.ack_durable(respond);

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use cloudburst_anna::msg::StorageRequest;
+use cloudburst_anna::msg::{MultiGetResponse, StorageRequest};
 use cloudburst_anna::node::NodeConfig;
 use cloudburst_anna::{AnnaClient, AnnaCluster, AnnaConfig, AnnaError, KeyUpdate};
 use cloudburst_lattice::{Capsule, Key};
@@ -108,17 +108,15 @@ fn replicas_receive_gossip() {
             net.send(
                 client.addr(),
                 addr,
-                StorageRequest::Get {
-                    key: key.clone(),
+                StorageRequest::MultiGet {
+                    keys: vec![key.clone()],
                     reply,
                 },
             )
             .unwrap();
             waiter
                 .wait_timeout(Duration::from_secs(1))
-                .ok()
-                .and_then(|r| r.capsule)
-                .is_some()
+                .is_ok_and(|r: MultiGetResponse| r.capsules[0].is_some())
         });
         assert!(ok, "replica at {addr} never received the gossip");
     }
@@ -314,34 +312,24 @@ fn multi_get_spread_reads_chosen_replicas() {
 }
 
 /// A scripted storage node that answers exactly `count` requests, recording
-/// its `label` in `log` per visit and answering every `Get`/`MultiGet` as a
-/// miss — lets tests pin the client's exact replica visit order.
+/// its `label` in `log` per visit and answering every `MultiGet` as a miss —
+/// lets tests pin the client's exact replica visit order.
 fn miss_node(
     net: &Network,
     label: u64,
     count: usize,
     log: std::sync::Arc<parking_lot::Mutex<Vec<u64>>>,
 ) -> (cloudburst_net::Address, std::thread::JoinHandle<()>) {
-    use cloudburst_anna::msg::{GetResponse, MultiGetResponse};
     let ep = net.register();
     let addr = ep.addr();
     let handle = std::thread::spawn(move || {
         for _ in 0..count {
             let env = ep.recv().unwrap();
             match env.downcast::<StorageRequest>() {
-                Ok(StorageRequest::Get { key, reply }) => {
-                    log.lock().push(label);
-                    reply.reply(GetResponse {
-                        key,
-                        capsule: None,
-                        from_disk: false,
-                    });
-                }
                 Ok(StorageRequest::MultiGet { keys, reply }) => {
                     log.lock().push(label);
                     reply.reply(MultiGetResponse {
                         capsules: vec![None; keys.len()],
-                        disk_hits: 0,
                     });
                 }
                 _ => panic!("unexpected request at scripted node {label}"),
@@ -472,7 +460,6 @@ fn multi_get_spread_walks_replicas_in_rotated_plan_order() {
 fn reads_fail_over_past_a_dead_replica_in_plan_order() {
     // The plan's first replica dies mid-request; the read must recover from
     // the second without surfacing an error.
-    use cloudburst_anna::msg::GetResponse;
     let net = instant_net();
     let dir = std::sync::Arc::new(cloudburst_anna::Directory::new(2));
     let ep_a = net.register();
@@ -496,18 +483,148 @@ fn reads_fail_over_past_a_dead_replica_in_plan_order() {
     let live =
         std::thread::spawn(
             move || match live_ep.recv().unwrap().downcast::<StorageRequest>() {
-                Ok(StorageRequest::Get { key, reply }) => reply.reply(GetResponse {
-                    key,
-                    capsule: Some(capsule),
-                    from_disk: false,
-                }),
-                _ => panic!("expected a failover Get"),
+                Ok(StorageRequest::MultiGet { keys, reply }) => {
+                    assert_eq!(keys, vec![Key::new("doomed-primary")]);
+                    reply.reply(MultiGetResponse {
+                        capsules: vec![Some(capsule)],
+                    })
+                }
+                _ => panic!("expected a failover MultiGet"),
             },
         );
     let got = client.get(&key).unwrap().expect("second replica serves");
     assert_eq!(got.read_value().as_ref(), b"rescued");
     dead.join().unwrap();
     live.join().unwrap();
+}
+
+#[test]
+fn writes_fail_over_past_a_dead_first_replica() {
+    // Every write walks the key's replicas in placement order. The first
+    // replica either accepts the request and vanishes without acking, or is
+    // down outright (its sends are rejected); each write must land on the
+    // second replica as a one-entry `MultiPut` or a `Delete`. A
+    // fire-and-forget `put_async` cannot see a dropped request, so it is
+    // only run against a rejecting first replica.
+    type Write = fn(&AnnaClient, &Key) -> Result<(), AnnaError>;
+    let put: Write = |c, k| c.put(k, Capsule::wrap_lww(c.next_timestamp(), Bytes::new()));
+    let put_async: Write =
+        |c, k| c.put_async(k, Capsule::wrap_lww(c.next_timestamp(), Bytes::new()));
+    let delete: Write = |c, k| c.delete(k);
+    let cases = [
+        ("put", put, false, "MultiPut"),
+        ("put", put, true, "MultiPut"),
+        ("put_async", put_async, true, "MultiPut"),
+        ("delete", delete, false, "Delete"),
+        ("delete", delete, true, "Delete"),
+    ];
+    for (name, write, first_rejects, message) in cases {
+        let net = instant_net();
+        let dir = std::sync::Arc::new(cloudburst_anna::Directory::new(2));
+        let ep_a = net.register();
+        let ep_b = net.register();
+        dir.add_node(0, ep_a.addr());
+        dir.add_node(1, ep_b.addr());
+        let key = Key::new("doomed-write");
+        let first = dir.replicas(&key)[0].0;
+        let (dead_ep, live_ep) = if first == 0 {
+            (ep_a, ep_b)
+        } else {
+            (ep_b, ep_a)
+        };
+        let dead = if first_rejects {
+            net.kill(dead_ep.addr());
+            None
+        } else {
+            // Accept the request and vanish without replying.
+            Some(std::thread::spawn(move || drop(dead_ep.recv().unwrap())))
+        };
+        let expect = key.clone();
+        let live = std::thread::spawn(move || {
+            match live_ep.recv().unwrap().downcast::<StorageRequest>() {
+                Ok(StorageRequest::MultiPut { entries, reply }) => {
+                    assert_eq!(entries.len(), 1);
+                    assert_eq!(entries[0].0, expect);
+                    if let Some(reply) = reply {
+                        reply.reply(cloudburst_anna::MultiPutResponse { merged: 1 });
+                    }
+                    "MultiPut"
+                }
+                Ok(StorageRequest::Delete { key, reply }) => {
+                    assert_eq!(key, expect);
+                    reply.expect("delete waits for an ack").reply(());
+                    "Delete"
+                }
+                _ => panic!("expected a one-entry MultiPut or a Delete"),
+            }
+        });
+        let client = AnnaClient::new(&net, dir);
+        write(&client, &key)
+            .unwrap_or_else(|e| panic!("{name} (first rejects: {first_rejects}) failed: {e}"));
+        assert_eq!(
+            live.join().unwrap(),
+            message,
+            "{name} reached the second replica as the wrong message"
+        );
+        if let Some(dead) = dead {
+            dead.join().unwrap();
+        }
+    }
+}
+
+#[test]
+fn get_spread_and_multi_get_spread_share_one_rotation() {
+    // For a key whose replication was raised, a spread read starts at its
+    // explicit index plus the client's spread cursor, whichever API makes
+    // it: `get_spread(k, i)` and `multi_get_spread(&[k], i)` start where the
+    // other would have, so consecutive calls step one replica along the
+    // plan no matter how they alternate, and each miss walk visits the
+    // whole plan rotated to its start.
+    let net = instant_net();
+    let dir = std::sync::Arc::new(cloudburst_anna::Directory::new(1));
+    let log = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let mut handles = Vec::new();
+    const CALLS: usize = 4;
+    for id in 0..3u64 {
+        // Every call below is a full miss walk → one visit per node each.
+        let (addr, h) = miss_node(&net, id, CALLS, log.clone());
+        dir.add_node(id, addr);
+        handles.push(h);
+    }
+    let key = Key::new("raised");
+    dir.set_replication_override(key.clone(), 3);
+    let plan = dir.read_plan(&key, 0);
+    assert!(plan.overridden);
+    let plan: Vec<u64> = plan.replicas.iter().map(|(id, _)| *id).collect();
+    assert_eq!(plan.len(), 3);
+
+    let client = AnnaClient::new(&net, dir);
+    for call in 0..CALLS {
+        if call % 2 == 0 {
+            assert!(client.get_spread(&key, 1).unwrap().is_none());
+        } else {
+            assert_eq!(
+                client
+                    .multi_get_spread(std::slice::from_ref(&key), 1)
+                    .unwrap(),
+                vec![None]
+            );
+        }
+    }
+    let log = log.lock().clone();
+    assert_eq!(log.len(), 3 * CALLS);
+    let first = plan.iter().position(|&id| id == log[0]).unwrap();
+    for call in 0..CALLS {
+        let walk: Vec<u64> = (0..3).map(|i| plan[(first + call + i) % 3]).collect();
+        assert_eq!(
+            log[3 * call..3 * call + 3],
+            walk[..],
+            "call {call} must start one replica past the previous call"
+        );
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
 }
 
 #[test]
@@ -523,7 +640,7 @@ fn dead_node_surfaces_as_disconnected_not_timeout() {
     let client = AnnaClient::new(&net, directory).with_timeout(Duration::from_secs(30));
     let key = Key::new("doomed");
     let handle = std::thread::spawn(move || {
-        // Receive the Get and drop it without replying, as a node thread
+        // Receive the read and drop it without replying, as a node thread
         // that exits mid-request does.
         let env = fake_node.recv().unwrap();
         drop(env);
@@ -870,8 +987,8 @@ impl LaggingReplica {
             .send(
                 self.client.addr(),
                 self.secondary,
-                StorageRequest::Get {
-                    key: self.key.clone(),
+                StorageRequest::MultiGet {
+                    keys: vec![self.key.clone()],
                     reply,
                 },
             )
@@ -879,7 +996,7 @@ impl LaggingReplica {
         waiter
             .wait_timeout(Duration::from_secs(1))
             .ok()
-            .and_then(|r: cloudburst_anna::GetResponse| r.capsule)
+            .and_then(|r: MultiGetResponse| r.capsules.into_iter().next().flatten())
     }
 }
 
@@ -1099,14 +1216,16 @@ fn anti_entropy_pushes_from_non_primary_members() {
     net.send(
         client.addr(),
         secondary_addr,
-        StorageRequest::Put {
-            key: key.clone(),
-            capsule: Capsule::wrap_lww(client.next_timestamp(), Bytes::from_static(b"v")),
+        StorageRequest::MultiPut {
+            entries: vec![(
+                key.clone(),
+                Capsule::wrap_lww(client.next_timestamp(), Bytes::from_static(b"v")),
+            )],
             reply: Some(reply),
         },
     )
     .unwrap();
-    let _: cloudburst_anna::PutResponse = waiter.wait_timeout(Duration::from_secs(2)).unwrap();
+    let _: cloudburst_anna::MultiPutResponse = waiter.wait_timeout(Duration::from_secs(2)).unwrap();
     let before = cluster.audit_replication();
     assert_eq!(
         before.under_replicated, 1,

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use cloudburst_anna::elastic::{ElasticConfig, ScaleTier, ScaleTimeline, ScalingConfig};
-use cloudburst_anna::msg::{GetResponse, StorageRequest};
+use cloudburst_anna::msg::{MultiGetResponse, StorageRequest};
 use cloudburst_anna::node::NodeConfig;
 use cloudburst_anna::{AnnaCluster, AnnaConfig};
 use cloudburst_lattice::Key;
@@ -48,22 +48,22 @@ fn eventually(deadline: Duration, mut check: impl FnMut() -> bool) -> bool {
     false
 }
 
-/// Whether the node at `addr` currently stores `key` (a direct `Get`,
-/// bypassing client-side failover — this probes *one* replica).
+/// Whether the node at `addr` currently stores `key` (a direct one-key
+/// `MultiGet`, bypassing client-side failover — this probes *one* replica).
 fn node_has(
     net: &Network,
     cluster: &AnnaCluster,
     addr: cloudburst_net::Address,
     key: &Key,
 ) -> bool {
-    let (reply, waiter) = reply_channel::<GetResponse>(net);
+    let (reply, waiter) = reply_channel::<MultiGetResponse>(net);
     let from = cluster.client().addr();
     if net
         .send(
             from,
             addr,
-            StorageRequest::Get {
-                key: key.clone(),
+            StorageRequest::MultiGet {
+                keys: vec![key.clone()],
                 reply,
             },
         )
@@ -73,8 +73,7 @@ fn node_has(
     }
     waiter
         .wait_timeout(Duration::from_secs(2))
-        .map(|r| r.capsule.is_some())
-        .unwrap_or(false)
+        .is_ok_and(|r| r.capsules[0].is_some())
 }
 
 /// The acceptance-criterion test: under a skewed read/write load the loop

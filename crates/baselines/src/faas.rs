@@ -1,7 +1,9 @@
 //! [`SimLambda`] and [`SimStepFunctions`]: simulated AWS FaaS offerings.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use cloudburst_net::{LatencyModel, Network};
@@ -19,6 +21,8 @@ pub struct SimLambda {
     // lock-rank: 32 bl-faas-functions
     functions: RwLock<HashMap<String, BaselineFn>>,
     invoke_overhead: LatencyModel,
+    /// Overhead charged so far, in nanoseconds, as sampled.
+    charged_ns: AtomicU64,
 }
 
 impl SimLambda {
@@ -34,6 +38,7 @@ impl SimLambda {
             net: net.clone(),
             functions: RwLock::ranked(32, "bl-faas-functions", HashMap::new()),
             invoke_overhead,
+            charged_ns: AtomicU64::new(0),
         })
     }
 
@@ -54,11 +59,26 @@ impl SimLambda {
             .get(name)
             .cloned()
             .ok_or_else(|| format!("lambda {name:?} not deployed"))?;
-        let overhead = self.net.sample(self.invoke_overhead);
+        self.charge(self.invoke_overhead);
+        Ok(body(args))
+    }
+
+    /// Sample `model` and block for that long, adding the sample to
+    /// [`SimLambda::overhead_charged`].
+    fn charge(&self, model: LatencyModel) {
+        let overhead = self.net.sample(model);
         if !overhead.is_zero() {
+            self.charged_ns
+                .fetch_add(overhead.as_nanos() as u64, Ordering::Relaxed);
             std::thread::sleep(overhead);
         }
-        Ok(body(args))
+    }
+
+    /// Total overhead charged so far (invocations, plus the state
+    /// transitions of a [`SimStepFunctions`] over this deployment), as
+    /// sampled: the sleeps that pay it may overshoot, this sum does not.
+    pub fn overhead_charged(&self) -> Duration {
+        Duration::from_nanos(self.charged_ns.load(Ordering::Relaxed))
     }
 
     /// Client-side composition `fN(…f2(f1(x)))`: each stage is a separate
@@ -108,10 +128,7 @@ impl SimStepFunctions {
     pub fn execute(&self, states: &[&str], input: Bytes) -> Result<Bytes, String> {
         let mut value = input;
         for state in states {
-            let pause = self.lambda.net.sample(self.transition);
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
+            self.lambda.charge(self.transition);
             value = self.lambda.invoke(state, &[value])?;
         }
         Ok(value)
@@ -122,7 +139,6 @@ impl SimStepFunctions {
 mod tests {
     use super::*;
     use cloudburst_net::{NetConfig, TimeScale};
-    use std::time::Instant;
 
     fn net(scale: f64) -> Network {
         Network::new(NetConfig {
@@ -162,22 +178,22 @@ mod tests {
         assert!(lambda.invoke("ghost", &[]).is_err());
     }
 
+    // The timing tests compare sampled overheads, not wall clock: sleep
+    // overshoot under CPU contention would otherwise decide them.
     #[test]
     fn chaining_overhead_compounds() {
         let net = net(0.01);
         let lambda = SimLambda::new(&net);
         deploy_arith(&lambda);
         let input = Bytes::copy_from_slice(&1i64.to_le_bytes());
-        let t = Instant::now();
         for _ in 0..20 {
             lambda.invoke("inc", std::slice::from_ref(&input)).unwrap();
         }
-        let single = t.elapsed();
-        let t = Instant::now();
+        let single = lambda.overhead_charged();
         for _ in 0..20 {
             lambda.chain(&["inc", "sq"], input.clone()).unwrap();
         }
-        let chained = t.elapsed();
+        let chained = lambda.overhead_charged() - single;
         assert!(
             chained > single.mul_f64(1.4),
             "two invocations ({chained:?}) must compound over one ({single:?})"
@@ -191,17 +207,15 @@ mod tests {
         deploy_arith(&lambda);
         let sfn = SimStepFunctions::new(Arc::clone(&lambda));
         let input = Bytes::copy_from_slice(&2i64.to_le_bytes());
-        let t = Instant::now();
         for _ in 0..10 {
             lambda.chain(&["inc", "sq"], input.clone()).unwrap();
         }
-        let direct = t.elapsed();
-        let t = Instant::now();
+        let direct = lambda.overhead_charged();
         for _ in 0..10 {
             let out = sfn.execute(&["inc", "sq"], input.clone()).unwrap();
             assert_eq!(i64::from_le_bytes(out.as_ref().try_into().unwrap()), 9);
         }
-        let stepped = t.elapsed();
+        let stepped = lambda.overhead_charged() - direct;
         assert!(
             stepped > direct.mul_f64(2.0),
             "Step Functions ({stepped:?}) must be far slower than direct ({direct:?})"

@@ -22,7 +22,7 @@
 mod lexer;
 mod rules;
 
-use rules::{ConfigField, FileCtx, Violation};
+use rules::{ConfigField, FileCtx, KnobSet, Violation};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -76,6 +76,7 @@ fn run(root: &Path) -> Result<usize, String> {
 
     let mut all: Vec<(String, Violation)> = Vec::new();
     let mut config_fields: Vec<(String, ConfigField)> = Vec::new();
+    let mut knob_sets: Vec<KnobSet> = Vec::new();
     let mut escapes: BTreeMap<String, usize> = RULES.iter().map(|r| (r.to_string(), 0)).collect();
     for file in &files {
         let rel = file
@@ -100,6 +101,7 @@ fn run(root: &Path) -> Result<usize, String> {
         for f in ctx.l004_config_fields() {
             config_fields.push((rel.clone(), f));
         }
+        knob_sets.extend(ctx.knob_sets());
         for (rule, n) in ctx.escape_counts() {
             *escapes.entry(rule).or_insert(0) += n;
         }
@@ -157,6 +159,19 @@ fn run(root: &Path) -> Result<usize, String> {
         }
     }
 
+    // Report-only: knobs set nowhere but their declaration and `Default`
+    // impl, counting the callers outside the linted tree too.
+    let mut callers = Vec::new();
+    for dir in ["tests", "examples", "benchmark/src"] {
+        collect_rs_files(&root.join(dir), &mut callers);
+    }
+    for file in &callers {
+        let src =
+            std::fs::read_to_string(file).map_err(|e| format!("read {}: {e}", file.display()))?;
+        knob_sets.extend(FileCtx::new(&file.to_string_lossy(), &src).knob_sets());
+    }
+    let unvaried = never_varied(&config_fields, &knob_sets);
+
     all.sort_by(|a, b| (&a.0, a.1.line, a.1.rule).cmp(&(&b.0, b.1.line, b.1.rule)));
     all.dedup();
     for (rel, v) in &all {
@@ -169,7 +184,27 @@ fn run(root: &Path) -> Result<usize, String> {
         escape_summary(&escapes),
         all.len()
     );
+    println!(
+        "cb-lint: {} knob(s) never varied (report only): {}",
+        unvaried.len(),
+        unvaried.join(" ")
+    );
     Ok(all.len())
+}
+
+/// `Struct.field` for every config knob that no [`KnobSet`] sets, in
+/// declaration order.
+fn never_varied(fields: &[(String, ConfigField)], sets: &[KnobSet]) -> Vec<String> {
+    fields
+        .iter()
+        .filter(|(_, f)| {
+            !sets.iter().any(|s| match s {
+                KnobSet::Field(field) => *field == f.field,
+                KnobSet::Literal { strukt, field } => *strukt == f.strukt && *field == f.field,
+            })
+        })
+        .map(|(_, f)| format!("{}.{}", f.strukt, f.field))
+        .collect()
 }
 
 /// `L001=0 L002=1 …`: escapes per rule, in rule order.
@@ -275,6 +310,35 @@ mod tests {
         assert_eq!(
             escape_summary(&escapes),
             "L001=0 L002=0 L003=28 L004=0 L005=0 L006=0"
+        );
+    }
+
+    #[test]
+    fn never_varied_lists_knobs_no_site_sets() {
+        let field = |strukt: &str, field: &str| {
+            let f = ConfigField {
+                strukt: strukt.into(),
+                field: field.into(),
+                line: 1,
+            };
+            (String::new(), f)
+        };
+        let fields = [
+            field("FooConfig", "alpha"),
+            field("FooConfig", "beta"),
+            field("BarConfig", "alpha"),
+            field("BarConfig", "gamma"),
+        ];
+        let sets = [
+            KnobSet::Literal {
+                strukt: "FooConfig".into(),
+                field: "alpha".into(),
+            },
+            KnobSet::Field("gamma".into()),
+        ];
+        assert_eq!(
+            never_varied(&fields, &sets),
+            ["FooConfig.beta", "BarConfig.alpha"]
         );
     }
 

@@ -48,6 +48,25 @@ pub struct ConfigField {
     pub line: u32,
 }
 
+/// A place a config knob is given a value other than its default (see
+/// [`FileCtx::knob_sets`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KnobSet {
+    /// `<expr>.field = …`: the receiver's type is unknown at token level,
+    /// so this counts for a field of that name on every Config struct.
+    Field(String),
+    /// `field: …` or shorthand `field` in a literal of `strukt`.
+    Literal { strukt: String, field: String },
+}
+
+/// An `impl` block's body span (code indices) and what it implements.
+struct ImplBlock {
+    open: usize,
+    close: usize,
+    self_ty: String,
+    is_default: bool,
+}
+
 /// Everything the per-file rules need, computed once per file.
 pub struct FileCtx {
     /// Repo-relative path with forward slashes (`crates/net/src/delay.rs`).
@@ -683,6 +702,167 @@ impl FileCtx {
         out
     }
 
+    // ----------------------------------------------------- knob audit
+
+    /// Places this file sets a config knob: `<expr>.field = …` (or a
+    /// compound assignment), and `field: …` or shorthand `field` inside a
+    /// `FooConfig { … }` literal — or a `Self { … }` literal in an `impl`
+    /// of `FooConfig`.
+    /// Literals inside `impl Default for FooConfig` are the declaration of
+    /// the defaults, not a variation, and are skipped. Report-only and
+    /// type-blind: an assignment through a field access marks that field
+    /// name on every Config struct.
+    pub fn knob_sets(&self) -> Vec<KnobSet> {
+        let n = self.code_len();
+        let impls = self.impl_blocks();
+        let mut out = Vec::new();
+        for i in 1..n {
+            let t = self.ct(i);
+            if t.kind != Kind::Ident {
+                continue;
+            }
+            if self.ct(i - 1).is_punct('.') && self.is_assignment_after(i) {
+                out.push(KnobSet::Field(t.text.clone()));
+                continue;
+            }
+            if !(i + 1 < n && self.ct(i + 1).is_punct('{')) {
+                continue;
+            }
+            // `struct FooConfig {`, `impl … for FooConfig {` and a fn body
+            // after `-> Self` open items or bodies, not literals.
+            let prev = self.ct(i - 1);
+            if prev.is_ident("struct")
+                || prev.is_ident("enum")
+                || prev.is_ident("trait")
+                || prev.is_ident("impl")
+                || prev.is_ident("for")
+                || prev.is_punct('>')
+            {
+                continue;
+            }
+            let enclosing = impls
+                .iter()
+                .filter(|b| b.open < i && i < b.close)
+                .max_by_key(|b| b.open);
+            let strukt = match t.text.as_str() {
+                "Self" => match enclosing {
+                    Some(b) => b.self_ty.clone(),
+                    None => continue,
+                },
+                name if name.ends_with("Config") => name.to_string(),
+                _ => continue,
+            };
+            if enclosing.is_some_and(|b| b.is_default && b.self_ty == strukt) {
+                continue;
+            }
+            let Some(close) = self.matching_close(i + 1) else {
+                continue;
+            };
+            let mut depth = 0i32;
+            for j in i + 2..close {
+                let f = self.ct(j);
+                if f.is_punct('(') || f.is_punct('[') || f.is_punct('{') {
+                    depth += 1;
+                } else if f.is_punct(')') || f.is_punct(']') || f.is_punct('}') {
+                    depth -= 1;
+                } else if depth == 0
+                    && f.kind == Kind::Ident
+                    && (self.ct(j - 1).is_punct('{') || self.ct(j - 1).is_punct(','))
+                    && ((self.ct(j + 1).is_punct(':') && !self.ct(j + 2).is_punct(':'))
+                        || self.ct(j + 1).is_punct(',')
+                        || j + 1 == close)
+                {
+                    out.push(KnobSet::Literal {
+                        strukt: strukt.clone(),
+                        field: f.text.clone(),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Whether the field access ending at code token `i` is the target of
+    /// `=` or a compound assignment (`+=`, `|=`, …), not a comparison.
+    fn is_assignment_after(&self, i: usize) -> bool {
+        let n = self.code_len();
+        let mut j = i + 1;
+        if j < n && "+-*/%|&^".chars().any(|c| self.ct(j).is_punct(c)) {
+            j += 1;
+        }
+        j + 1 < n
+            && self.ct(j).is_punct('=')
+            && !self.ct(j + 1).is_punct('=')
+            && !self.ct(j + 1).is_punct('>')
+    }
+
+    /// The code index of the `}` closing the `{` at code index `open`.
+    fn matching_close(&self, open: usize) -> Option<usize> {
+        let mut depth = 0usize;
+        for k in open..self.code_len() {
+            if self.ct(k).is_punct('{') {
+                depth += 1;
+            } else if self.ct(k).is_punct('}') {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(k);
+                }
+            }
+        }
+        None
+    }
+
+    /// Every `impl` block: its body's code span, the implementing type's
+    /// name (last path segment, generics dropped) and whether it is an
+    /// `impl Default for …`.
+    fn impl_blocks(&self) -> Vec<ImplBlock> {
+        let n = self.code_len();
+        let mut out = Vec::new();
+        for i in 0..n {
+            if !self.ct(i).is_ident("impl") {
+                continue;
+            }
+            let mut angle = 0i32;
+            let mut last_ident: Option<&str> = None;
+            let mut trait_name: Option<&str> = None;
+            let mut j = i + 1;
+            while j < n {
+                let t = self.ct(j);
+                if t.is_punct('<') {
+                    angle += 1;
+                } else if t.is_punct('>') && !self.ct(j - 1).is_punct('-') {
+                    angle -= 1;
+                } else if angle == 0 {
+                    if t.is_punct('{') || t.is_punct(';') || t.is_ident("where") {
+                        break;
+                    }
+                    if t.is_ident("for") {
+                        trait_name = last_ident;
+                    } else if t.kind == Kind::Ident {
+                        last_ident = Some(&t.text);
+                    }
+                }
+                j += 1;
+            }
+            let Some(self_ty) = last_ident else {
+                continue;
+            };
+            let Some(open) = (j..n).find(|&k| self.ct(k).is_punct('{')) else {
+                continue;
+            };
+            let Some(close) = self.matching_close(open) else {
+                continue;
+            };
+            out.push(ImplBlock {
+                open,
+                close,
+                self_ty: self_ty.to_string(),
+                is_default: trait_name == Some("Default"),
+            });
+        }
+        out
+    }
+
     // ---------------------------------------------------------------- L005
 
     /// `.unwrap()`/`.expect(…)` directly on a channel or lock operation in
@@ -998,6 +1178,44 @@ mod tests {
     fn l004_skips_test_configs() {
         let c = ctx("#[cfg(test)]\nmod tests {\n pub struct TestConfig { pub x: u32 }\n}");
         assert!(c.l004_config_fields().is_empty());
+    }
+
+    // ------------------------------------------------------- knob audit
+
+    #[test]
+    fn knob_sets_skip_the_declaration_and_default_impl() {
+        let c = ctx("pub struct FooConfig { pub alpha: u32, pub beta: u32 }\n\
+             impl Default for FooConfig {\n\
+                 fn default() -> Self { Self { alpha: 1, beta: 2 } }\n\
+             }\n\
+             impl FooConfig {\n\
+                 pub fn fast() -> Self { Self { alpha: 0, ..Self::default() } }\n\
+             }\n\
+             fn f(mut c: FooConfig, b: &mut BarConfig) -> BarConfig {\n\
+                 c.gamma = 3; b.delta += 1;\n\
+                 if c.alpha == 2 || c.beta != 1 || c.beta <= 4 {}\n\
+                 let theta = 1;\n\
+                 BarConfig { eps: vec![Pair { zeta: 1 }], theta, ..BarConfig::default() }\n\
+             }");
+        assert_eq!(
+            c.knob_sets(),
+            [
+                KnobSet::Literal {
+                    strukt: "FooConfig".into(),
+                    field: "alpha".into()
+                },
+                KnobSet::Field("gamma".into()),
+                KnobSet::Field("delta".into()),
+                KnobSet::Literal {
+                    strukt: "BarConfig".into(),
+                    field: "eps".into()
+                },
+                KnobSet::Literal {
+                    strukt: "BarConfig".into(),
+                    field: "theta".into()
+                },
+            ]
+        );
     }
 
     // ------------------------------------------------------------- L005
