@@ -8,7 +8,7 @@
 //! from downstream caches, and periodically publishes its cached keyset to
 //! Anna so the key→cache index stays fresh.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -373,156 +373,202 @@ impl CacheInner {
     /// Read `key` under the session's consistency protocol. This is the
     /// dispatch point for Algorithm 1 (repeatable read) and Algorithm 2
     /// (distributed session causal consistency).
+    ///
+    /// A read costs one log entry in the session (see
+    /// [`SessionMeta::log_read`]); the metadata a successor needs and the
+    /// version snapshots it may fetch are built once per hop, by
+    /// [`CacheInner::ship_session`].
     pub fn get_session(&self, key: &Key, session: &mut SessionMeta) -> Option<Capsule> {
         let capsule = match self.level {
-            ConsistencyLevel::Lww
-            | ConsistencyLevel::SingleKeyCausal
-            | ConsistencyLevel::MultiKeyCausal => self.get_or_fetch(key),
-            ConsistencyLevel::RepeatableRead => self.get_repeatable_read(key, session),
-            ConsistencyLevel::DistributedSessionCausal => self.get_causal_session(key, session),
-        }?;
-        // Record into the session (no-op for levels that ship no metadata).
-        match &capsule {
-            Capsule::Lww(l) => {
-                session.record_read(key.clone(), VersionId::Lww(l.timestamp), self.addr, []);
+            ConsistencyLevel::Lww => return self.get_or_fetch(key),
+            ConsistencyLevel::SingleKeyCausal | ConsistencyLevel::MultiKeyCausal => {
+                self.get_or_fetch(key)?
             }
-            Capsule::Causal(c) => {
-                session.record_read(
-                    key.clone(),
-                    VersionId::Causal(c.vector_clock()),
-                    self.addr,
-                    c.dependencies(),
-                );
+            ConsistencyLevel::RepeatableRead | ConsistencyLevel::DistributedSessionCausal => {
+                if let Some(capsule) = self.reread(key, session) {
+                    return Some(capsule);
+                }
+                if self.level == ConsistencyLevel::RepeatableRead {
+                    self.get_repeatable_read(key, session)?
+                } else {
+                    self.get_causal_session(key, session)?
+                }
             }
-            Capsule::Set(_) => {}
-        }
+        };
+        session.log_read(key, &capsule, self.addr);
         Some(capsule)
     }
 
-    /// Algorithm 1 — Repeatable Read.
-    fn get_repeatable_read(&self, key: &Key, session: &mut SessionMeta) -> Option<Capsule> {
-        if let Some(record) = session.read_set.get(key).cloned() {
-            let VersionId::Lww(required) = record.version else {
-                return self.get_or_fetch(key);
-            };
-            // Own snapshot first (we may be the upstream cache ourselves).
-            if let Some(snap) = self.snapshot_of(session.request_id, key) {
-                if snap.lww_timestamp() == Some(required) {
-                    return Some(snap);
-                }
-            }
-            // Exact version cached locally?
-            if let Some(local) = self.peek(key) {
-                if local.lww_timestamp() == Some(required) {
-                    return Some(local);
-                }
-            }
-            // Version mismatch → query the upstream cache that snapshotted
-            // the version (line 5 of Algorithm 1).
-            let fetched = self.fetch_from_upstream(record.cache, session.request_id, key);
-            if let Some(c) = &fetched {
-                // Keep a local snapshot so further re-reads on this VM hit.
-                self.store_snapshot(session.request_id, key, c.clone());
-            }
-            return fetched;
+    /// A re-read of a key this hop already observed. Repeatable read
+    /// serves the logged version. Causal mode serves the local copy while
+    /// it is still `valid` against the logged version (joining it into the
+    /// log when its clock moved), and the logged version once it is not: an
+    /// eviction or a lagging refill can never step a session back. `None`
+    /// when the key is not logged, or was logged without a causal clock.
+    fn reread(&self, key: &Key, session: &mut SessionMeta) -> Option<Capsule> {
+        let logged = session.log.get(key)?;
+        if self.level == ConsistencyLevel::RepeatableRead {
+            return Some(logged.clone());
         }
-        // First read of this key in the DAG: any available version, which
-        // becomes the session's snapshot (line 9).
-        let capsule = self.get_or_fetch(key)?;
-        self.store_snapshot(session.request_id, key, capsule.clone());
-        Some(capsule)
+        let local = self.peek(key);
+        let (fresh, newer) = {
+            let logged_clock = logged.causal_clock_ref()?;
+            match local.as_ref().and_then(Capsule::causal_clock_ref) {
+                Some(clock) => (valid(&clock, &logged_clock), *clock != *logged_clock),
+                None => (false, false),
+            }
+        };
+        match local {
+            Some(local) if fresh => {
+                if newer {
+                    session.log_read(key, &local, self.addr);
+                }
+                Some(local)
+            }
+            _ => Some(logged.clone()),
+        }
     }
 
-    /// Algorithm 2 — Distributed Session Causal Consistency.
-    fn get_causal_session(&self, key: &Key, session: &mut SessionMeta) -> Option<Capsule> {
+    /// Algorithm 1 — Repeatable Read, first read of `key` in this hop.
+    fn get_repeatable_read(&self, key: &Key, session: &SessionMeta) -> Option<Capsule> {
+        let Some(record) = session.read_set.get(key) else {
+            // First read of this key in the DAG: any available version,
+            // which becomes the session's snapshot (line 9).
+            return self.get_or_fetch(key);
+        };
+        let VersionId::Lww(required) = record.version else {
+            return self.get_or_fetch(key);
+        };
+        // Own snapshot first (we may be the upstream cache ourselves).
+        if let Some(snap) = self.snapshot_of(session.request_id, key) {
+            if snap.lww_timestamp() == Some(required) {
+                return Some(snap);
+            }
+        }
+        // Exact version cached locally?
+        if let Some(local) = self.peek(key) {
+            if local.lww_timestamp() == Some(required) {
+                return Some(local);
+            }
+        }
+        // Version mismatch → query the upstream cache that snapshotted the
+        // version (line 5 of Algorithm 1).
+        self.fetch_from_upstream(record.cache, session.request_id, key)
+    }
+
+    /// Algorithm 2 — Distributed Session Causal Consistency, first read of
+    /// `key` in this hop.
+    fn get_causal_session(&self, key: &Key, session: &SessionMeta) -> Option<Capsule> {
         // `valid(local, required)` is true if local is concurrent with or
         // dominates the upstream version (k ≥ cache_version).
-        let required = if let Some(record) = session.read_set.get(key) {
-            match &record.version {
-                VersionId::Causal(vc) => Some((vc.clone(), record.cache)),
+        let required = match session.read_set.get(key) {
+            Some(record) => match &record.version {
+                VersionId::Causal(vc) => Some((vc, record.cache)),
                 VersionId::Lww(_) => None,
-            }
-        } else {
-            session
+            },
+            None => session
                 .dependencies
                 .get(key)
-                .map(|dep| (dep.clock.clone(), dep.cache))
+                .map(|dep| (&dep.clock, dep.cache)),
         };
         let Some((required_clock, upstream)) = required else {
             // Unconstrained read; serve from the local causal cut.
-            let capsule = self.get_or_fetch(key)?;
-            self.store_snapshot(session.request_id, key, capsule.clone());
-            self.snapshot_dependencies(session.request_id, &capsule);
-            return Some(capsule);
+            return self.get_or_fetch(key);
         };
         if let Some(local) = self.peek(key) {
-            if let Some(local_clock) = local.causal_clock() {
-                if valid(&local_clock, &required_clock) {
-                    self.store_snapshot(session.request_id, key, local.clone());
-                    return Some(local);
-                }
+            if local
+                .causal_clock_ref()
+                .is_some_and(|local_clock| valid(&local_clock, required_clock))
+            {
+                return Some(local);
             }
         }
         // Local version is causally older → fetch the snapshot upstream.
-        let fetched = self.fetch_from_upstream(upstream, session.request_id, key);
-        if let Some(c) = &fetched {
-            self.store_snapshot(session.request_id, key, c.clone());
+        self.fetch_from_upstream(upstream, session.request_id, key)
+    }
+
+    /// End a DAG hop before its successors are triggered: fold the
+    /// session's read log into the shipped read set and store, under one
+    /// `snapshots` lock, the version snapshots downstream caches fetch from
+    /// (Algorithms 1 & 2) — the versions read or written here and, in
+    /// causal mode, the local versions of the dependencies this cache
+    /// vouched for ("caches upstream store version snapshots of these
+    /// causal dependencies", §5.3). Sinks and single calls never call this,
+    /// so they leave no snapshot behind.
+    pub fn ship_session(&self, session: &mut SessionMeta) {
+        let log = session.seal_log(self.addr);
+        if log.is_empty() {
+            return;
         }
-        fetched
+        // Peek before taking `snapshots`: the shard locks rank below it.
+        let deps: Vec<(Key, Capsule)> = session
+            .dependencies
+            .iter()
+            .filter(|(_, dep)| dep.cache == self.addr)
+            .filter_map(|(key, _)| Some((key.clone(), self.peek(key)?)))
+            .collect();
+        let mut snapshots = self.snapshots.lock();
+        let snapshot = snapshots.entry(session.request_id).or_default();
+        for (key, capsule) in deps {
+            snapshot.entry(key).or_insert(capsule);
+        }
+        snapshot.extend(log);
     }
 
     /// Write `value` to `key` under the session's protocol; returns the new
     /// version's identity. The cache applies the update locally,
     /// acknowledges immediately, and asynchronously merges into Anna (§4.2).
+    ///
+    /// In the multi-key causal modes the new version depends on everything
+    /// the session has observed: the read set shipped from upstream hops,
+    /// this hop's read log, and `extra_deps` (the executor passes none).
     pub fn put_session(
         &self,
         key: &Key,
         value: Bytes,
         session: &mut SessionMeta,
         writer: ExecutorId,
-        invocation_reads: &[(Key, VectorClock)],
+        extra_deps: &[(Key, VectorClock)],
     ) -> VersionId {
-        let capsule = if self.level.is_causal() {
+        let (capsule, version) = if self.level.is_causal() {
             let mut clock = self
                 .peek(key)
                 .and_then(|c| c.causal_clock())
                 .unwrap_or_default();
             clock.increment(writer);
-            // Dependency set: everything this session has read (Algorithm 2
-            // semantics); single-key mode tracks no dependencies.
-            let mut deps: HashMap<Key, VectorClock> = HashMap::new();
+            // Single-key mode tracks no dependencies.
+            let mut deps: BTreeMap<Key, VectorClock> = BTreeMap::new();
             if self.level != ConsistencyLevel::SingleKeyCausal {
-                for (k, vc) in invocation_reads {
+                let mut depend = |k: &Key, vc: &VectorClock| {
                     if k != key {
                         deps.entry(k.clone()).or_default().join_ref(vc);
                     }
+                };
+                for (k, vc) in extra_deps {
+                    depend(k, vc);
                 }
                 for (k, record) in &session.read_set {
                     if let VersionId::Causal(vc) = &record.version {
-                        if k != key {
-                            deps.entry(k.clone()).or_default().join_ref(vc);
-                        }
+                        depend(k, vc);
+                    }
+                }
+                for (k, capsule) in &session.log {
+                    if let Some(vc) = capsule.causal_clock_ref() {
+                        depend(k, &vc);
                     }
                 }
             }
-            Capsule::wrap_causal(clock, deps, value)
+            let version = VersionId::Causal(clock.clone());
+            (Capsule::wrap_causal(clock, deps, value), version)
         } else {
-            Capsule::wrap_lww(self.anna.next_timestamp(), value)
+            let ts = self.anna.next_timestamp();
+            (Capsule::wrap_lww(ts, value), VersionId::Lww(ts))
         };
-        let version = match &capsule {
-            Capsule::Lww(l) => VersionId::Lww(l.timestamp),
-            Capsule::Causal(c) => VersionId::Causal(c.vector_clock()),
-            Capsule::Set(_) => unreachable!("session writes are never set capsules"),
-        };
-        // Update locally, snapshot for downstream exact-version fetches
-        // (only the levels whose reads consult snapshots — and whose DAGs
-        // end in a `SessionComplete` that evicts them), then write back to
-        // Anna asynchronously via the batched write-behind buffer.
+        // Update locally, log the write for this hop's successors, then
+        // write back to Anna asynchronously via the batched write-behind
+        // buffer.
         self.merge_local(key, capsule.clone());
-        if self.level.ships_session_metadata() {
-            self.store_snapshot(session.request_id, key, capsule.clone());
-        }
-        session.record_write(key.clone(), version.clone(), self.addr);
+        session.log_write(key, capsule.clone());
         self.mark_dirty(key, capsule);
         version
     }
@@ -725,39 +771,54 @@ impl CacheInner {
     fn admit(&self, key: &Key, capsule: Capsule) {
         if self.level.needs_causal_cut() {
             if let Capsule::Causal(c) = &capsule {
-                self.satisfy_dependencies(c.dependencies());
+                self.satisfy_dependencies(&c.dependencies_ref());
             }
         }
         self.merge_local(key, capsule);
     }
 
     /// Fetch missing/stale dependencies from Anna, breadth-first, up to
-    /// [`CAUSAL_CUT_FETCH_ROUNDS`] rounds. Bolt-on would buffer the update
-    /// until the cut is restorable; bounding the rounds keeps the
-    /// simulation live and is documented in DESIGN.md.
-    fn satisfy_dependencies(&self, deps: std::collections::BTreeMap<Key, VectorClock>) {
-        let mut frontier: Vec<(Key, VectorClock)> = deps.into_iter().collect();
+    /// [`CAUSAL_CUT_FETCH_ROUNDS`] rounds; each round is one primary-first
+    /// `multi_get` of the frontier still unsatisfied, so a version with n
+    /// uncached dependencies costs one request per responsible node, not n
+    /// sequential round trips. Bolt-on would buffer the update until the
+    /// cut is restorable; bounding the rounds keeps the simulation live
+    /// (ARCHITECTURE.md, `CacheConfig`). A round whose read fails ends the
+    /// fill (best effort, like a bounded one).
+    fn satisfy_dependencies(&self, deps: &BTreeMap<Key, VectorClock>) {
+        let mut frontier: Vec<(Key, VectorClock)> = deps
+            .iter()
+            .map(|(key, clock)| (key.clone(), clock.clone()))
+            .collect();
         for _ in 0..CAUSAL_CUT_FETCH_ROUNDS {
-            if frontier.is_empty() {
+            let mut wanted: Vec<Key> = Vec::new();
+            for (dep_key, required) in &frontier {
+                let satisfied = self.peek(dep_key).is_some_and(|c| {
+                    c.causal_clock_ref()
+                        .is_some_and(|local| valid(&local, required))
+                });
+                if !satisfied && !wanted.contains(dep_key) {
+                    wanted.push(dep_key.clone());
+                }
+            }
+            if wanted.is_empty() {
                 return;
             }
-            let mut next = Vec::new();
-            for (dep_key, required) in frontier.drain(..) {
-                let satisfied = self
-                    .peek(&dep_key)
-                    .and_then(|c| c.causal_clock())
-                    .is_some_and(|local| valid(&local, &required));
-                if satisfied {
-                    continue;
+            let Ok(fetched) = self.anna.multi_get(&wanted) else {
+                return;
+            };
+            frontier.clear();
+            for (dep_key, capsule) in wanted.iter().zip(fetched) {
+                let Some(capsule) = capsule else { continue };
+                if let Capsule::Causal(c) = &capsule {
+                    frontier.extend(
+                        c.dependencies_ref()
+                            .iter()
+                            .map(|(key, clock)| (key.clone(), clock.clone())),
+                    );
                 }
-                if let Ok(Some(capsule)) = self.anna.get(&dep_key) {
-                    if let Capsule::Causal(c) = &capsule {
-                        next.extend(c.dependencies());
-                    }
-                    self.merge_local(&dep_key, capsule);
-                }
+                self.merge_local(dep_key, capsule);
             }
-            frontier = next;
         }
     }
 
@@ -781,27 +842,6 @@ impl CacheInner {
 
     fn snapshot_of(&self, request: RequestId, key: &Key) -> Option<Capsule> {
         self.snapshots.lock().get(&request)?.get(key).cloned()
-    }
-
-    fn store_snapshot(&self, request: RequestId, key: &Key, capsule: Capsule) {
-        self.snapshots
-            .lock()
-            .entry(request)
-            .or_default()
-            .insert(key.clone(), capsule);
-    }
-
-    /// Snapshot the *dependencies* of a read version too: "caches upstream
-    /// store version snapshots of these causal dependencies" (§5.3).
-    fn snapshot_dependencies(&self, request: RequestId, capsule: &Capsule) {
-        if self.level != ConsistencyLevel::DistributedSessionCausal {
-            return;
-        }
-        for (dep_key, _) in capsule.causal_dependencies() {
-            if let Some(dep) = self.peek(&dep_key) {
-                self.store_snapshot(request, &dep_key, dep);
-            }
-        }
     }
 
     fn fetch_from_upstream(
@@ -1175,6 +1215,8 @@ mod tests {
         client.put_lww(&key, Bytes::from_static(b"v1")).unwrap();
         let mut session = SessionMeta::new(9, ConsistencyLevel::RepeatableRead);
         inner.get_session(&key, &mut session).unwrap();
+        // The hop ends: the executor ships the session to a successor.
+        inner.ship_session(&mut session);
         assert!(inner.snapshot_of(9, &key).is_some());
         inner.complete_session(9);
         assert!(inner.snapshot_of(9, &key).is_none());
@@ -1219,6 +1261,8 @@ mod tests {
         let mut session = SessionMeta::new(42, ConsistencyLevel::RepeatableRead);
         let v1 = up.inner().get_session(&key, &mut session).unwrap();
         assert_eq!(v1.read_value().as_ref(), b"v1");
+        // The hop ends: the executor ships the session to a successor.
+        up.inner().ship_session(&mut session);
 
         // A newer version lands; the downstream cache would naturally see v2.
         client.put_lww(&key, Bytes::from_static(b"v2")).unwrap();
@@ -1304,11 +1348,175 @@ mod tests {
         let kv = up.inner().get_session(&k, &mut session).unwrap();
         assert_eq!(kv.read_value().as_ref(), b"k-val");
         assert!(session.dependencies.contains_key(&l));
+        // The hop ends: the executor ships the session to a successor.
+        up.inner().ship_session(&mut session);
 
         // Downstream reads l: its local copy is causally older than the
         // required version → must fetch the admissible version upstream.
         let lv = down.inner().get_session(&l, &mut session).unwrap();
         assert_eq!(lv.read_value().as_ref(), b"l-new");
+    }
+
+    #[test]
+    fn reread_never_steps_back_below_the_logged_version() {
+        // A long write-behind window keeps the write out of Anna, so after
+        // an eviction Anna still serves the older version; the session's
+        // read log must keep the re-read at the version it wrote.
+        let net = Network::new(NetConfig::instant());
+        let anna = AnnaCluster::launch(
+            &net,
+            AnnaConfig {
+                nodes: 1,
+                replication: 1,
+                durability: cloudburst_anna::Durability::Off,
+                ..AnnaConfig::default()
+            },
+        );
+        let level = ConsistencyLevel::DistributedSessionCausal;
+        let cache = VmCache::spawn(
+            test_runtime(),
+            1,
+            &net,
+            anna.client(),
+            Arc::new(Topology::new()),
+            level,
+            CacheConfig {
+                write_flush_interval_ms: 1e9,
+                ..CacheConfig::default()
+            },
+        );
+        let inner = cache.inner();
+        let client = anna.client();
+        let key = Key::new("floor");
+        client
+            .put_causal(
+                &key,
+                VectorClock::singleton(1, 1),
+                [],
+                Bytes::from_static(b"old"),
+            )
+            .unwrap();
+        let mut session = SessionMeta::new(5, level);
+        let read =
+            |session: &mut SessionMeta| inner.get_session(&key, session).unwrap().read_value();
+        assert_eq!(read(&mut session), Bytes::from_static(b"old"));
+        inner.put_session(&key, Bytes::from_static(b"new"), &mut session, 9, &[]);
+        assert_eq!(read(&mut session), Bytes::from_static(b"new"));
+        inner.evict(&key);
+        assert_eq!(
+            client.get(&key).unwrap().unwrap().read_value(),
+            Bytes::from_static(b"old"),
+            "the write is still buffered"
+        );
+        assert_eq!(read(&mut session), Bytes::from_static(b"new"));
+    }
+
+    #[test]
+    fn a_write_depends_on_every_key_the_hop_read() {
+        for level in [
+            ConsistencyLevel::MultiKeyCausal,
+            ConsistencyLevel::DistributedSessionCausal,
+        ] {
+            let (_net, anna, cache) = setup(level);
+            let client = anna.client();
+            let inner = cache.inner();
+            let (a, b, c) = (Key::new("dep-a"), Key::new("dep-b"), Key::new("dep-c"));
+            let (clock_a, clock_b) = (VectorClock::singleton(1, 1), VectorClock::singleton(2, 3));
+            client
+                .put_causal(&a, clock_a.clone(), [], Bytes::from_static(b"a"))
+                .unwrap();
+            client
+                .put_causal(&b, clock_b.clone(), [], Bytes::from_static(b"b"))
+                .unwrap();
+            let mut session = SessionMeta::new(3, level);
+            inner.get_session(&a, &mut session).unwrap();
+            inner.get_session(&b, &mut session).unwrap();
+            inner.put_session(&c, Bytes::from_static(b"c"), &mut session, 9, &[]);
+            let Some(Capsule::Causal(written)) = inner.peek(&c) else {
+                panic!("{level:?} writes causal capsules");
+            };
+            assert_eq!(
+                written.dependencies(),
+                BTreeMap::from([(a, clock_a), (b, clock_b)]),
+                "{level:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cut_fill_reads_all_uncached_dependencies_in_one_request() {
+        // One scripted storage node counts the requests it serves and
+        // answers reads from a fixed table.
+        let net = Network::new(NetConfig::instant());
+        let directory = Arc::new(cloudburst_anna::Directory::new(1));
+        let node = net.register();
+        directory.add_node(0, node.addr());
+        let deps: Vec<(Key, VectorClock)> = (0..3)
+            .map(|i| {
+                (
+                    Key::new(format!("cut-dep-{i}")),
+                    VectorClock::singleton(4, i + 1),
+                )
+            })
+            .collect();
+        let table: HashMap<Key, Capsule> = deps
+            .iter()
+            .map(|(k, vc)| {
+                (
+                    k.clone(),
+                    Capsule::wrap_causal(vc.clone(), [], Bytes::from_static(b"d")),
+                )
+            })
+            .collect();
+        let requests = Arc::new(Mutex::new(Vec::<usize>::new()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let (requests, stop) = (Arc::clone(&requests), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    let Ok(envelope) = node.recv_timeout(Duration::from_millis(5)) else {
+                        continue;
+                    };
+                    if let Ok(cloudburst_anna::StorageRequest::MultiGet { keys, reply }) =
+                        envelope.downcast::<cloudburst_anna::StorageRequest>()
+                    {
+                        requests.lock().push(keys.len());
+                        reply.reply(cloudburst_anna::MultiGetResponse {
+                            capsules: keys.iter().map(|k| table.get(k).cloned()).collect(),
+                        });
+                    }
+                }
+            })
+        };
+        let cache = VmCache::spawn(
+            test_runtime(),
+            1,
+            &net,
+            cloudburst_anna::AnnaClient::new(&net, directory),
+            Arc::new(Topology::new()),
+            ConsistencyLevel::DistributedSessionCausal,
+            CacheConfig::default(),
+        );
+        let inner = cache.inner();
+        let key = Key::new("cut-head");
+        inner.admit(
+            &key,
+            Capsule::wrap_causal(
+                VectorClock::singleton(5, 1),
+                deps.clone(),
+                Bytes::from_static(b"h"),
+            ),
+        );
+        stop.store(true, Ordering::Release);
+        server.join().unwrap();
+        assert_eq!(
+            *requests.lock(),
+            vec![3],
+            "one request carrying all three keys"
+        );
+        for (dep, _) in &deps {
+            assert!(inner.contains(dep), "{dep} admitted with the version");
+        }
     }
 
     #[test]

@@ -563,6 +563,33 @@ mod tests {
     }
 
     #[test]
+    fn single_calls_keep_no_snapshots() {
+        // A single call is a session with no successor and no completion
+        // notice, so it must never take a version snapshot: reads and
+        // writes alike stay in its read log.
+        let cluster = CloudburstCluster::launch(CloudburstConfig {
+            level: ConsistencyLevel::DistributedSessionCausal,
+            ..CloudburstConfig::instant()
+        });
+        let client = cluster.client();
+        client.put("single/a", Bytes::from_static(b"a")).unwrap();
+        client
+            .register_function("read_write", |rt, _args| {
+                let a = rt.get(&Key::new("single/a")).unwrap_or_default();
+                rt.put(&Key::new("single/b"), a);
+                Ok(rt.get(&Key::new("single/b")).unwrap_or_default())
+            })
+            .unwrap();
+        for _ in 0..200 {
+            let result = client.call_function("read_write", Vec::new()).unwrap();
+            assert_eq!(result.unwrap().as_ref(), b"a");
+        }
+        for cache in caches(&cluster) {
+            assert_eq!(cache.snapshot_sessions(), 0);
+        }
+    }
+
+    #[test]
     fn repeatable_read_completion_still_evicts_snapshots() {
         let cluster = run_writing_dags(ConsistencyLevel::RepeatableRead);
         let caches = caches(&cluster);

@@ -6,10 +6,16 @@
 //! far" (Algorithm 1) and, in causal mode, "each executor ships the set of
 //! causal dependencies (pairs of keys and their associated vector clocks) of
 //! the read set to downstream executors" (Algorithm 2).
+//!
+//! Within one DAG node the session is a *read log*: each read records the
+//! key and a handle on the version read, and nothing else is built until a
+//! successor needs it. [`SessionMeta::seal_log`] turns the log into shipped
+//! read-set entries once per hop.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use cloudburst_lattice::{Key, Lattice, VectorClock};
+use cloudburst_lattice::{Capsule, Key, Lattice, VectorClock};
 use cloudburst_net::Address;
 
 use crate::types::{ConsistencyLevel, RequestId, VersionId};
@@ -53,6 +59,11 @@ pub struct SessionMeta {
     /// `(key, observed LWW timestamp)` log for tracing; shipped with the
     /// session only when `traced` is set.
     pub shadow_reads: Vec<(Key, cloudburst_lattice::Timestamp)>,
+    /// This hop's read log: one entry per key the running node read or
+    /// wrote, holding the join of the versions it observed (a capsule
+    /// handle, so logging is a refcount bump). Kept at every level but LWW;
+    /// empty whenever the session is shipped.
+    pub log: HashMap<Key, Capsule>,
 }
 
 impl SessionMeta {
@@ -65,37 +76,64 @@ impl SessionMeta {
             dependencies: HashMap::new(),
             traced: false,
             shadow_reads: Vec::new(),
+            log: HashMap::new(),
         }
     }
 
-    /// Record that this session observed `version` of `key` at `cache`,
-    /// along with the version's own causal dependencies.
-    pub fn record_read(
-        &mut self,
-        key: Key,
-        version: VersionId,
-        cache: Address,
-        deps: impl IntoIterator<Item = (Key, VectorClock)>,
-    ) {
-        if !self.level.ships_session_metadata() {
+    /// Log a read of `capsule` for `key` at `cache`. A re-read joins into
+    /// the logged version, so the log holds everything the node observed.
+    /// In distributed-session causal mode the version's own dependencies
+    /// join `dependencies` now, since a later read in this hop may be
+    /// constrained by them; a version without any costs nothing more.
+    pub fn log_read(&mut self, key: &Key, capsule: &Capsule, cache: Address) {
+        if self.level == ConsistencyLevel::Lww || matches!(capsule, Capsule::Set(_)) {
             return;
         }
         if self.level == ConsistencyLevel::DistributedSessionCausal {
-            for (dep_key, clock) in deps {
-                merge_dep(&mut self.dependencies, dep_key, clock, cache);
+            if let Capsule::Causal(c) = capsule {
+                for (dep_key, clock) in c.dependencies_ref().iter() {
+                    merge_dep(&mut self.dependencies, dep_key, clock, cache);
+                }
             }
         }
-        self.read_set.insert(key, ReadRecord { version, cache });
+        match self.log.entry(key.clone()) {
+            Entry::Occupied(mut logged) => {
+                let _ = logged.get_mut().try_join(capsule.clone());
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(capsule.clone());
+            }
+        }
     }
 
-    /// Record an in-DAG write: downstream readers must see (at least) this
-    /// version, satisfying "it sees the most recent update to k within the
-    /// DAG" (§5.1).
-    pub fn record_write(&mut self, key: Key, version: VersionId, cache: Address) {
-        if !self.level.ships_session_metadata() {
+    /// Log an in-DAG write: it supersedes whatever this hop read of `key`,
+    /// and downstream readers must see (at least) this version, satisfying
+    /// "it sees the most recent update to k within the DAG" (§5.1).
+    pub fn log_write(&mut self, key: &Key, capsule: Capsule) {
+        if self.level == ConsistencyLevel::Lww {
             return;
         }
-        self.read_set.insert(key, ReadRecord { version, cache });
+        self.log.insert(key.clone(), capsule);
+    }
+
+    /// End this hop: fold the log into the shipped read set, every entry
+    /// snapshotted at `cache`, and hand the logged versions back for the
+    /// caller to snapshot. Levels that ship no metadata just drop the log.
+    pub fn seal_log(&mut self, cache: Address) -> HashMap<Key, Capsule> {
+        let log = std::mem::take(&mut self.log);
+        if !self.level.ships_session_metadata() {
+            return HashMap::new();
+        }
+        for (key, capsule) in &log {
+            let version = match capsule {
+                Capsule::Lww(l) => VersionId::Lww(l.timestamp),
+                Capsule::Causal(c) => VersionId::Causal(c.vector_clock()),
+                Capsule::Set(_) => continue,
+            };
+            self.read_set
+                .insert(key.clone(), ReadRecord { version, cache });
+        }
+        log
     }
 
     /// Merge the session metadata arriving along two in-edges of a DAG join
@@ -112,8 +150,9 @@ impl SessionMeta {
                 Some(existing) => merge_read(existing, record),
             }
         }
+        debug_assert!(other.log.is_empty(), "a shipped session is sealed");
         for (key, dep) in other.dependencies {
-            merge_dep(&mut self.dependencies, key, dep.clock, dep.cache);
+            merge_dep(&mut self.dependencies, &key, &dep.clock, dep.cache);
         }
         self.traced |= other.traced;
         for entry in other.shadow_reads {
@@ -167,18 +206,25 @@ fn merge_read(existing: &mut ReadRecord, incoming: ReadRecord) {
     }
 }
 
-fn merge_dep(deps: &mut HashMap<Key, DepRecord>, key: Key, clock: VectorClock, cache: Address) {
-    match deps.get_mut(&key) {
+fn merge_dep(deps: &mut HashMap<Key, DepRecord>, key: &Key, clock: &VectorClock, cache: Address) {
+    match deps.get_mut(key) {
         None => {
-            deps.insert(key, DepRecord { clock, cache });
+            deps.insert(
+                key.clone(),
+                DepRecord {
+                    clock: clock.clone(),
+                    cache,
+                },
+            );
         }
-        Some(existing) => existing.clock.join_ref(&clock),
+        Some(existing) => existing.clock.join_ref(clock),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use cloudburst_lattice::Timestamp;
     use cloudburst_net::{NetConfig, Network};
 
@@ -195,27 +241,44 @@ mod tests {
         entries.iter().copied().collect()
     }
 
+    fn lww(clock: u64) -> Capsule {
+        Capsule::wrap_lww(Timestamp::new(clock, 1), Bytes::new())
+    }
+
+    fn causal(clock: &[(u64, u64)], deps: &[(&str, &[(u64, u64)])]) -> Capsule {
+        Capsule::wrap_causal(
+            vc(clock),
+            deps.iter().map(|(k, c)| (Key::new(*k), vc(c))),
+            Bytes::new(),
+        )
+    }
+
+    /// A session that read `capsules` at one node and then shipped.
+    fn shipped(level: ConsistencyLevel, a: Address, capsules: &[(&str, Capsule)]) -> SessionMeta {
+        let mut s = SessionMeta::new(1, level);
+        for (key, capsule) in capsules {
+            s.log_read(&Key::new(*key), capsule, a);
+        }
+        s.seal_log(a);
+        s
+    }
+
     #[test]
     fn lww_mode_ships_nothing() {
-        let mut s = SessionMeta::new(1, ConsistencyLevel::Lww);
-        s.record_read(
-            Key::new("k"),
-            VersionId::Lww(Timestamp::new(1, 1)),
-            addr(),
-            [],
-        );
+        let s = shipped(ConsistencyLevel::Lww, addr(), &[("k", lww(1))]);
         assert!(s.read_set.is_empty());
         assert_eq!(s.metadata_bytes(), 0);
     }
 
     #[test]
     fn rr_records_reads_and_writes() {
-        let mut s = SessionMeta::new(1, ConsistencyLevel::RepeatableRead);
         let a = addr();
-        s.record_read(Key::new("k"), VersionId::Lww(Timestamp::new(1, 1)), a, []);
+        let mut s = shipped(ConsistencyLevel::RepeatableRead, a, &[("k", lww(1))]);
         assert_eq!(s.read_set.len(), 1);
         // In-DAG write supersedes the read version.
-        s.record_write(Key::new("k"), VersionId::Lww(Timestamp::new(9, 1)), a);
+        s.log_read(&Key::new("k"), &lww(1), a);
+        s.log_write(&Key::new("k"), lww(9));
+        s.seal_log(a);
         assert_eq!(
             s.read_set[&Key::new("k")].version,
             VersionId::Lww(Timestamp::new(9, 1))
@@ -226,13 +289,10 @@ mod tests {
 
     #[test]
     fn dsc_collects_dependencies() {
-        let mut s = SessionMeta::new(1, ConsistencyLevel::DistributedSessionCausal);
-        let a = addr();
-        s.record_read(
-            Key::new("k"),
-            VersionId::Causal(vc(&[(1, 1)])),
-            a,
-            [(Key::new("l"), vc(&[(2, 3)]))],
+        let s = shipped(
+            ConsistencyLevel::DistributedSessionCausal,
+            addr(),
+            &[("k", causal(&[(1, 1)], &[("l", &[(2, 3)])]))],
         );
         assert_eq!(s.read_set.len(), 1);
         assert_eq!(s.dependencies[&Key::new("l")].clock, vc(&[(2, 3)]));
@@ -242,10 +302,9 @@ mod tests {
     #[test]
     fn merge_keeps_newest_lww_read() {
         let a = addr();
-        let mut left = SessionMeta::new(1, ConsistencyLevel::RepeatableRead);
-        left.record_read(Key::new("k"), VersionId::Lww(Timestamp::new(1, 1)), a, []);
-        let mut right = SessionMeta::new(1, ConsistencyLevel::RepeatableRead);
-        right.record_read(Key::new("k"), VersionId::Lww(Timestamp::new(5, 1)), a, []);
+        let rr = ConsistencyLevel::RepeatableRead;
+        let mut left = shipped(rr, a, &[("k", lww(1))]);
+        let right = shipped(rr, a, &[("k", lww(5))]);
         left.merge(right);
         assert_eq!(
             left.read_set[&Key::new("k")].version,
@@ -256,20 +315,9 @@ mod tests {
     #[test]
     fn merge_joins_causal_clocks_and_deps() {
         let a = addr();
-        let mut left = SessionMeta::new(1, ConsistencyLevel::DistributedSessionCausal);
-        left.record_read(
-            Key::new("k"),
-            VersionId::Causal(vc(&[(1, 2)])),
-            a,
-            [(Key::new("d"), vc(&[(7, 1)]))],
-        );
-        let mut right = SessionMeta::new(1, ConsistencyLevel::DistributedSessionCausal);
-        right.record_read(
-            Key::new("k"),
-            VersionId::Causal(vc(&[(2, 3)])),
-            a,
-            [(Key::new("d"), vc(&[(8, 4)]))],
-        );
+        let dsc = ConsistencyLevel::DistributedSessionCausal;
+        let mut left = shipped(dsc, a, &[("k", causal(&[(1, 2)], &[("d", &[(7, 1)])]))]);
+        let right = shipped(dsc, a, &[("k", causal(&[(2, 3)], &[("d", &[(8, 4)])]))]);
         left.merge(right);
         let VersionId::Causal(ref joined) = left.read_set[&Key::new("k")].version else {
             panic!("expected causal version");
@@ -284,10 +332,9 @@ mod tests {
     #[test]
     fn merge_takes_disjoint_entries() {
         let a = addr();
-        let mut left = SessionMeta::new(1, ConsistencyLevel::RepeatableRead);
-        left.record_read(Key::new("x"), VersionId::Lww(Timestamp::new(1, 1)), a, []);
-        let mut right = SessionMeta::new(1, ConsistencyLevel::RepeatableRead);
-        right.record_read(Key::new("y"), VersionId::Lww(Timestamp::new(2, 1)), a, []);
+        let rr = ConsistencyLevel::RepeatableRead;
+        let mut left = shipped(rr, a, &[("x", lww(1))]);
+        let right = shipped(rr, a, &[("y", lww(2))]);
         left.merge(right);
         assert_eq!(left.read_set.len(), 2);
     }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use cloudburst_anna::metrics as mkeys;
 use cloudburst_anna::AnnaClient;
-use cloudburst_lattice::{Key, VectorClock};
+use cloudburst_lattice::Key;
 use cloudburst_net::{Address, Endpoint, ReplyHandle};
 use cloudburst_runtime::{
     Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime as ActorRuntime, POLL_BUDGET,
@@ -478,6 +478,9 @@ impl Worker {
 
         match (&result, plan.successors[node].split_last()) {
             (InvocationResult::Ok(value), Some((&last, rest))) => {
+                // The one point per hop where the session's read log
+                // becomes shipped metadata and version snapshots.
+                self.cache.ship_session(&mut session);
                 // Fan-out: the schedule header and session are cloned only
                 // for the extra successors (none for a linear chain) — the
                 // last trigger takes both by move.
@@ -526,9 +529,8 @@ impl Worker {
                 // attempt writes survive as conflicts rather than
                 // clobbering each other.
                 let mut session = session.clone();
-                let reads: Vec<(Key, VectorClock)> = Vec::new();
                 self.cache
-                    .put_session(key, value.clone(), &mut session, self.id, &reads);
+                    .put_session(key, value.clone(), &mut session, self.id, &[]);
             } else {
                 // LWW outputs are attempt-stamped: a late write from an
                 // abandoned attempt loses the merge against any retry that
@@ -599,7 +601,6 @@ impl Worker {
         let mut ctx = ExecCtx {
             worker: self,
             session,
-            invocation_reads: Vec::new(),
             step,
             vm,
         };
@@ -683,7 +684,6 @@ impl Worker {
 struct ExecCtx<'a> {
     worker: &'a mut Worker,
     session: &'a mut SessionMeta,
-    invocation_reads: Vec<(Key, VectorClock)>,
     step: usize,
     vm: VmId,
 }
@@ -691,9 +691,6 @@ struct ExecCtx<'a> {
 impl ExecCtx<'_> {
     fn read_key(&mut self, key: &Key) -> Option<Bytes> {
         let capsule = self.worker.cache.get_session(key, self.session)?;
-        if let Some(vc) = capsule.causal_clock() {
-            self.invocation_reads.push((key.clone(), vc));
-        }
         if let (Some(trace), Some(ts)) = (&self.worker.trace, capsule.lww_timestamp()) {
             trace.record(TraceEvent::Read {
                 request: self.session.request_id,
@@ -714,13 +711,10 @@ impl Runtime for ExecCtx<'_> {
     }
 
     fn put(&mut self, key: &Key, value: Bytes) {
-        let version = self.worker.cache.put_session(
-            key,
-            value,
-            self.session,
-            self.worker.id,
-            &self.invocation_reads,
-        );
+        let version = self
+            .worker
+            .cache
+            .put_session(key, value, self.session, self.worker.id, &[]);
         if let (Some(trace), crate::types::VersionId::Lww(ts)) = (&self.worker.trace, &version) {
             trace.record(TraceEvent::Write {
                 request: self.session.request_id,

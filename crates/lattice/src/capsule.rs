@@ -1,6 +1,6 @@
 //! [`Capsule`]: lattice encapsulation of opaque program state.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt;
 
 use bytes::Bytes;
@@ -141,11 +141,12 @@ impl Capsule {
         }
     }
 
-    /// The causal dependency set (empty for LWW capsules).
-    pub fn causal_dependencies(&self) -> BTreeMap<Key, VectorClock> {
+    /// [`Capsule::causal_clock`] without the copy for a single-version
+    /// causal capsule.
+    pub fn causal_clock_ref(&self) -> Option<Cow<'_, VectorClock>> {
         match self {
-            Self::Causal(c) => c.dependencies(),
-            _ => BTreeMap::new(),
+            Self::Causal(c) => Some(c.vector_clock_ref()),
+            _ => None,
         }
     }
 

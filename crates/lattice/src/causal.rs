@@ -1,5 +1,6 @@
 //! [`CausalLattice`]: the multi-value causal lattice used in causal modes.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -87,6 +88,24 @@ impl CausalLattice {
             }
         }
         deps
+    }
+
+    /// [`CausalLattice::vector_clock`] without the copy when one version is
+    /// retained (the common case): its clock is the effective clock.
+    pub fn vector_clock_ref(&self) -> Cow<'_, VectorClock> {
+        match self.versions.as_slice() {
+            [only] => Cow::Borrowed(&only.vector_clock),
+            _ => Cow::Owned(self.vector_clock()),
+        }
+    }
+
+    /// [`CausalLattice::dependencies`] without the copy when one version is
+    /// retained.
+    pub fn dependencies_ref(&self) -> Cow<'_, BTreeMap<Key, VectorClock>> {
+        match self.versions.as_slice() {
+            [only] => Cow::Borrowed(&only.dependencies),
+            _ => Cow::Owned(self.dependencies()),
+        }
     }
 
     /// De-encapsulate: present the user program with one version chosen via
@@ -239,6 +258,27 @@ mod tests {
         assert_eq!(deps.len(), 2);
         assert_eq!(deps.get(&Key::new("x")).unwrap(), &vc(&[(9, 1)]));
         assert_eq!(deps.get(&Key::new("y")).unwrap(), &vc(&[(8, 2)]));
+    }
+
+    #[test]
+    fn borrowed_accessors_match_owned_ones() {
+        let single = CausalLattice::new(
+            vc(&[(1, 1)]),
+            [(Key::new("x"), vc(&[(9, 1)]))],
+            Bytes::from_static(b"a"),
+        );
+        assert!(matches!(single.vector_clock_ref(), Cow::Borrowed(_)));
+        assert!(matches!(single.dependencies_ref(), Cow::Borrowed(_)));
+        let mut multi = single.clone();
+        multi.join(causal(&[(2, 1)], b"b"));
+        for lattice in [&single, &multi] {
+            assert_eq!(*lattice.vector_clock_ref(), lattice.vector_clock());
+            assert_eq!(*lattice.dependencies_ref(), lattice.dependencies());
+        }
+        assert_eq!(
+            *CausalLattice::default().vector_clock_ref(),
+            VectorClock::new()
+        );
     }
 
     #[test]

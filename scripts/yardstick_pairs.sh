@@ -15,11 +15,19 @@
 #
 #   scripts/yardstick_pairs.sh <base-bin> <head-bin> [N] [--workload W] [--seed S]
 #                              [--out DIR] [--claim WORKLOAD/METRIC]
+#                              [--layer NAME[,NAME...]]
 #
 # --claim names the metric a change claims to improve. Its row is judged by
 # the acceptance rule instead: the head wins at least 9 of every 10 pairs,
 # and its median beats the base's by more than the base's quartile distance.
 # The verdict line reads CLAIM HOLDS or CLAIM FAILS.
+#
+# --layer names per-layer metrics (BENCHMARK.json `per_layer`) that explain
+# a claim. With --workload, each side of each pair then also makes one
+# `--trace 1` run of W (an `all` run has its traced runs already), and the
+# summary ends with one row per (workload, layer metric): base median ->
+# head median over the pairs' traced runs. These rows are report-only; no
+# verdict and no exit status depend on them.
 #
 # <base-bin> / <head-bin> are `cloudburst-benchmark` executables built from
 # the two commits. Without --workload each side of a pair is one `all` run
@@ -31,7 +39,7 @@
 set -euo pipefail
 
 usage() {
-  echo "usage: yardstick_pairs.sh <base-bin> <head-bin> [N] [--workload W] [--seed S] [--out DIR] [--claim WORKLOAD/METRIC]" >&2
+  echo "usage: yardstick_pairs.sh <base-bin> <head-bin> [N] [--workload W] [--seed S] [--out DIR] [--claim WORKLOAD/METRIC] [--layer NAME[,NAME...]]" >&2
   exit 2
 }
 
@@ -42,12 +50,14 @@ workload=""
 seed=()
 out=""
 claim=""
+layers=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) workload="${2:?}"; shift 2 ;;
     --seed) seed=(--seed "${2:?}"); shift 2 ;;
     --out) out="${2:?}"; shift 2 ;;
     --claim) claim="${2:?}"; shift 2 ;;
+    --layer) layers="${2:?}"; shift 2 ;;
     ''|*[!0-9]*) usage ;;
     *) pairs="$1"; shift ;;
   esac
@@ -64,7 +74,14 @@ measure() {
     "$bin" all ${seed[@]+"${seed[@]}"} --out "$file" >"$file.log" 2>&1 || true
   else
     "$bin" --workload "$workload" --trace 0 ${seed[@]+"${seed[@]}"} --out "$file.run" >"$file.log" 2>&1 || true
-    printf '{"runs": [%s]}\n' "$(cat "$file.run")" >"$file"
+    local runs
+    runs="$(cat "$file.run")"
+    if [ -n "$layers" ]; then
+      "$bin" --workload "$workload" --trace 1 ${seed[@]+"${seed[@]}"} --out "$file.traced" >>"$file.log" 2>&1 || true
+      runs="$runs, $(cat "$file.traced")"
+      rm -f "$file.traced"
+    fi
+    printf '{"runs": [%s]}\n' "$runs" >"$file"
     rm -f "$file.run"
   fi
 }
@@ -85,18 +102,28 @@ for i in $(seq 1 "$pairs"); do
 done
 
 set +e
-python3 - "$manifest" "$out" "$pairs" "$claim" <<'PYEOF'
+python3 - "$manifest" "$out" "$pairs" "$claim" "$layers" <<'PYEOF'
 import json
 import statistics
 import sys
 
 manifest_path, out, pairs, claim = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
-defs = {m["name"]: m for m in json.load(open(manifest_path))["end_to_end"]}
+layers = [name for name in sys.argv[5].split(",") if name]
+manifest = json.load(open(manifest_path))
+defs = {m["name"]: m for m in manifest["end_to_end"]}
+layer_defs = {m["name"]: m for m in manifest["per_layer"]}
+unknown = [name for name in layers if name not in layer_defs]
+if unknown:
+    sys.exit(f"--layer: not a per-layer metric in BENCHMARK.json: {', '.join(unknown)}")
+
+
+def runs_of(path, traced):
+    runs = json.load(open(path))["runs"]
+    return {r["workload"]: r["metrics"] for r in runs if bool(r.get("trace")) == traced}
 
 
 def untraced(path):
-    runs = json.load(open(path))["runs"]
-    return {r["workload"]: r["metrics"] for r in runs if not r.get("trace")}
+    return runs_of(path, False)
 
 
 def quartiles(values):
@@ -164,6 +191,30 @@ for (workload, name), values in rows.items():
 if claimed is not None:
     print(claim_line or f"CLAIM FAILS: no {claim} rows in the result sets")
     failed |= claim_line is None
+
+if layers:
+    # Report-only: the layer metrics that explain a verdict, from the same pairs.
+    traced = {}
+    for i in range(1, pairs + 1):
+        a, b = runs_of(f"{out}/base-{i}.json", True), runs_of(f"{out}/head-{i}.json", True)
+        for workload in a:
+            for name in layers:
+                try:
+                    va, vb = a[workload][name]["value"], b[workload][name]["value"]
+                except KeyError:
+                    continue
+                traced.setdefault((workload, name), []).append((va, vb))
+    print("== per-layer (traced runs, report-only) ==")
+    print(f"{'workload':<14} {'metric':<28} {'base median':>12} -> {'head median':<12} {'change':>8}  runs")
+    for name in layers:
+        found = [(w, v) for (w, n), v in traced.items() if n == name]
+        if not found:
+            print(f"{'-':<14} {name:<28} no traced values (run with --workload or without)")
+        for workload, values in found:
+            mb = statistics.median(v[0] for v in values)
+            mh = statistics.median(v[1] for v in values)
+            change = f"{(mh - mb) / mb * 100:+.1f}%" if mb else "n/a"
+            print(f"{workload:<14} {name:<28} {mb:>12.4g} -> {mh:<12.4g} {change:>8}  {len(values)}")
 sys.exit(1 if failed else 0)
 PYEOF
 [ $? -eq 0 ] || status=1
