@@ -1,7 +1,9 @@
 //! [`SimStorage`]: simulated cloud storage services (S3, DynamoDB, Redis).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use cloudburst_net::{LatencyModel, Network};
@@ -22,6 +24,7 @@ pub struct SimStorage {
     bandwidth_mbps: Option<f64>,
     // lock-rank: 30 bl-write-master
     write_master: Option<Mutex<()>>,
+    charged_ns: AtomicU64,
 }
 
 impl SimStorage {
@@ -34,6 +37,7 @@ impl SimStorage {
             op_latency: calibration::S3_OP,
             bandwidth_mbps: Some(calibration::S3_BANDWIDTH_MBPS),
             write_master: None,
+            charged_ns: AtomicU64::new(0),
         })
     }
 
@@ -46,6 +50,7 @@ impl SimStorage {
             op_latency: calibration::DYNAMO_OP,
             bandwidth_mbps: None,
             write_master: None,
+            charged_ns: AtomicU64::new(0),
         })
     }
 
@@ -59,6 +64,7 @@ impl SimStorage {
             op_latency: calibration::REDIS_OP,
             bandwidth_mbps: Some(calibration::REDIS_BANDWIDTH_MBPS),
             write_master: Some(Mutex::ranked(30, "bl-write-master", ())),
+            charged_ns: AtomicU64::new(0),
         })
     }
 
@@ -109,6 +115,13 @@ impl SimStorage {
         self.map.read().is_empty()
     }
 
+    /// Total service time charged so far (operation latency plus the
+    /// bandwidth term), as sampled: the sleeps that pay it may overshoot,
+    /// this sum does not.
+    pub fn latency_charged(&self) -> Duration {
+        Duration::from_nanos(self.charged_ns.load(Ordering::Relaxed))
+    }
+
     fn pay(&self, size_bytes: usize) {
         let mut wait = self.net.sample(self.op_latency);
         if let Some(bw) = self.bandwidth_mbps {
@@ -116,6 +129,8 @@ impl SimStorage {
             wait += self.net.time_scale().ms(transfer_ms);
         }
         if !wait.is_zero() {
+            self.charged_ns
+                .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
             std::thread::sleep(wait);
         }
     }
@@ -174,12 +189,12 @@ mod tests {
         let s3 = SimStorage::s3(&net);
         s3.put("small", Bytes::from(vec![0u8; 1024]));
         s3.put("big", Bytes::from(vec![0u8; 8 << 20]));
-        let t = Instant::now();
+        let before = s3.latency_charged();
         s3.get("small");
-        let small = t.elapsed();
-        let t = Instant::now();
+        let small = s3.latency_charged() - before;
+        let before = s3.latency_charged();
         s3.get("big");
-        let big = t.elapsed();
+        let big = s3.latency_charged() - before;
         assert!(
             big > small,
             "8 MB ({big:?}) must cost more than 1 KB ({small:?})"

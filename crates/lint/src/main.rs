@@ -2,7 +2,7 @@
 //!
 //! Run as `cargo run -p lint` (or `scripts/lint.sh`). Scans every `.rs`
 //! file in the product tree — `crates/` and the root `src/` — and enforces
-//! the six rules documented in [`rules`]. `vendor/` and `target/` are
+//! the seven rules documented in [`rules`]. `vendor/` and `target/` are
 //! never scanned: the vendored stand-ins are third-party API surface, and
 //! the sanitizer inside `vendor/parking_lot` legitimately uses `std::sync`
 //! primitives to avoid recursing into itself.
@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 /// The rules the summary line reports escape counts for (every one, zero
 /// or not, so a count reaching zero stays visible).
-const RULES: [&str; 6] = ["L001", "L002", "L003", "L004", "L005", "L006"];
+const RULES: [&str; 7] = ["L001", "L002", "L003", "L004", "L005", "L006", "L007"];
 
 fn main() {
     let root = match workspace_root() {
@@ -95,6 +95,7 @@ fn run(root: &Path) -> Result<usize, String> {
             .chain(ctx.l003_nondeterminism())
             .chain(ctx.l005_channel_unwraps())
             .chain(ctx.l006_thread_spawns())
+            .chain(ctx.l007_unsafe())
         {
             all.push((rel.clone(), v));
         }
@@ -309,7 +310,7 @@ mod tests {
         escapes.insert("L003".into(), 28);
         assert_eq!(
             escape_summary(&escapes),
-            "L001=0 L002=0 L003=28 L004=0 L005=0 L006=0"
+            "L001=0 L002=0 L003=28 L004=0 L005=0 L006=0 L007=0"
         );
     }
 

@@ -1,4 +1,4 @@
-//! The six cb-lint rules, as patterns over the [`crate::lexer`] stream.
+//! The seven cb-lint rules, as patterns over the [`crate::lexer`] stream.
 //!
 //! | rule | meaning |
 //! |------|---------|
@@ -8,6 +8,7 @@
 //! | L004 | every `pub` field of every `pub struct *Config` appears in ARCHITECTURE.md's per-knob index |
 //! | L005 | no `.unwrap()`/`.expect(…)` on channel/lock results in non-test code |
 //! | L006 | no `thread::spawn`/`thread::Builder` outside `crates/runtime` and `crates/net` — actors run on the shared work-stealing pool |
+//! | L007 | no `unsafe` outside `crates/runtime`, and there only with a `// SAFETY:` comment on the line above |
 //!
 //! ## Escapes
 //!
@@ -21,7 +22,8 @@
 //! The reason is mandatory — an escape without one is itself a violation
 //! (`no blanket allowlists`). L006 takes no escape at all: a new component
 //! must be an actor, so an L006 escape in a product crate is itself a
-//! violation. Structural exemptions are limited to: test
+//! violation. L007 takes none either: its only argument is the `SAFETY:`
+//! comment, and test code gets no exemption from it. Structural exemptions are limited to: test
 //! code (files under `tests/`, `#[cfg(test)]` regions) for
 //! L002/L003/L005/L006; `crates/bench` for L003 and L006 (it is the
 //! measurement harness: wall clocks are its subject matter, and its load
@@ -992,6 +994,53 @@ impl FileCtx {
         }
         out
     }
+
+    // ---------------------------------------------------------------- L007
+
+    /// `unsafe` lives in `crates/runtime` only — the platform layer, where
+    /// the one OS binding (timer slack) sits — and every use there carries
+    /// a `// SAFETY:` comment on the line directly above it that argues why
+    /// the block is sound. Test code is held to the same rule, and an
+    /// L007 escape is a violation of its own.
+    pub fn l007_unsafe(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for (rule, line) in &self.escapes {
+            if rule == "L007" {
+                out.push(Violation {
+                    line: *line,
+                    rule: "L007",
+                    msg: "L007 takes no escape: argue an `unsafe` block with a \
+                          `// SAFETY:` comment, in `crates/runtime`"
+                        .into(),
+                });
+            }
+        }
+        let in_runtime = self.path.starts_with("crates/runtime/");
+        for i in 0..self.code_len() {
+            let t = self.ct(i);
+            if !t.is_ident("unsafe") {
+                continue;
+            }
+            let msg = if !in_runtime {
+                "`unsafe` outside `crates/runtime`: product code goes through the \
+                 runtime's safe wrappers"
+            } else if !self
+                .comments
+                .get(&(t.line - 1))
+                .is_some_and(|cs| cs.iter().any(|c| c.trim_start().starts_with("SAFETY:")))
+            {
+                "`unsafe` without a `// SAFETY:` comment on the line above"
+            } else {
+                continue;
+            };
+            out.push(Violation {
+                line: t.line,
+                rule: "L007",
+                msg: msg.into(),
+            });
+        }
+        out
+    }
 }
 
 /// `lock-rank:` followed by an integer rank and a non-empty name.
@@ -1296,6 +1345,58 @@ mod tests {
         assert!(c.l006_thread_spawns().is_empty());
         let c = ctx(&format!("#[cfg(test)]\nmod tests {{\n{src}\n}}"));
         assert!(c.l006_thread_spawns().is_empty());
+    }
+
+    // ------------------------------------------------------------- L007
+
+    #[test]
+    fn l007_flags_unsafe_outside_runtime_even_in_tests() {
+        let src = "fn f() {\n// SAFETY: argued, but in the wrong crate\nunsafe { g() }\n}";
+        for path in [
+            "crates/net/src/delay.rs",
+            "crates/core/src/cache.rs",
+            "crates/anna/tests/cluster.rs",
+        ] {
+            let v = FileCtx::new(path, src).l007_unsafe();
+            assert_eq!(v.len(), 1, "{path}");
+            assert_eq!(v[0].line, 3);
+        }
+        let c = ctx("#[cfg(test)]\nmod tests {\n fn f() { unsafe { g() } }\n}");
+        assert_eq!(c.l007_unsafe().len(), 1);
+    }
+
+    #[test]
+    fn l007_runtime_unsafe_needs_safety_comment_directly_above() {
+        let ok = "fn f() {\n    // SAFETY: g has no preconditions\n    unsafe { g() }\n}";
+        let c = FileCtx::new("crates/runtime/src/slack.rs", ok);
+        assert!(c.l007_unsafe().is_empty());
+        for bad in [
+            "fn f() {\n    unsafe { g() }\n}",
+            "fn f() {\n    // SAFETY: too far away\n\n    unsafe { g() }\n}",
+            "fn f() {\n    // no argument here\n    unsafe { g() }\n}",
+            "/// SAFETY: a doc comment is not an argument\nunsafe fn f() {}",
+        ] {
+            let v = FileCtx::new("crates/runtime/src/lib.rs", bad).l007_unsafe();
+            assert_eq!(v.len(), 1, "{bad}");
+            assert!(v[0].msg.contains("SAFETY"));
+        }
+    }
+
+    #[test]
+    fn l007_ignores_strings_comments_and_lookalike_idents() {
+        let c = ctx("#![forbid(unsafe_code)]\n// unsafe in a comment\nlet s = \"unsafe\";");
+        assert!(c.l007_unsafe().is_empty());
+    }
+
+    #[test]
+    fn l007_escape_is_refused() {
+        let c = FileCtx::new(
+            "crates/runtime/src/lib.rs",
+            "// lint: allow(L007): trust me\nunsafe fn f() {}",
+        );
+        let v = c.l007_unsafe();
+        assert_eq!(v.len(), 2, "the escape and the unargued `unsafe`");
+        assert!(v[0].msg.contains("takes no escape"));
     }
 
     // ------------------------------------------------------------ escapes

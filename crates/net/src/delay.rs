@@ -149,10 +149,18 @@ impl DelayQueue {
             seq: shard.shared.seq.fetch_add(1, Ordering::Relaxed),
             task: Box::new(task),
         };
+        let seq = entry.seq;
         let mut state = shard.shared.state.lock();
         state.heap.push(Reverse(entry));
+        // Wake the dispatcher only when this entry is the new head: any
+        // earlier entry already bounds its wait. Deciding under the lock
+        // keeps the wakeup from being lost — the dispatcher holds this
+        // lock from its heap check until `cv.wait` releases it.
+        let new_head = state.heap.peek().is_some_and(|Reverse(e)| e.seq == seq);
         drop(state);
-        shard.shared.cv.notify_one();
+        if new_head {
+            shard.shared.cv.notify_one();
+        }
     }
 
     /// Number of tasks currently pending across all shards (for tests and
@@ -165,6 +173,7 @@ impl DelayQueue {
     }
 
     fn dispatch_loop(shared: &Shared) {
+        cloudburst_runtime::tighten_timer_slack();
         let mut due: Vec<Task> = Vec::new();
         loop {
             {
@@ -262,6 +271,44 @@ mod tests {
             elapsed >= Duration::from_millis(19),
             "fired early: {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn earlier_deadline_armed_later_fires_first() {
+        // The sleep lets the dispatcher park until the 5 s entry before the
+        // 20 ms one arrives, so the new head has to wake it. (Had it not
+        // parked yet, it would find the entry at its next check.)
+        let q = DelayQueue::new();
+        let (tx, rx) = mpsc::channel();
+        let late = tx.clone();
+        q.schedule(Duration::from_secs(5), move || {
+            let _ = late.send("late");
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        q.schedule(Duration::from_millis(20), move || {
+            let _ = tx.send("early");
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(2)), Ok("early"));
+        assert_eq!(q.pending(), 1, "the later entry must still be pending");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn dispatcher_runs_tasks_with_tight_timer_slack() {
+        let q = DelayQueue::with_shards(2);
+        let (tx, rx) = mpsc::channel();
+        for lane in 0..2 {
+            let tx = tx.clone();
+            q.schedule_keyed(lane, Duration::from_millis(1), move || {
+                let _ = tx.send(cloudburst_runtime::current_timer_slack_ns());
+            });
+        }
+        for _ in 0..2 {
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(2)).unwrap(),
+                Some(cloudburst_runtime::TIMER_SLACK_NS)
+            );
+        }
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! The runtime owns actor time. A poll reads the clock through
 //! [`ActorCtx::now`], and every periodic job is a [`Cadence`], which holds
 //! the one re-arm rule all of them share.
+//! Every worker thread runs with a 1 µs timer slack
+//! ([`tighten_timer_slack`]), so a timed park wakes at its deadline rather
+//! than at the end of the kernel's default 50 µs coalescing window.
 //!
 //! # Modes
 //!
@@ -73,6 +76,9 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
+
+mod slack;
+pub use slack::{current_timer_slack_ns, tighten_timer_slack, TIMER_SLACK_NS};
 
 /// Configuration for a [`Runtime`]. Mirrors the `NetConfig` pattern: a
 /// `deterministic` flag that can never be overridden back into parallel
@@ -1039,6 +1045,7 @@ fn rt_now() -> Instant {
 /// Max messages/cells a worker dispatches between timer checks is 1 — the
 /// fast check is a single atomic load, so it rides every iteration.
 fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
+    tighten_timer_slack();
     let spare = wid.is_none();
     WORKER_ID.with(|w| w.set(Some(wid)));
     WORKER_RT.with(|r| *r.borrow_mut() = Some(Arc::downgrade(&inner)));
@@ -1725,5 +1732,29 @@ mod tests {
         });
         rt.shutdown();
         rt.shutdown();
+    }
+
+    /// Reports the timer slack of the thread its poll runs on.
+    struct SlackProbe(mpsc::Sender<Option<u64>>);
+
+    impl Actor for SlackProbe {
+        fn poll(&mut self, _ctx: &mut ActorCtx<'_>) -> Poll {
+            let _ = self.0.send(current_timer_slack_ns());
+            Poll::Shutdown
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn actor_polls_run_with_tight_timer_slack() {
+        for config in [RuntimeConfig::default(), RuntimeConfig::deterministic()] {
+            let rt = Runtime::new(config);
+            let (tx, rx) = mpsc::channel();
+            let h = rt.spawn("slack-probe", SlackProbe(tx));
+            let slack = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(slack, Some(TIMER_SLACK_NS), "pool thread kept the default");
+            h.join();
+            rt.shutdown();
+        }
     }
 }
