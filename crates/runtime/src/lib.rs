@@ -78,7 +78,9 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 mod slack;
-pub use slack::{current_timer_slack_ns, tighten_timer_slack, TIMER_SLACK_NS};
+#[doc(hidden)]
+pub use slack::current_timer_slack_ns;
+pub use slack::{tighten_timer_slack, TIMER_SLACK_NS};
 
 /// Configuration for a [`Runtime`]. Mirrors the `NetConfig` pattern: a
 /// `deterministic` flag that can never be overridden back into parallel

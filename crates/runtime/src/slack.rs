@@ -34,6 +34,11 @@ pub fn tighten_timer_slack() {
 
 /// The calling thread's timer slack in ns as the kernel reports it
 /// (`/proc/<tid>/timerslack_ns`), or `None` where it cannot be read.
+///
+/// A test probe, not runtime API: the runtime's and the fabric's tests call
+/// it from inside a pool thread and a delivery task to check that
+/// [`tighten_timer_slack`] took effect. No product code reads it.
+#[doc(hidden)]
 pub fn current_timer_slack_ns() -> Option<u64> {
     let task = std::fs::read_link("/proc/thread-self").ok()?;
     let tid = task.file_name()?.to_str()?.to_owned();
