@@ -78,6 +78,13 @@ type Fragments = Vec<(u64, Capsule)>;
 /// entry it becomes (key length prefix, two sequence numbers, flag byte).
 const TOMBSTONE_BYTES: usize = 21;
 
+/// The active WAL segment also rolls (through a flush) once it holds this
+/// many times `memtable_flush_bytes`, however small the memtable: a hot key
+/// overwritten forever never grows `mem_bytes`. At 4 a workload writing
+/// under ~4 WAL records per distinct memtable key (Zipf-0.99 puts over a
+/// large key space write ≈ 2) flushes on `mem_bytes` first, as before.
+const WAL_ROLL_FACTOR: usize = 4;
+
 const MANIFEST: &str = "MANIFEST";
 const MANIFEST_MAGIC: u32 = 0x414E_4D31; // "ANM1"
 
@@ -169,6 +176,9 @@ pub struct LsmEngine {
     /// Approximate bytes the next flush writes: fragment payloads plus one
     /// [`TOMBSTONE_BYTES`] record per delete (the flush trigger).
     mem_bytes: usize,
+    /// Bytes in the active WAL segment. Overwrites of one memtable key grow
+    /// it without growing `mem_bytes`, so it is a flush trigger of its own.
+    wal_bytes: usize,
     /// Open runs, oldest first.
     tables: Vec<SsTable>,
     manifest: Manifest,
@@ -210,6 +220,7 @@ impl LsmEngine {
             opts,
             memtable: BTreeMap::new(),
             mem_bytes: 0,
+            wal_bytes: 0,
             tables,
             manifest,
             next_seq: 0,
@@ -221,6 +232,7 @@ impl LsmEngine {
         // active, so already-flushed prefixes are filtered by seq).
         let mut max_seq = engine.manifest.flushed_seq;
         if let Some(buf) = engine.env.read(&wal_name(engine.manifest.active_wal_id)) {
+            engine.wal_bytes = buf.len();
             let (records, _) = replay(&buf);
             for record in records {
                 let seq = record.seq();
@@ -298,8 +310,7 @@ impl LsmEngine {
             },
             &mut frame,
         );
-        self.env.append(&self.active_wal(), &frame);
-        self.wal_dirty = true;
+        self.append_wal(&frame);
         self.apply_put(key, delta, seq);
         self.maybe_flush();
     }
@@ -316,10 +327,15 @@ impl LsmEngine {
             },
             &mut frame,
         );
-        self.env.append(&self.active_wal(), &frame);
-        self.wal_dirty = true;
+        self.append_wal(&frame);
         self.apply_delete(key, seq);
         self.maybe_flush();
+    }
+
+    fn append_wal(&mut self, frame: &[u8]) {
+        self.env.append(&self.active_wal(), frame);
+        self.wal_bytes += frame.len();
+        self.wal_dirty = true;
     }
 
     fn apply_put(&mut self, key: Key, delta: Capsule, seq: u64) {
@@ -430,7 +446,10 @@ impl LsmEngine {
     }
 
     fn maybe_flush(&mut self) {
-        if self.mem_bytes >= self.opts.memtable_flush_bytes {
+        let flush_bytes = self.opts.memtable_flush_bytes;
+        if self.mem_bytes >= flush_bytes
+            || self.wal_bytes >= flush_bytes.saturating_mul(WAL_ROLL_FACTOR)
+        {
             // Best-effort: a failed flush (injected crash) leaves the
             // memtable and WAL intact — nothing is lost, the flush retries
             // on a later write.
@@ -475,6 +494,7 @@ impl LsmEngine {
         self.tables.push(table);
         self.memtable.clear();
         self.mem_bytes = 0;
+        self.wal_bytes = 0;
         self.wal_dirty = false;
         self.env.remove(&old_wal);
         self.maybe_compact();
@@ -877,6 +897,26 @@ mod tests {
         assert!(e.memtable_len() < 1_000, "memtable must stay bounded");
         let wal = env.read(&e.active_wal()).map_or(0, |w| w.len());
         assert!(wal < 64 << 10, "WAL segment must roll, holds {wal} bytes");
+    }
+
+    #[test]
+    fn overwrites_alone_roll_the_wal() {
+        let env = FaultDisk::new();
+        let opts = LsmOptions {
+            memtable_flush_bytes: 4 << 10,
+            compact_min_runs: 4,
+            ..opts_small()
+        };
+        let mut e = LsmEngine::open(env.clone(), opts);
+        let hot = Key::new("hot");
+        for i in 0..20_000u64 {
+            e.put(hot.clone(), lww(i + 1, b"v"));
+        }
+        e.sync().unwrap();
+        assert!(e.flushed_seq() > 0, "overwrites must reach a flush trigger");
+        let wal = env.read(&e.active_wal()).map_or(0, |w| w.len());
+        assert!(wal < 64 << 10, "WAL segment must roll, holds {wal} bytes");
+        assert_eq!(e.get(&hot).unwrap(), lww(20_000, b"v"));
     }
 
     #[test]

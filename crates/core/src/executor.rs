@@ -31,7 +31,9 @@ use crate::types::{Arg, ExecutorId, InvocationResult, RequestId, VmId};
 pub struct ExecutorConfig {
     /// Fixed per-invocation overhead in paper milliseconds (argument
     /// deserialization, result marshalling — the residual costs the paper
-    /// measures at ~1–2 ms end to end for Cloudburst).
+    /// measures at ~1–2 ms end to end for Cloudburst). Charged as a busy
+    /// window plus a delay on every message the invocation emits, not as a
+    /// thread sleep.
     pub invocation_overhead_ms: f64,
     /// Metrics publication interval in paper milliseconds (§4.1/§4.4).
     pub metrics_interval_ms: f64,
@@ -251,11 +253,11 @@ impl ExecutorHandle {
             let waker = handle.clone();
             endpoint.set_notify(move || waker.notify());
         }
-        let tick = endpoint
-            .network()
-            .time_scale()
+        let scale = endpoint.network().time_scale();
+        let tick = scale
             .ms(config.metrics_interval_ms)
             .max(Duration::from_micros(500));
+        let overhead = scale.ms(config.invocation_overhead_ms);
         let worker = Worker {
             id,
             vm,
@@ -264,7 +266,7 @@ impl ExecutorHandle {
             registry,
             topology,
             anna,
-            config,
+            overhead,
             trace,
             pinned: HashSet::new(),
             fn_cache: HashMap::new(),
@@ -274,6 +276,7 @@ impl ExecutorHandle {
             seen_msgs: HashSet::new(),
             seq: 0,
             busy: Duration::ZERO,
+            busy_until: None,
             // lint: allow(L003): utilization-window epoch; only elapsed ratios leave this struct
             window_start: Instant::now(),
             completed: 0,
@@ -316,7 +319,8 @@ struct Worker {
     registry: FunctionRegistry,
     topology: Arc<Topology>,
     anna: AnnaClient,
-    config: ExecutorConfig,
+    /// The scaled per-invocation overhead (`invocation_overhead_ms`).
+    overhead: Duration,
     trace: Option<TraceSink>,
     pinned: HashSet<String>,
     fn_cache: HashMap<String, FunctionBody>,
@@ -326,6 +330,10 @@ struct Worker {
     seen_msgs: HashSet<(u64, u64)>,
     seq: u64,
     busy: Duration,
+    /// Occupancy horizon of the last invocation: while set and in the
+    /// future the executor drains nothing (one invocation at a time, §4).
+    /// The Anna node's `busy_until`, for the invocation overhead.
+    busy_until: Option<Instant>,
     window_start: Instant,
     completed: u64,
     /// Whether the ID → address binding has been advertised (first poll).
@@ -345,6 +353,18 @@ impl Actor for Worker {
             );
             self.publish_metrics();
         }
+        // Still paying the last invocation's overhead: drain nothing (the
+        // executor's serial capacity) and come back when the window closes.
+        if let Some(busy) = self.busy_until {
+            let now = ctx.now();
+            if now < busy {
+                if self.publish.due(now) {
+                    self.publish_metrics();
+                }
+                return Poll::Idle(Some(self.next_deadline()));
+            }
+            self.busy_until = None;
+        }
         let mut budget = POLL_BUDGET;
         let mut drained = 0usize;
         while budget > 0 {
@@ -363,20 +383,63 @@ impl Actor for Worker {
             if self.handle(req) {
                 return Poll::Shutdown;
             }
+            if self.busy_until.is_some() {
+                // An invocation ran: its overhead occupies the executor.
+                break;
+            }
         }
         ctx.note_mailbox_depth(drained);
         if self.publish.due(ctx.now()) {
             self.publish_metrics();
         }
-        if budget == 0 {
+        if budget == 0 && self.busy_until.is_none() {
             Poll::Yield
         } else {
-            Poll::Idle(Some(self.publish.deadline()))
+            Poll::Idle(Some(self.next_deadline()))
         }
     }
 }
 
 impl Worker {
+    /// The publication cadence, or the occupancy window's end if a request
+    /// is waiting for it. With nothing queued the window's end is not
+    /// armed: that timer would wake a parked pool thread only to re-park.
+    /// The next arrival's poll finds the window open and arms it then.
+    fn next_deadline(&mut self) -> Instant {
+        let publish = self.publish.deadline();
+        let busy_until = self.busy_until;
+        match busy_until {
+            Some(busy) if self.request_waiting() => publish.min(busy),
+            _ => publish,
+        }
+    }
+
+    /// Whether a request is queued, moving the oldest one off the port
+    /// into `deferred` (which the drain loop empties first) to find out.
+    fn request_waiting(&mut self) -> bool {
+        while self.deferred.is_empty() {
+            let Some(envelope) = self.endpoint.try_recv() else {
+                return false;
+            };
+            if let Ok(req) = envelope.downcast::<ExecutorRequest>() {
+                self.deferred.push_back(req);
+            }
+        }
+        true
+    }
+
+    /// Book one handled invocation. The overhead it owes counts as busy
+    /// time (utilization feeds the scheduler's threshold) and opens the
+    /// occupancy window.
+    fn charge(&mut self, start: Instant, overhead: Duration) {
+        let ran = start.elapsed();
+        self.busy += ran + overhead;
+        self.completed += 1;
+        if !overhead.is_zero() {
+            self.busy_until = Some(start + ran + overhead);
+        }
+    }
+
     /// Returns `true` on shutdown.
     fn handle(&mut self, request: ExecutorRequest) -> bool {
         match request {
@@ -390,13 +453,12 @@ impl Worker {
                 let start = Instant::now();
                 let mut session = SessionMeta::new(0, self.cache.level());
                 session.traced = self.trace.is_some();
-                let result = self.invoke(&function, &args, &[], &mut session, 0, 0);
-                self.busy += start.elapsed();
-                self.completed += 1;
+                let (result, overhead) = self.invoke(&function, &args, &[], &mut session, 0, 0);
+                self.charge(start, overhead);
                 if let (Some(key), InvocationResult::Ok(value)) = (&response_key, &result) {
                     let _ = self.anna.put_lww(key, value.clone());
                 }
-                reply.reply(result);
+                reply.reply_with_extra(overhead, result);
             }
             ExecutorRequest::TriggerDag(trigger) => self.on_trigger(*trigger),
             ExecutorRequest::Pin { function } => {
@@ -465,7 +527,7 @@ impl Worker {
         // Arguments are borrowed straight out of the shared header — the
         // seed cloned the whole `Vec<Arg>` per invocation.
         let args: &[Arg] = schedule.args.get(&node).map_or(&[], Vec::as_slice);
-        let result = self.invoke(
+        let (result, overhead) = self.invoke(
             &plan.dag.nodes[node].function,
             args,
             &upstream,
@@ -473,8 +535,7 @@ impl Worker {
             plan.steps[node],
             plan.vms[node],
         );
-        self.busy += start.elapsed();
-        self.completed += 1;
+        self.charge(start, overhead);
 
         match (&result, plan.successors[node].split_last()) {
             (InvocationResult::Ok(value), Some((&last, rest))) => {
@@ -491,7 +552,8 @@ impl Worker {
                         input: Some((node, value.clone())),
                         session: session.clone(),
                     };
-                    let _ = self.endpoint.send(
+                    let _ = self.endpoint.send_after(
+                        overhead,
                         plan.assignments[succ],
                         ExecutorRequest::TriggerDag(Box::new(trigger)),
                     );
@@ -502,13 +564,14 @@ impl Worker {
                     input: Some((node, value.clone())),
                     session,
                 };
-                let _ = self.endpoint.send(
+                let _ = self.endpoint.send_after(
+                    overhead,
                     plan.assignments[last],
                     ExecutorRequest::TriggerDag(Box::new(trigger)),
                 );
             }
             // Sink (or error anywhere): finish the DAG.
-            _ => self.finish_dag(&schedule, result, &session),
+            _ => self.finish_dag(&schedule, result, &session, overhead),
         }
     }
 
@@ -516,12 +579,14 @@ impl Worker {
     /// output key, then answer the reply slot if it still holds a handle.
     /// The put is *issued* before the reply is sent, so a caller that reads
     /// the key after the notice finds the write already in flight to the
-    /// same node its read goes to.
+    /// same node its read goes to. Every notice leaves after `overhead`,
+    /// the sink invocation's residual cost.
     fn finish_dag(
         &mut self,
         schedule: &DagSchedule,
         result: InvocationResult,
         session: &SessionMeta,
+        overhead: Duration,
     ) {
         if let (Some(key), InvocationResult::Ok(value)) = (&schedule.output_key, &result) {
             if self.cache.level().is_causal() {
@@ -551,12 +616,13 @@ impl Worker {
             }
         }
         if let Some(reply) = schedule.reply.lock().take() {
-            reply.reply(result);
+            reply.reply_with_extra(overhead, result);
         }
         // Notify the scheduler (fault-tolerance bookkeeping, §4.5) and, at
         // the levels that keep per-session version snapshots, all involved
         // caches (snapshot eviction, §5.3).
-        let _ = self.endpoint.send(
+        let _ = self.endpoint.send_after(
+            overhead,
             schedule.plan.scheduler,
             crate::scheduler::SchedulerRequest::DagDone {
                 request_id: schedule.request_id,
@@ -564,7 +630,8 @@ impl Worker {
         );
         if self.cache.level().ships_session_metadata() {
             for &cache in &schedule.plan.cache_addrs {
-                let _ = self.endpoint.send(
+                let _ = self.endpoint.send_after(
+                    overhead,
                     cache,
                     CacheRequest::SessionComplete {
                         request_id: schedule.request_id,
@@ -575,7 +642,10 @@ impl Worker {
     }
 
     /// Resolve args (values pass through; refs read through the cache under
-    /// the session protocol, §4.1), then run the function body.
+    /// the session protocol, §4.1), then run the function body. Returns the
+    /// result and the residual overhead (serialization &c.) the invocation
+    /// owes: zero if the body never ran. The caller charges it as an
+    /// occupancy window plus a later send, not by sleeping.
     fn invoke(
         &mut self,
         function: &str,
@@ -584,9 +654,10 @@ impl Worker {
         session: &mut SessionMeta,
         step: usize,
         vm: VmId,
-    ) -> InvocationResult {
+    ) -> (InvocationResult, Duration) {
         let Some(body) = self.load_function(function) else {
-            return InvocationResult::Err(format!("function {function:?} is not registered"));
+            let err = format!("function {function:?} is not registered");
+            return (InvocationResult::Err(err), Duration::ZERO);
         };
         // Coalesce the KVS fetch for all of the function's reference keys:
         // one batched request per responsible node warms the cache before
@@ -611,22 +682,18 @@ impl Worker {
                 Arg::Ref(key) => match ctx.read_key(key) {
                     Some(v) => resolved.push(v),
                     None => {
-                        return InvocationResult::Err(format!(
-                            "KVS reference {key} could not be resolved"
-                        ))
+                        let err = format!("KVS reference {key} could not be resolved");
+                        return (InvocationResult::Err(err), Duration::ZERO);
                     }
                 },
             }
         }
         resolved.extend(upstream.iter().cloned());
-        let outcome = body(&mut ctx, &resolved);
-        // Residual invocation overhead (serialization &c.).
-        let overhead = self.config.invocation_overhead_ms;
-        self.endpoint.network().sleep_paper_ms(overhead);
-        match outcome {
+        let result = match body(&mut ctx, &resolved) {
             Ok(value) => InvocationResult::Ok(value),
             Err(e) => InvocationResult::Err(e),
-        }
+        };
+        (result, self.overhead)
     }
 
     /// Fetch-and-cache a function: metadata existence check against Anna

@@ -183,6 +183,21 @@ impl Lattice for CausalLattice {
             self.versions = other.versions;
             return;
         }
+        // One version a side (every pushed update and session write against
+        // a settled key): one clock comparison decides it. A strictly newer
+        // incoming version replaces ours by handle; a strictly older one
+        // changes nothing. Equal and concurrent clocks take the general
+        // path — the same antichain `normalize` would leave.
+        if let ([mine], [theirs]) = (self.versions.as_slice(), other.versions.as_slice()) {
+            match theirs.vector_clock.compare(&mine.vector_clock) {
+                CausalOrder::Dominates => {
+                    self.versions = other.versions;
+                    return;
+                }
+                CausalOrder::DominatedBy => return,
+                CausalOrder::Equal | CausalOrder::Concurrent => {}
+            }
+        }
         let versions = Arc::make_mut(&mut self.versions);
         match Arc::try_unwrap(other.versions) {
             Ok(owned) => versions.extend(owned),
@@ -307,6 +322,18 @@ mod tests {
         assert!(!Arc::ptr_eq(&a.versions, &b.versions));
         assert_eq!(a.versions().len(), 1);
         assert_eq!(b.versions().len(), 2);
+    }
+
+    #[test]
+    fn a_dominating_version_is_adopted_by_handle() {
+        let mut a = causal(&[(1, 1)], b"old");
+        let newer = causal(&[(1, 2)], b"new");
+        a.join(newer.clone());
+        assert!(Arc::ptr_eq(&a.versions, &newer.versions));
+        // A dominated one leaves the lattice, and its handle, untouched.
+        let kept = Arc::clone(&a.versions);
+        a.join(causal(&[(1, 1)], b"old"));
+        assert!(Arc::ptr_eq(&a.versions, &kept));
     }
 
     #[test]

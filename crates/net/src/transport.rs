@@ -402,8 +402,22 @@ impl Network {
         payload: impl Any + Send,
         latency: LatencyModel,
     ) -> Result<(), SendError> {
+        self.send_with_extra(from, to, payload, latency, Duration::ZERO)
+    }
+
+    /// Send with a latency drawn from `latency` *plus* `extra`
+    /// (already-scaled) sender-side time: the send twin of
+    /// [`ReplyHandle::reply_with_extra`].
+    fn send_with_extra(
+        &self,
+        from: Address,
+        to: Address,
+        payload: impl Any + Send,
+        latency: LatencyModel,
+        extra: Duration,
+    ) -> Result<(), SendError> {
         self.check_reachable(from, to)?;
-        let delay = self.sample(latency);
+        let delay = self.sample(latency) + extra;
         let inner = Arc::clone(&self.inner);
         let envelope = Envelope {
             from,
@@ -604,6 +618,21 @@ impl Endpoint {
     /// Send from this endpoint.
     pub fn send(&self, to: Address, payload: impl Any + Send) -> Result<(), SendError> {
         self.net.send(self.addr, to, payload)
+    }
+
+    /// Send from this endpoint after the link's latency *plus* `extra`
+    /// (already-scaled) time — a message that leaves once modeled work
+    /// still owed by the sender is done, without the sender blocking on
+    /// it. `send_after(Duration::ZERO, ..)` is [`Endpoint::send`].
+    pub fn send_after(
+        &self,
+        extra: Duration,
+        to: Address,
+        payload: impl Any + Send,
+    ) -> Result<(), SendError> {
+        let latency = self.net.link_latency(self.addr, to);
+        self.net
+            .send_with_extra(self.addr, to, payload, latency, extra)
     }
 }
 
@@ -970,6 +999,32 @@ mod tests {
         assert!(
             elapsed < Duration::from_millis(200),
             "too slow: {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn send_after_adds_its_extra_to_the_link_latency() {
+        let net = instant_net();
+        let a = net.register();
+        let b = net.register();
+        // No extra on a zero-latency link is the plain inline send.
+        a.send_after(Duration::ZERO, b.addr(), 1u8).unwrap();
+        assert!(
+            b.try_recv().is_some(),
+            "delivered before send_after returned"
+        );
+        let start = Instant::now();
+        a.send_after(Duration::from_millis(20), b.addr(), 2u8)
+            .unwrap();
+        assert!(b.try_recv().is_none(), "held for its extra time");
+        let env = b.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert!(start.elapsed() >= Duration::from_millis(19));
+        assert_eq!(env.downcast::<u8>().unwrap(), 2);
+        net.kill(b.addr());
+        assert_eq!(
+            a.send_after(Duration::from_millis(1), b.addr(), 3u8)
+                .unwrap_err(),
+            SendError::EndpointDown(b.addr())
         );
     }
 
