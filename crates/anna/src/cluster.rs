@@ -24,9 +24,10 @@ use crate::ring::NodeId;
 /// survives node restarts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// No durable engine: the disk tier is the pre-existing in-process
-    /// simulation, and a node restart loses everything it held. The
-    /// default — every pre-durability benchmark and test runs here.
+    /// No durable engine: every key stays in memory (the node's
+    /// `memory_capacity_bytes` and `disk_latency` do not apply, nothing
+    /// spills and no read is served from disk), and a node restart loses
+    /// everything it held. The default.
     #[default]
     Off,
     /// Durable engine over an in-memory fault-injecting env

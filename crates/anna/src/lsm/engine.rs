@@ -416,7 +416,9 @@ impl LsmEngine {
     }
 
     /// Every live `(key, merged capsule)` pair. Used to rebuild the store's
-    /// key accounting after recovery; O(total data), not for the hot path.
+    /// key accounting after recovery and to walk a node's keys for
+    /// rebalance handoffs and key dumps; O(total data), not for the hot
+    /// path.
     pub fn scan(&self) -> Vec<(Key, Capsule)> {
         let mut out = Vec::new();
         let mut emit = |key: &Key, tomb: u64, frags| {

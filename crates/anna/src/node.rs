@@ -32,9 +32,12 @@ use crate::KeyUpdate;
 /// Per-node configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
-    /// Memory-tier capacity in payload bytes; colder keys spill to disk.
+    /// Memory-tier capacity in payload bytes; colder keys spill to the
+    /// durable engine. Applies to durable nodes only: a node without an
+    /// engine ([`crate::Durability::Off`]) keeps every key in memory.
     pub memory_capacity_bytes: usize,
-    /// Added access latency for keys served from the disk tier.
+    /// Added access latency for keys served from the disk tier. Applies to
+    /// durable nodes only (an `Off` node never serves from disk).
     pub disk_latency: LatencyModel,
     /// Gossip window in paper milliseconds: keys dirtied by writes are
     /// propagated to their replicas as one batched delta per peer per tick
@@ -51,21 +54,16 @@ pub struct NodeConfig {
     pub service_latency: LatencyModel,
     /// WAL group-commit window in paper milliseconds, used when the node
     /// runs on a durable disk ([`crate::lsm::DiskEnv`]). Client acks for
-    /// writes are deferred until the WAL covering them is fsynced; batching
-    /// syncs on this cadence amortizes the fsync across every write in the
-    /// window (the same trick as gossip batching). `0.0` syncs after every
-    /// record — maximum durability, one fsync per write. Ignored for
-    /// non-durable nodes.
+    /// writes are deferred until the WAL covering them is fsynced; syncing
+    /// on this cadence amortizes the fsync across every write in the window
+    /// (the same trick as gossip batching). The scaled window is floored at
+    /// 100 µs of wall clock, so `0.0` means "as often as the floor allows".
+    /// Ignored for non-durable nodes.
     pub wal_sync_interval_ms: f64,
     /// Durable engine: flush the memtable to an SSTable at this payload
-    /// size. Ignored for non-durable nodes.
+    /// size. Ignored for non-durable nodes. Bloom sizing and the compaction
+    /// trigger are [`LsmOptions::default`]'s.
     pub memtable_flush_bytes: usize,
-    /// Durable engine: bloom-filter bits per key for new SSTables (`0`
-    /// disables blooms). Ignored for non-durable nodes.
-    pub bloom_bits_per_key: usize,
-    /// Durable engine: compact all runs into one once this many accumulate.
-    /// Ignored for non-durable nodes.
-    pub compact_min_runs: usize,
     /// Half-life of the per-key heat / node-load decay, in paper
     /// milliseconds ([`crate::telemetry`]).
     pub heat_half_life_ms: f64,
@@ -81,14 +79,6 @@ const BANDWIDTH_MBPS: f64 = 1_100.0;
 /// chunk size of cache-push batches and rebalance handoffs.
 const GOSSIP_MAX_BATCH_BYTES: usize = 1 << 20;
 
-/// Durable engine: cap on the in-memory exact key index (per-key merged
-/// payload lengths). Past this many live keys the index degrades to
-/// aggregate counters and membership/size questions are answered by the
-/// engine itself — bounding the node's memory overhead at roughly
-/// `DISK_INDEX_MAX_KEYS × (key length + 8)` bytes (~1M keys ≈ tens of MB)
-/// no matter how large the spilled keyspace grows.
-const DISK_INDEX_MAX_KEYS: usize = 1 << 20;
-
 impl Default for NodeConfig {
     fn default() -> Self {
         Self {
@@ -101,8 +91,6 @@ impl Default for NodeConfig {
             // write accepted in the window.
             wal_sync_interval_ms: 2.0,
             memtable_flush_bytes: 4 << 20,
-            bloom_bits_per_key: 10,
-            compact_min_runs: 4,
             heat_half_life_ms: 1_000.0,
         }
     }
@@ -154,16 +142,13 @@ impl StorageNode {
                     env,
                     LsmOptions {
                         memtable_flush_bytes: config.memtable_flush_bytes.max(1),
-                        bloom_bits_per_key: config.bloom_bits_per_key,
-                        compact_min_runs: config.compact_min_runs.max(2),
                         ..LsmOptions::default()
                     },
                 );
-                TieredStore::durable(config.memory_capacity_bytes, DISK_INDEX_MAX_KEYS, engine)
+                TieredStore::durable(config.memory_capacity_bytes, engine)
             }
             None => TieredStore::new(config.memory_capacity_bytes),
         };
-        let wal_batching = store.is_durable() && config.wal_sync_interval_ms > 0.0;
         // Two-phase spawn: the wakeup hook needs the actor handle, but the
         // actor owns the endpoint — register the cell first, wire the hook,
         // then attach the worker. Notifies that land in between are
@@ -190,7 +175,6 @@ impl StorageNode {
                 half_life,
                 ..TelemetryConfig::default()
             }),
-            wal_batching,
             wal: Cadence::new(wal_tick),
             pending_acks: Vec::new(),
             busy_until: None,
@@ -243,10 +227,7 @@ struct Worker {
     telemetry: NodeTelemetry,
     /// Synchronous service occupancy per data request (`Zero` = none).
     service_latency: LatencyModel,
-    /// Whether WAL syncs batch on the `wal` cadence (durable nodes only).
-    /// With batching off, every accepted write syncs — and acks — inline.
-    wal_batching: bool,
-    /// WAL group-commit cadence (meaningful while `wal_batching`).
+    /// WAL group-commit cadence (durable nodes only).
     wal: Cadence,
     /// Write acks held back until the WAL records they cover are synced
     /// (WAL-before-ack). Released in arrival order at the next successful
@@ -298,7 +279,7 @@ impl Actor for Worker {
         if self.gossip.due(now) {
             self.flush_deltas();
         }
-        if self.wal_batching && self.wal.due(now) {
+        if self.store.is_durable() && self.wal.due(now) {
             self.sync_and_release();
         }
         if budget == 0 && self.busy_until.is_none() {
@@ -316,20 +297,19 @@ impl Worker {
         if let Some(busy) = self.busy_until {
             deadline = deadline.min(busy);
         }
-        if self.wal_batching {
+        if self.store.is_durable() {
             deadline = deadline.min(self.wal.deadline());
         }
         deadline
     }
 
     /// Release `ack` only once the WAL records it depends on are durable
-    /// (WAL-before-ack). Non-durable stores ack immediately; with per-record
-    /// sync (`wal_sync_interval_ms == 0`) the fsync happens inline; with
-    /// group commit the ack joins the pending set released at the next sync
-    /// tick. A failed sync always holds the ack — the client must never see
-    /// an acknowledgment for a write that could still be lost.
+    /// (WAL-before-ack). Non-durable stores ack immediately; otherwise the
+    /// ack joins the pending set released at the next group-commit tick. A
+    /// failed sync always holds the ack — the client must never see an
+    /// acknowledgment for a write that could still be lost.
     fn ack_durable(&mut self, ack: impl FnOnce() + Send + 'static) {
-        if !self.store.is_durable() || (!self.wal_batching && self.store.sync_wal().is_ok()) {
+        if !self.store.is_durable() {
             ack();
         } else {
             self.pending_acks.push(Box::new(ack));
@@ -500,7 +480,8 @@ impl Worker {
                     });
                 }
                 StorageRequest::KeyDump { reply } => {
-                    reply.reply(self.store.keys());
+                    let keys = self.store.entries().into_iter().map(|(k, _)| k).collect();
+                    reply.reply(keys);
                 }
                 StorageRequest::Shutdown => return true,
             }
@@ -703,14 +684,9 @@ impl Worker {
         // for: deleted only once at least one destination's sends are known
         // to have gone through.
         let mut handoffs: Vec<(Key, Vec<Address>)> = Vec::new();
-        for key in self.store.keys() {
+        for (key, capsule) in self.store.entries() {
             let replicas = ring.replicas(key.as_str(), replication);
-            let i_am_member = replicas.contains(&self.id);
-            let capsule = match self.store.peek(&key) {
-                Some(c) => c,
-                None => continue,
-            };
-            if i_am_member {
+            if replicas.contains(&self.id) {
                 // Push a copy to every other member. *Every* holding member
                 // pushes — not just the primary — because after a crash the
                 // key's only surviving copies may sit on non-primary

@@ -1,28 +1,30 @@
 //! [`TieredStore`]: per-node key storage with memory and disk tiers.
 //!
 //! Anna moves data "between storage tiers (memory and disk) for cost savings"
-//! (paper §2.2). We model a bounded memory tier that spills the
-//! least-recently-used keys to a disk tier; the *node* adds the configured
-//! disk latency when it serves a key from the disk tier.
+//! (paper §2.2). The store is a bounded LRU memory tier over an optional
+//! log-structured engine ([`crate::lsm::LsmEngine`]) behind a
+//! [`crate::lsm::DiskEnv`]:
 //!
-//! The disk tier has two implementations:
+//! * **With an engine** (a durable node): the engine holds every key. Each
+//!   accepted `merge`/`delete` is written through to its WAL *before* the
+//!   node acknowledges it, so the memory tier is a pure cache. Past the
+//!   memory budget the least-recently-used keys are dropped from memory; a
+//!   later read fetches them from the engine (`Tier::Disk`, which the node
+//!   charges its disk latency) and promotes them again. A node restart
+//!   rebuilds the store from the manifest + WAL ([`TieredStore::durable`]).
+//! * **Without one** (a `Durability::Off` node): every key lives in memory,
+//!   nothing spills, and no access reports `Tier::Disk`.
 //!
-//! * **Simulated** (default): a plain in-process map. Fast, ephemeral —
-//!   this is the mode every pre-durability benchmark and test runs in.
-//! * **Durable**: a real log-structured engine ([`crate::lsm::LsmEngine`])
-//!   behind a [`crate::lsm::DiskEnv`]. Every `merge`/`delete` is written to
-//!   the engine's WAL *before* the node acknowledges it; the in-memory tier
-//!   becomes a pure cache over the engine, and a node restart rebuilds the
-//!   store from the manifest + WAL ([`TieredStore::durable`]).
+//! Membership of spilled keys is the engine's to answer (its blooms and
+//! sparse index); the store keeps only aggregate counters — live keys,
+//! memory-tier bytes and disk-resident bytes — so `len()` and
+//! `payload_bytes()` stay O(1) on the per-gossip-tick stats path.
 //!
 //! Hot-path notes: recency is tracked by the shared O(1)
 //! [`cloudburst_lru::SlotLru`], with each memory-tier entry carrying its
-//! recency slot (the old `BTreeSet<(u64, Key)>` index cost `O(log n)` plus
-//! two key clones per touch), and `get`/`merge` return capsule *handles* —
+//! recency slot, and `get`/`merge` return capsule *handles* —
 //! `Capsule::clone` is a refcount bump, so serving a read copies no payload
-//! bytes. Byte accounting is O(1) per tier: both `mem_bytes` and
-//! `disk_bytes` are maintained incrementally, so the per-gossip-tick stats
-//! path never re-sums the disk tier.
+//! bytes.
 
 use std::collections::HashMap;
 
@@ -36,7 +38,8 @@ use crate::lsm::{DiskError, LsmEngine};
 pub enum Tier {
     /// In-memory tier.
     Memory,
-    /// Simulated disk tier (adds access latency at the node).
+    /// Disk tier: the engine, read on a memory miss (the node adds its disk
+    /// latency).
     Disk,
 }
 
@@ -48,158 +51,78 @@ struct MemEntry {
     slot: u32,
 }
 
-/// The durable tier's key index. The exact form keeps every live key's
-/// merged payload length in memory, giving O(1) membership checks and byte
-/// accounting — but it grows with the keyspace, which defeats the point of
-/// a disk tier on large stores (ROADMAP item: the index must not be an
-/// unbounded in-memory map shadowing the engine). Past the configured cap
-/// the store degrades to aggregate counters: membership, sizes, and key
-/// enumeration are resolved against the engine itself (an extra engine
-/// lookup per miss / merge / delete, and `keys()` becomes a full scan),
-/// while `len()`/`payload_bytes()` stay O(1) via incremental counters.
-/// The transition is one-way — a store that outgrew the exact index once
-/// would thrash converting back and forth around the cap.
-#[derive(Debug)]
-enum DiskIndex {
-    /// Per-key merged payload lengths (bounded by `index_max_keys`).
-    Exact(HashMap<Key, usize>),
-    /// Aggregate live-key count only; everything else asks the engine.
-    Approximate { keys: usize },
-}
-
-impl DiskIndex {
-    /// Fast-path membership pre-check: a definite "no" in exact mode, always
-    /// "maybe" in approximate mode (the engine answers for real).
-    fn may_contain(&self, key: &Key) -> bool {
-        match self {
-            Self::Exact(sizes) => sizes.contains_key(key),
-            Self::Approximate { .. } => true,
-        }
-    }
-}
-
-/// The disk tier: either the simulated map or a durable LSM engine.
-#[derive(Debug)]
-enum DiskTier {
-    /// Ephemeral in-process map (pre-durability behavior, the default).
-    Simulated(HashMap<Key, Capsule>),
-    /// Durable log-structured engine plus its key index (see [`DiskIndex`]).
-    Durable {
-        engine: Box<LsmEngine>,
-        index: DiskIndex,
-    },
-}
-
 /// A two-tier lattice store for one storage node.
 #[derive(Debug)]
 pub struct TieredStore {
     mem: HashMap<Key, MemEntry>,
-    disk: DiskTier,
     /// O(1) recency list over memory-tier keys (coldest first).
     lru: SlotLru,
+    /// The disk tier; `None` keeps every key in memory.
+    engine: Option<Box<LsmEngine>>,
+    /// Live keys across both tiers.
+    keys: usize,
     mem_bytes: usize,
-    /// Payload bytes held by the disk tier, maintained incrementally.
+    /// Payload bytes of keys resident only on the engine.
     disk_bytes: usize,
     capacity_bytes: usize,
-    /// Maximum keys the durable tier's exact index may hold before it
-    /// degrades to approximate counters (see [`DiskIndex`]). Ignored for
-    /// simulated stores.
-    index_max_keys: usize,
 }
 
 impl TieredStore {
-    /// A store whose memory tier holds at most `capacity_bytes` of payload,
-    /// over the simulated (ephemeral) disk tier.
-    pub fn new(capacity_bytes: usize) -> Self {
+    /// A memory-only store: every key stays in memory and nothing spills.
+    /// `_capacity_bytes` is unused (a memory tier with nothing beneath it
+    /// has nowhere to spill to); the parameter remains for source
+    /// compatibility with existing callers.
+    pub fn new(_capacity_bytes: usize) -> Self {
+        Self::with_engine(usize::MAX, None)
+    }
+
+    /// A store whose memory tier caches at most `capacity_bytes` of payload
+    /// over a durable LSM engine. The engine has already run recovery; the
+    /// store rebuilds its key/byte counters from a full scan. The memory
+    /// tier starts cold (a restarted node re-warms from traffic, as a real
+    /// one would).
+    pub fn durable(capacity_bytes: usize, engine: LsmEngine) -> Self {
+        let mut store = Self::with_engine(capacity_bytes, Some(Box::new(engine)));
+        for (_, capsule) in store.entries() {
+            store.keys += 1;
+            store.disk_bytes += capsule.payload_len();
+        }
+        store
+    }
+
+    fn with_engine(capacity_bytes: usize, engine: Option<Box<LsmEngine>>) -> Self {
         Self {
             mem: HashMap::new(),
-            disk: DiskTier::Simulated(HashMap::new()),
             lru: SlotLru::new(),
+            engine,
+            keys: 0,
             mem_bytes: 0,
             disk_bytes: 0,
             capacity_bytes,
-            index_max_keys: usize::MAX,
         }
-    }
-
-    /// A store over a durable LSM engine whose exact key index is capped at
-    /// `index_max_keys` entries (past it the index degrades to approximate
-    /// counters — see `DiskIndex`). The engine has already run recovery;
-    /// the store rebuilds its key/byte accounting from a full scan. The
-    /// memory tier starts cold (a restarted node re-warms from traffic, as
-    /// a real one would).
-    pub fn durable(capacity_bytes: usize, index_max_keys: usize, engine: LsmEngine) -> Self {
-        let mut sizes = HashMap::new();
-        let mut disk_bytes = 0usize;
-        for (key, capsule) in engine.scan() {
-            let len = capsule.payload_len();
-            disk_bytes += len;
-            sizes.insert(key, len);
-        }
-        // A recovered keyspace that already exceeds the cap starts (and
-        // stays) approximate rather than building the oversized map anyway.
-        let index = if sizes.len() > index_max_keys {
-            DiskIndex::Approximate { keys: sizes.len() }
-        } else {
-            DiskIndex::Exact(sizes)
-        };
-        Self {
-            mem: HashMap::new(),
-            disk: DiskTier::Durable {
-                engine: Box::new(engine),
-                index,
-            },
-            lru: SlotLru::new(),
-            mem_bytes: 0,
-            disk_bytes,
-            capacity_bytes,
-            index_max_keys,
-        }
-    }
-
-    /// Whether the durable tier still holds the exact per-key index (false
-    /// once it degraded to approximate counters; always false when
-    /// simulated).
-    pub fn disk_index_is_exact(&self) -> bool {
-        matches!(
-            &self.disk,
-            DiskTier::Durable {
-                index: DiskIndex::Exact(_),
-                ..
-            }
-        )
     }
 
     /// Whether this store writes through to a durable engine.
     pub fn is_durable(&self) -> bool {
-        matches!(self.disk, DiskTier::Durable { .. })
+        self.engine.is_some()
     }
 
     /// Make every accepted write durable (the WAL group-commit point).
-    /// No-op for simulated stores. Node acks are released only after this
+    /// No-op without an engine. Node acks are released only after this
     /// returns `Ok`.
     pub fn sync_wal(&mut self) -> Result<(), DiskError> {
-        match &mut self.disk {
-            DiskTier::Simulated(_) => Ok(()),
-            DiskTier::Durable { engine, .. } => engine.sync(),
-        }
+        self.engine.as_mut().map_or(Ok(()), |e| e.sync())
     }
 
     /// Whether the durable WAL has appended-but-unsynced records (i.e.
     /// acks are pending a [`TieredStore::sync_wal`]).
     pub fn wal_dirty(&self) -> bool {
-        match &self.disk {
-            DiskTier::Simulated(_) => false,
-            DiskTier::Durable { engine, .. } => engine.wal_dirty(),
-        }
+        self.engine.as_ref().is_some_and(|e| e.wal_dirty())
     }
 
-    /// Number of SSTable runs in the durable engine (0 when simulated).
+    /// Number of SSTable runs in the durable engine (0 without one).
     pub fn sstable_count(&self) -> usize {
-        match &self.disk {
-            DiskTier::Simulated(_) => 0,
-            DiskTier::Durable { engine, .. } => engine.table_count(),
-        }
+        self.engine.as_ref().map_or(0, |e| e.table_count())
     }
 
     /// Read a key, promoting disk hits back into memory. Returns a cheap
@@ -209,35 +132,20 @@ impl TieredStore {
             self.lru.touch(entry.slot);
             return Some((entry.capsule.clone(), Tier::Memory));
         }
-        let promoted = match &mut self.disk {
-            DiskTier::Simulated(map) => map.remove(key)?,
-            DiskTier::Durable { engine, index } => {
-                if !index.may_contain(key) {
-                    return None;
-                }
-                engine.get(key)?
-            }
-        };
+        let promoted = self.engine.as_ref()?.get(key)?;
         // Promote: recently accessed data belongs in memory.
-        self.disk_bytes = self.disk_bytes.saturating_sub(promoted.payload_len());
+        self.disk_bytes -= promoted.payload_len();
         self.insert_mem(key.clone(), promoted.clone());
+        self.spill_if_needed();
         Some((promoted, Tier::Disk))
     }
 
-    /// Peek without promotion or LRU updates (used by rebalance scans and
+    /// Peek without promotion or LRU updates (used by gossip flushes and
     /// replication repair). Returns a cheap handle (refcount bump).
     pub fn peek(&self, key: &Key) -> Option<Capsule> {
-        if let Some(entry) = self.mem.get(key) {
-            return Some(entry.capsule.clone());
-        }
-        match &self.disk {
-            DiskTier::Simulated(map) => map.get(key).cloned(),
-            DiskTier::Durable { engine, index } => {
-                if !index.may_contain(key) {
-                    return None;
-                }
-                engine.get(key)
-            }
+        match self.mem.get(key) {
+            Some(entry) => Some(entry.capsule.clone()),
+            None => self.engine.as_ref()?.get(key),
         }
     }
 
@@ -245,199 +153,87 @@ impl TieredStore {
     /// handle to the merged capsule and the tier the key resided on before
     /// the write.
     ///
-    /// In durable mode the accepted delta reaches the WAL before this
-    /// returns, but is only durable after [`TieredStore::sync_wal`] — the
-    /// node defers the client ack until then. A kind-mismatched write is
-    /// rejected *before* touching the WAL, so the log only ever holds
-    /// accepted deltas.
+    /// A memory hit joins in place; only a miss reads the engine. With an
+    /// engine the accepted delta reaches the WAL before this returns, but
+    /// is only durable after [`TieredStore::sync_wal`] — the node defers the
+    /// client ack until then. A kind-mismatched write is rejected *before*
+    /// touching the WAL, so the log only ever holds accepted deltas.
     pub fn merge(&mut self, key: Key, capsule: Capsule) -> Result<(Capsule, Tier), CapsuleError> {
-        if let DiskTier::Durable { engine, index } = &mut self.disk {
-            // Resolve the current value (cache first, engine second) and
-            // validate the join before anything is logged.
-            let (current, tier) = match self.mem.get(&key) {
-                Some(entry) => (Some(entry.capsule.clone()), Tier::Memory),
-                None => match index.may_contain(&key) {
-                    true => match engine.get(&key) {
-                        Some(existing) => (Some(existing), Tier::Disk),
-                        None => (None, Tier::Memory),
-                    },
-                    false => (None, Tier::Memory),
-                },
-            };
-            let merged = match current.clone() {
-                Some(mut existing) => {
-                    existing.try_join(capsule.clone())?;
-                    existing
-                }
-                None => capsule.clone(),
-            };
-            engine.put(key.clone(), capsule);
-            let new_len = merged.payload_len();
-            let old_len = match index {
-                DiskIndex::Exact(sizes) => {
-                    let old = sizes.insert(key.clone(), new_len).unwrap_or(0);
-                    if sizes.len() > self.index_max_keys {
-                        // The keyspace outgrew the cap: drop the exact map
-                        // for good and keep only the live-key count.
-                        *index = DiskIndex::Approximate { keys: sizes.len() };
-                    }
-                    old
-                }
-                DiskIndex::Approximate { keys } => match &current {
-                    // `current` is the pre-merge merged value wherever it
-                    // lived, so its length is exactly what the exact index
-                    // would have returned.
-                    Some(existing) => existing.payload_len(),
-                    None => {
-                        *keys += 1;
-                        0
-                    }
-                },
-            };
-            if let Some(entry) = self.mem.get_mut(&key) {
-                entry.capsule = merged.clone();
-                let slot = entry.slot;
-                self.lru.touch(slot);
-                self.mem_bytes = self.mem_bytes + new_len - old_len;
-                self.spill_if_needed();
-            } else {
-                self.disk_bytes = self.disk_bytes.saturating_sub(old_len);
-                self.insert_mem(key, merged.clone());
-            }
-            return Ok((merged, tier));
-        }
-        if let Some(entry) = self.mem.get_mut(&key) {
+        let delta = self.engine.is_some().then(|| capsule.clone());
+        let (merged, tier) = if let Some(entry) = self.mem.get_mut(&key) {
             let old_len = entry.capsule.payload_len();
             entry.capsule.try_join(capsule)?;
-            let merged = entry.capsule.clone();
             self.lru.touch(entry.slot);
-            self.mem_bytes = self.mem_bytes + merged.payload_len() - old_len;
-            self.spill_if_needed();
-            return Ok((merged, Tier::Memory));
-        }
-        let DiskTier::Simulated(map) = &mut self.disk else {
-            unreachable!("durable path handled above");
+            self.mem_bytes = self.mem_bytes + entry.capsule.payload_len() - old_len;
+            (entry.capsule.clone(), Tier::Memory)
+        } else {
+            let (merged, tier) = match self.engine.as_ref().and_then(|e| e.get(&key)) {
+                Some(mut existing) => {
+                    let old_len = existing.payload_len();
+                    existing.try_join(capsule)?;
+                    self.disk_bytes -= old_len;
+                    (existing, Tier::Disk)
+                }
+                None => {
+                    self.keys += 1;
+                    (capsule, Tier::Memory)
+                }
+            };
+            self.insert_mem(key.clone(), merged.clone());
+            (merged, tier)
         };
-        if let Some(mut existing) = map.remove(&key) {
-            let old_len = existing.payload_len();
-            if let Err(err) = existing.try_join(capsule) {
-                // A kind-mismatched write must not destroy the stored value.
-                map.insert(key, existing);
-                return Err(err);
-            }
-            self.disk_bytes = self.disk_bytes.saturating_sub(old_len);
-            self.insert_mem(key, existing.clone());
-            return Ok((existing, Tier::Disk));
+        if let (Some(engine), Some(delta)) = (self.engine.as_mut(), delta) {
+            engine.put(key, delta);
         }
-        self.insert_mem(key, capsule.clone());
-        Ok((capsule, Tier::Memory))
+        self.spill_if_needed();
+        Ok((merged, tier))
     }
 
-    /// Remove a key from both tiers. Returns whether it existed. In durable
-    /// mode this writes a WAL tombstone (durable after the next sync).
+    /// Remove a key from both tiers. Returns whether it existed. With an
+    /// engine this writes a WAL tombstone (durable after the next sync).
     pub fn delete(&mut self, key: &Key) -> bool {
-        let in_mem = if let Some(entry) = self.mem.remove(key) {
+        let existed = if let Some(entry) = self.mem.remove(key) {
             self.mem_bytes -= entry.capsule.payload_len();
             self.lru.remove(entry.slot);
+            true
+        } else if let Some(capsule) = self.engine.as_ref().and_then(|e| e.get(key)) {
+            self.disk_bytes -= capsule.payload_len();
             true
         } else {
             false
         };
-        match &mut self.disk {
-            DiskTier::Simulated(map) => {
-                // Tiers are disjoint in simulated mode: a key lives in
-                // exactly one of them.
-                if in_mem {
-                    return true;
-                }
-                match map.remove(key) {
-                    Some(capsule) => {
-                        self.disk_bytes = self.disk_bytes.saturating_sub(capsule.payload_len());
-                        true
-                    }
-                    None => false,
-                }
-            }
-            DiskTier::Durable { engine, index } => {
-                let existed_len = match index {
-                    DiskIndex::Exact(sizes) => sizes.remove(key),
-                    DiskIndex::Approximate { keys } => {
-                        // Membership comes from the memory tier or the
-                        // engine; the length only matters when the key was
-                        // not cached (disk-byte accounting below).
-                        let len = if in_mem {
-                            Some(0)
-                        } else {
-                            engine.get(key).map(|c| c.payload_len())
-                        };
-                        if len.is_some() {
-                            *keys = keys.saturating_sub(1);
-                        }
-                        len
-                    }
-                };
-                match existed_len {
-                    Some(len) => {
-                        if !in_mem {
-                            self.disk_bytes = self.disk_bytes.saturating_sub(len);
-                        }
-                        engine.delete(key);
-                        true
-                    }
-                    None => false,
-                }
+        if existed {
+            self.keys -= 1;
+            if let Some(engine) = self.engine.as_mut() {
+                engine.delete(key);
             }
         }
+        existed
     }
 
-    /// Whether the key exists on either tier.
-    pub fn contains(&self, key: &Key) -> bool {
-        if self.mem.contains_key(key) {
-            return true;
-        }
-        match &self.disk {
-            DiskTier::Simulated(map) => map.contains_key(key),
-            DiskTier::Durable {
-                index: DiskIndex::Exact(sizes),
-                ..
-            } => sizes.contains_key(key),
-            DiskTier::Durable { engine, .. } => engine.get(key).is_some(),
-        }
-    }
-
-    /// All keys (both tiers), for rebalancing and key dumps. With an
-    /// approximate disk index this is a full engine scan — acceptable for
-    /// its callers (rebalance handoff, anti-entropy audits), which are rare
-    /// and already O(keyspace).
-    pub fn keys(&self) -> Vec<Key> {
-        match &self.disk {
-            DiskTier::Simulated(map) => self.mem.keys().chain(map.keys()).cloned().collect(),
-            DiskTier::Durable {
-                index: DiskIndex::Exact(sizes),
-                ..
-            } => sizes.keys().cloned().collect(),
-            DiskTier::Durable { engine, .. } => engine.scan().into_iter().map(|(k, _)| k).collect(),
+    /// Every live `(key, merged capsule)` pair, for rebalancing and key
+    /// dumps. With an engine this is a full engine scan — the engine holds
+    /// every key, and every merge was written through, so its values agree
+    /// with the memory tier's. O(keyspace), like its callers.
+    pub fn entries(&self) -> Vec<(Key, Capsule)> {
+        match &self.engine {
+            Some(engine) => engine.scan(),
+            None => self
+                .mem
+                .iter()
+                .map(|(k, e)| (k.clone(), e.capsule.clone()))
+                .collect(),
         }
     }
 
     /// Total keys stored.
     pub fn len(&self) -> usize {
-        match &self.disk {
-            DiskTier::Simulated(map) => self.mem.len() + map.len(),
-            DiskTier::Durable {
-                index: DiskIndex::Exact(sizes),
-                ..
-            } => sizes.len(),
-            DiskTier::Durable {
-                index: DiskIndex::Approximate { keys },
-                ..
-            } => *keys,
-        }
+        self.keys
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.keys == 0
     }
 
     /// Keys resident in memory.
@@ -447,13 +243,11 @@ impl TieredStore {
 
     /// Keys resident only on the disk tier.
     pub fn disk_keys(&self) -> usize {
-        self.len() - self.mem.len()
+        self.keys - self.mem.len()
     }
 
     /// Total payload bytes across both tiers. O(1): both tier counters are
-    /// maintained incrementally (this sits on the per-gossip-tick stats
-    /// path, where re-summing the disk tier was a per-call O(disk keys)
-    /// scan).
+    /// maintained incrementally.
     pub fn payload_bytes(&self) -> usize {
         self.mem_bytes + self.disk_bytes
     }
@@ -462,9 +256,10 @@ impl TieredStore {
         self.mem_bytes += capsule.payload_len();
         let slot = self.lru.insert(key.clone());
         self.mem.insert(key, MemEntry { capsule, slot });
-        self.spill_if_needed();
     }
 
+    /// Drop the coldest memory-tier handles until the tier fits its budget
+    /// (always keeping one key). The engine already holds their data.
     fn spill_if_needed(&mut self) {
         while self.mem_bytes > self.capacity_bytes && self.mem.len() > 1 {
             let Some(key) = self.lru.pop_coldest() else {
@@ -474,15 +269,6 @@ impl TieredStore {
                 let len = entry.capsule.payload_len();
                 self.mem_bytes -= len;
                 self.disk_bytes += len;
-                match &mut self.disk {
-                    DiskTier::Simulated(map) => {
-                        map.insert(key, entry.capsule);
-                    }
-                    DiskTier::Durable { .. } => {
-                        // The engine already holds the data; eviction just
-                        // drops the cache handle.
-                    }
-                }
             }
         }
     }
@@ -494,6 +280,7 @@ mod tests {
     use crate::lsm::{DiskEnv, FaultDisk, LsmOptions};
     use bytes::Bytes;
     use cloudburst_lattice::Timestamp;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn lww(clock: u64, payload: &[u8]) -> Capsule {
@@ -502,6 +289,20 @@ mod tests {
 
     fn key(i: usize) -> Key {
         Key::new(format!("k{i}"))
+    }
+
+    fn open(env: Arc<FaultDisk>, capacity: usize, opts: LsmOptions) -> TieredStore {
+        TieredStore::durable(capacity, LsmEngine::open(env, opts))
+    }
+
+    fn durable_store(env: Arc<FaultDisk>, capacity: usize) -> TieredStore {
+        open(env, capacity, LsmOptions::default())
+    }
+
+    /// A durable store over a fresh [`FaultDisk`] whose memory tier holds
+    /// `capacity` payload bytes.
+    fn spilling(capacity: usize) -> TieredStore {
+        durable_store(FaultDisk::new(), capacity)
     }
 
     #[test]
@@ -527,7 +328,7 @@ mod tests {
     #[test]
     fn cold_keys_spill_to_disk_and_promote_on_access() {
         // Capacity of 8 bytes; each value is 4 bytes → at most 2 keys in memory.
-        let mut s = TieredStore::new(8);
+        let mut s = spilling(8);
         for i in 0..4 {
             s.merge(key(i), lww(1, b"xxxx")).unwrap();
         }
@@ -545,7 +346,7 @@ mod tests {
 
     #[test]
     fn recently_used_keys_stay_in_memory() {
-        let mut s = TieredStore::new(8);
+        let mut s = spilling(8);
         s.merge(key(0), lww(1, b"xxxx")).unwrap();
         s.merge(key(1), lww(1, b"xxxx")).unwrap();
         // Touch key 0 so key 1 is the LRU.
@@ -559,7 +360,7 @@ mod tests {
 
     #[test]
     fn delete_works_across_tiers() {
-        let mut s = TieredStore::new(8);
+        let mut s = spilling(8);
         for i in 0..4 {
             s.merge(key(i), lww(1, b"xxxx")).unwrap();
         }
@@ -567,18 +368,21 @@ mod tests {
         assert!(s.delete(&key(3))); // in memory
         assert!(!s.delete(&key(0)));
         assert_eq!(s.len(), 2);
-        assert!(!s.contains(&key(0)));
+        assert!(s.peek(&key(0)).is_none());
+        assert!(s.get(&key(3)).is_none());
     }
 
     #[test]
     fn merge_on_disk_key_promotes() {
-        let mut s = TieredStore::new(8);
+        let mut s = spilling(8);
         for i in 0..4 {
             s.merge(key(i), lww(1, b"xxxx")).unwrap();
         }
         let (_, tier) = s.merge(key(0), lww(2, b"yyyy")).unwrap();
         assert_eq!(tier, Tier::Disk);
-        assert_eq!(s.get(&key(0)).unwrap().0.read_value().as_ref(), b"yyyy");
+        let (c, tier) = s.get(&key(0)).unwrap();
+        assert_eq!(c.read_value().as_ref(), b"yyyy");
+        assert_eq!(tier, Tier::Memory, "the merge promoted the key");
     }
 
     #[test]
@@ -596,13 +400,9 @@ mod tests {
     fn byte_accounting_is_exact_across_tiers() {
         // Spills, promotions, disk-tier merges, and deletes must keep the
         // O(1) counters in lock-step with a full re-sum of both tiers.
-        let mut s = TieredStore::new(8);
-        let expected = |s: &TieredStore| -> usize {
-            s.keys()
-                .iter()
-                .map(|k| s.peek(k).unwrap().payload_len())
-                .sum()
-        };
+        let mut s = spilling(8);
+        let expected =
+            |s: &TieredStore| -> usize { s.entries().iter().map(|(_, c)| c.payload_len()).sum() };
         for i in 0..6 {
             s.merge(key(i), lww(1, b"xxxx")).unwrap();
             assert_eq!(s.payload_bytes(), expected(&s));
@@ -628,11 +428,13 @@ mod tests {
         s.merge(key(1), lww(9, b"wrong-kind")).unwrap_err();
         assert_eq!(s.get(&key(1)).unwrap().0.read_value().as_ref(), b"mem-val");
         // Disk tier: spill a causal key, then hit it with an LWW write.
-        let mut s = TieredStore::new(8);
+        let mut s = spilling(8);
         s.merge(key(1), causal(b"old-val!")).unwrap();
         s.merge(key(2), lww(1, b"filler-xx")).unwrap();
         assert_eq!(s.disk_keys(), 1, "key 1 must have spilled");
+        let bytes = s.payload_bytes();
         s.merge(key(1), lww(9, b"wrong-kind")).unwrap_err();
+        assert_eq!(s.payload_bytes(), bytes);
         let (recovered, tier) = s.get(&key(1)).expect("value must survive failed merge");
         assert_eq!(tier, Tier::Disk);
         assert_eq!(recovered.kind(), ConsistencyKind::Causal);
@@ -642,22 +444,10 @@ mod tests {
     #[test]
     fn at_least_one_key_stays_in_memory() {
         // A single oversized value must not spill (there is nothing to gain).
-        let mut s = TieredStore::new(2);
+        let mut s = spilling(2);
         s.merge(key(1), lww(1, b"oversized-value")).unwrap();
         assert_eq!(s.memory_keys(), 1);
         assert_eq!(s.disk_keys(), 0);
-    }
-
-    // ---- durable mode ----
-
-    fn durable_store(env: Arc<FaultDisk>, capacity: usize) -> TieredStore {
-        let engine = LsmEngine::open(env, LsmOptions::default());
-        TieredStore::durable(capacity, usize::MAX, engine)
-    }
-
-    fn capped_store(env: Arc<FaultDisk>, capacity: usize, max_keys: usize) -> TieredStore {
-        let engine = LsmEngine::open(env, LsmOptions::default());
-        TieredStore::durable(capacity, max_keys, engine)
     }
 
     #[test]
@@ -678,7 +468,7 @@ mod tests {
         assert_eq!(c.read_value().as_ref(), b"v1");
         assert_eq!(tier, Tier::Disk, "restart starts with a cold cache");
         assert_eq!(s2.get(&key(1)).unwrap().1, Tier::Memory);
-        assert!(!s2.contains(&key(2)));
+        assert!(s2.peek(&key(2)).is_none());
     }
 
     #[test]
@@ -750,61 +540,58 @@ mod tests {
         assert_eq!(s2.len(), 4);
     }
 
+    /// The store keeps only counters; membership, values and enumeration
+    /// come from the engine. Across merges, deletes, flushes and a reopen
+    /// they must agree with a plain map of what was written.
     #[test]
-    fn disk_index_degrades_past_the_cap_and_stays_correct() {
+    fn engine_index_agrees_with_ground_truth_across_merge_delete_reopen() {
+        // A tiny memtable so most reads cross flushed runs and compactions.
+        let opts = LsmOptions {
+            memtable_flush_bytes: 16,
+            ..LsmOptions::default()
+        };
+        let check = |s: &TieredStore, truth: &BTreeMap<Key, Vec<u8>>| {
+            assert_eq!(s.len(), truth.len());
+            assert_eq!(s.disk_keys(), truth.len() - s.memory_keys());
+            let bytes: usize = truth.values().map(Vec::len).sum();
+            assert_eq!(s.payload_bytes(), bytes);
+            let entries: BTreeMap<Key, Vec<u8>> = s
+                .entries()
+                .into_iter()
+                .map(|(k, c)| (k, c.read_value().to_vec()))
+                .collect();
+            assert_eq!(&entries, truth);
+            for i in 0..12 {
+                let peeked = s.peek(&key(i)).map(|c| c.read_value().to_vec());
+                assert_eq!(peeked.as_ref(), truth.get(&key(i)), "key {i}");
+            }
+        };
         let env = FaultDisk::new();
-        // Tiny memory budget so almost everything spills; index cap of 4 keys.
-        let mut s = capped_store(env, 8, 4);
-        assert!(s.disk_index_is_exact());
-        for i in 0..8 {
+        let mut s = open(env.clone(), 8, opts);
+        let mut truth = BTreeMap::new();
+        for i in 0..10 {
             s.merge(key(i), lww(1, b"xxxx")).unwrap();
+            truth.insert(key(i), b"xxxx".to_vec());
         }
-        assert!(
-            !s.disk_index_is_exact(),
-            "crossing the cap degrades the index"
-        );
-        // Reads, membership, and counts still agree with ground truth.
-        assert_eq!(s.len(), 8);
-        for i in 0..8 {
-            assert!(s.contains(&key(i)));
-            assert_eq!(s.get(&key(i)).unwrap().0.read_value().as_ref(), b"xxxx");
-        }
-        assert!(!s.contains(&key(99)));
-        assert!(s.get(&key(99)).is_none());
-        let mut keys: Vec<Key> = s.keys();
-        keys.sort();
-        assert_eq!(keys.len(), 8);
-        // Once approximate, the index never switches back — even if deletes
-        // bring the live count under the cap again.
-        for i in 0..6 {
-            assert!(s.delete(&key(i)));
-        }
-        assert!(!s.delete(&key(0)), "double delete reports absence");
-        assert!(!s.disk_index_is_exact());
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn approximate_index_keeps_byte_accounting_exact() {
-        let env = FaultDisk::new();
-        let mut s = capped_store(env.clone(), 8, 2);
-        for i in 0..5 {
-            s.merge(key(i), lww(1, b"xxxx")).unwrap();
-        }
-        assert!(!s.disk_index_is_exact());
-        assert_eq!(s.payload_bytes(), 20);
-        // Overwrite grows one value by 4 bytes; sizes come from the engine now.
+        check(&s, &truth);
+        // Overwrites that grow and shrink, on both tiers.
         s.merge(key(0), lww(2, b"yyyyyyyy")).unwrap();
-        assert_eq!(s.payload_bytes(), 24);
-        s.delete(&key(1));
-        assert_eq!(s.payload_bytes(), 20);
-        assert_eq!(s.len(), 4);
+        s.merge(key(9), lww(2, b"z")).unwrap();
+        truth.insert(key(0), b"yyyyyyyy".to_vec());
+        truth.insert(key(9), b"z".to_vec());
+        check(&s, &truth);
+        for i in 1..6 {
+            assert!(s.delete(&key(i)));
+            truth.remove(&key(i));
+        }
+        assert!(!s.delete(&key(1)), "double delete reports absence");
+        assert!(!s.delete(&key(99)), "absent key reports absence");
+        assert!(s.get(&key(99)).is_none());
+        check(&s, &truth);
         s.sync_wal().unwrap();
         drop(s);
-        // Reopen with a keyspace already past the cap: starts approximate.
-        let s2 = capped_store(env, 8, 2);
-        assert!(!s2.disk_index_is_exact());
-        assert_eq!(s2.payload_bytes(), 20);
-        assert_eq!(s2.len(), 4);
+        let s = open(env, 8, opts);
+        assert_eq!(s.memory_keys(), 0, "reopen starts cold");
+        check(&s, &truth);
     }
 }

@@ -783,7 +783,7 @@ fn disk_tier_spill_is_reported_in_stats() {
         AnnaConfig {
             nodes: 1,
             replication: 1,
-            durability: cloudburst_anna::Durability::Off,
+            durability: cloudburst_anna::Durability::InMemory,
             node: NodeConfig {
                 memory_capacity_bytes: 64, // tiny: force spills
                 disk_latency: LatencyModel::Zero,
@@ -806,6 +806,39 @@ fn disk_tier_spill_is_reported_in_stats() {
 }
 
 #[test]
+fn memory_only_node_never_spills() {
+    // Without a durable engine there is nowhere to spill to: the memory
+    // budget does not apply, every key stays in memory and is served.
+    let net = instant_net();
+    let cluster = AnnaCluster::launch(
+        &net,
+        AnnaConfig {
+            nodes: 1,
+            replication: 1,
+            durability: cloudburst_anna::Durability::Off,
+            node: NodeConfig {
+                memory_capacity_bytes: 64,
+                ..NodeConfig::default()
+            },
+            ..AnnaConfig::default()
+        },
+    );
+    let client = cluster.client();
+    for i in 0..32 {
+        client
+            .put_lww(&Key::new(format!("k{i}")), Bytes::from(vec![i as u8; 16]))
+            .unwrap();
+    }
+    for i in 0..32 {
+        let got = client.get(&Key::new(format!("k{i}"))).unwrap();
+        assert_eq!(got.unwrap().read_value().as_ref(), &[i as u8; 16][..]);
+    }
+    let stats = client.cluster_stats().unwrap();
+    assert_eq!(stats.iter().map(|s| s.key_count).sum::<usize>(), 32);
+    assert_eq!(stats.iter().map(|s| s.disk_keys).sum::<usize>(), 0);
+}
+
+#[test]
 fn disk_tier_adds_latency() {
     // Memory tier holds only a few keys; disk reads carry a 5 paper-ms
     // penalty at 1:1 scale.
@@ -820,7 +853,7 @@ fn disk_tier_adds_latency() {
         AnnaConfig {
             nodes: 1,
             replication: 1,
-            durability: cloudburst_anna::Durability::Off,
+            durability: cloudburst_anna::Durability::InMemory,
             node: NodeConfig {
                 memory_capacity_bytes: 64,
                 disk_latency: LatencyModel::Constant { ms: 5.0 },

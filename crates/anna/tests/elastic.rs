@@ -154,18 +154,21 @@ fn loop_promotes_spreads_and_demotes() {
         .into_iter()
         .map(|s| (s.node, s.gets_served))
         .collect();
-    std::thread::sleep(Duration::from_millis(300));
-    let after = client.cluster_stats().unwrap();
-    let served: Vec<_> = replicas
-        .iter()
-        .filter_map(|(node, _)| {
-            let delta = after.iter().find(|s| s.node == *node)?.gets_served
-                - before.get(node).copied().unwrap_or(0);
-            (delta > 0).then_some(*node)
-        })
-        .collect();
+    let mut served = Vec::new();
+    let spread = eventually(Duration::from_secs(10), || {
+        let after = client.cluster_stats().unwrap();
+        served = replicas
+            .iter()
+            .filter_map(|(node, _)| {
+                let delta = after.iter().find(|s| s.node == *node)?.gets_served
+                    - before.get(node).copied().unwrap_or(0);
+                (delta > 0).then_some(*node)
+            })
+            .collect();
+        served.len() >= 2
+    });
     assert!(
-        served.len() >= 2,
+        spread,
         "promotion did not spread reads: only {served:?} of {replicas:?} served gets"
     );
 

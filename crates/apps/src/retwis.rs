@@ -28,6 +28,7 @@ pub struct RetwisConfig {
     /// Followees per user (paper: 50).
     pub follows_per_user: usize,
     /// Zipf skew of the follow graph (paper: 1.5).
+    // lint: allow(L008): the benchmark's Retwis generator reads it to skew its user draws like the follow graph
     pub zipf: f64,
     /// Pre-populated tweets (paper: 5000).
     pub initial_tweets: usize,

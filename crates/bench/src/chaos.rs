@@ -702,7 +702,7 @@ fn ploss_value(i: usize) -> Bytes {
 /// ([`cloudburst_anna::AnnaCluster::power_loss`] drops every un-fsynced byte
 /// on every node), asserting zero acknowledged-write loss.
 ///
-/// Nodes run the default *batched* group commit
+/// Nodes run the default group-commit window
 /// (`NodeConfig::wal_sync_interval_ms`), so acks genuinely wait on the fsync
 /// tick — the storm would catch an engine that acknowledged before the WAL
 /// reached its durability point. `Durability::Off` in the profile is

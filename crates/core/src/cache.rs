@@ -58,6 +58,7 @@ pub enum CacheRequest {
 pub struct CacheConfig {
     /// How often the cache publishes its keyset snapshot to Anna, in paper
     /// milliseconds.
+    // lint: allow(L008): the benchmark asserts its zero-model config keeps this protocol cadence at the product default
     pub keyset_publish_interval_ms: f64,
     /// Maximum number of cached entries (LRU beyond this).
     pub max_entries: usize,

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cloudburst_anna::elastic::{ElasticConfig, ElasticHandle, ScaleTimeline};
+use cloudburst_anna::elastic::ScaleTimeline;
 use cloudburst_anna::metrics as mkeys;
 use cloudburst_anna::{AnnaClient, AnnaCluster, AnnaConfig};
 use cloudburst_net::{NetConfig, Network, Site};
@@ -55,14 +55,12 @@ pub struct CloudburstConfig {
     /// Cache parameters.
     pub cache: CacheConfig,
     /// Executor parameters.
+    // lint: allow(L008): the benchmark reads `executor.metrics_interval_ms` through it to pin that cadence at the default
     pub executor: ExecutorConfig,
     /// Scheduler parameters.
     pub scheduler: SchedulerConfig,
     /// Monitor/autoscaler parameters; `None` disables autoscaling.
     pub monitor: Option<MonitorConfig>,
-    /// Storage-tier elasticity parameters (closed-loop hot-key replication
-    /// + storage-node autoscaling); `None` disables the loop.
-    pub elastic: Option<ElasticConfig>,
     /// Anomaly trace sink (Table 2 experiments).
     pub trace: Option<TraceSink>,
 }
@@ -81,7 +79,6 @@ impl Default for CloudburstConfig {
             executor: ExecutorConfig::default(),
             scheduler: SchedulerConfig::default(),
             monitor: None,
-            elastic: None,
             trace: None,
         }
     }
@@ -267,8 +264,6 @@ pub struct CloudburstCluster {
     inner: Arc<ClusterInner>,
     schedulers: Vec<SchedulerHandle>,
     monitor: Option<MonitorHandle>,
-    elastic: Option<ElasticHandle>,
-    timeline: Arc<ScaleTimeline>,
     level: ConsistencyLevel,
 }
 
@@ -318,9 +313,6 @@ impl CloudburstCluster {
         for _ in 0..config.vms.max(1) {
             inner.spawn_vm();
         }
-        // Both tiers' scaling loops record into this one timeline, so the
-        // compute and storage series interleave in causal order.
-        let timeline = Arc::new(ScaleTimeline::new());
         let monitor = config.monitor.map(|mcfg| {
             MonitorHandle::spawn(
                 &runtime,
@@ -328,21 +320,16 @@ impl CloudburstCluster {
                 inner.anna_client(),
                 Arc::clone(&topology),
                 Arc::clone(&inner) as Arc<dyn ComputeScaler>,
-                Arc::clone(&timeline),
+                Arc::new(ScaleTimeline::new()),
                 mcfg,
             )
         });
-        let elastic = config
-            .elastic
-            .map(|ecfg| anna.spawn_elastic(ecfg, Arc::clone(&timeline)));
         Self {
             net,
             anna,
             inner,
             schedulers,
             monitor,
-            elastic,
-            timeline,
             level: config.level,
         }
     }
@@ -392,16 +379,6 @@ impl CloudburstCluster {
     /// The monitor handle (if autoscaling is enabled).
     pub fn monitor(&self) -> Option<&MonitorHandle> {
         self.monitor.as_ref()
-    }
-
-    /// The storage-tier elasticity engine (if enabled).
-    pub fn elastic(&self) -> Option<&ElasticHandle> {
-        self.elastic.as_ref()
-    }
-
-    /// The shared cross-tier autoscaling timeline.
-    pub fn scale_timeline(&self) -> Arc<ScaleTimeline> {
-        Arc::clone(&self.timeline)
     }
 
     /// The shared actor runtime both tiers run on.
@@ -479,9 +456,6 @@ impl CloudburstCluster {
     pub fn shutdown(&mut self) {
         if let Some(mut monitor) = self.monitor.take() {
             monitor.shutdown();
-        }
-        if let Some(mut elastic) = self.elastic.take() {
-            elastic.shutdown();
         }
         for scheduler in self.schedulers.drain(..) {
             let _ = self

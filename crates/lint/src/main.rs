@@ -2,7 +2,7 @@
 //!
 //! Run as `cargo run -p lint` (or `scripts/lint.sh`). Scans every `.rs`
 //! file in the product tree — `crates/` and the root `src/` — and enforces
-//! the seven rules documented in [`rules`]. `vendor/` and `target/` are
+//! the eight rules documented in [`rules`]. `vendor/` and `target/` are
 //! never scanned: the vendored stand-ins are third-party API surface, and
 //! the sanitizer inside `vendor/parking_lot` legitimately uses `std::sync`
 //! primitives to avoid recursing into itself.
@@ -28,7 +28,9 @@ use std::path::{Path, PathBuf};
 
 /// The rules the summary line reports escape counts for (every one, zero
 /// or not, so a count reaching zero stays visible).
-const RULES: [&str; 7] = ["L001", "L002", "L003", "L004", "L005", "L006", "L007"];
+const RULES: [&str; 8] = [
+    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008",
+];
 
 fn main() {
     let root = match workspace_root() {
@@ -160,8 +162,8 @@ fn run(root: &Path) -> Result<usize, String> {
         }
     }
 
-    // Report-only: knobs set nowhere but their declaration and `Default`
-    // impl, counting the callers outside the linted tree too.
+    // L008: knobs set nowhere but their declaration and `Default` impl,
+    // counting the callers outside the linted tree too.
     let mut callers = Vec::new();
     for dir in ["tests", "examples", "benchmark/src"] {
         collect_rs_files(&root.join(dir), &mut callers);
@@ -171,7 +173,7 @@ fn run(root: &Path) -> Result<usize, String> {
             std::fs::read_to_string(file).map_err(|e| format!("read {}: {e}", file.display()))?;
         knob_sets.extend(FileCtx::new(&file.to_string_lossy(), &src).knob_sets());
     }
-    let unvaried = never_varied(&config_fields, &knob_sets);
+    all.extend(l008_never_varied(&config_fields, &knob_sets));
 
     all.sort_by(|a, b| (&a.0, a.1.line, a.1.rule).cmp(&(&b.0, b.1.line, b.1.rule)));
     all.dedup();
@@ -185,27 +187,44 @@ fn run(root: &Path) -> Result<usize, String> {
         escape_summary(&escapes),
         all.len()
     );
-    println!(
-        "cb-lint: {} knob(s) never varied (report only): {}",
-        unvaried.len(),
-        unvaried.join(" ")
-    );
     Ok(all.len())
 }
 
-/// `Struct.field` for every config knob that no [`KnobSet`] sets, in
-/// declaration order.
-fn never_varied(fields: &[(String, ConfigField)], sets: &[KnobSet]) -> Vec<String> {
-    fields
-        .iter()
-        .filter(|(_, f)| {
-            !sets.iter().any(|s| match s {
-                KnobSet::Field(field) => *field == f.field,
-                KnobSet::Literal { strukt, field } => *strukt == f.strukt && *field == f.field,
-            })
-        })
-        .map(|(_, f)| format!("{}.{}", f.strukt, f.field))
-        .collect()
+/// L008: a knob that no [`KnobSet`] sets is a constant dressed as a knob,
+/// unless an escape on its declaration argues why it stays. An escape on a
+/// knob that *is* varied is stale and reported too, so the escaped set can
+/// only shrink.
+fn l008_never_varied(
+    fields: &[(String, ConfigField)],
+    sets: &[KnobSet],
+) -> Vec<(String, Violation)> {
+    let mut out = Vec::new();
+    for (rel, f) in fields {
+        let varied = sets.iter().any(|s| match s {
+            KnobSet::Field(field) => *field == f.field,
+            KnobSet::Literal { strukt, field } => *strukt == f.strukt && *field == f.field,
+        });
+        let msg = match (varied, f.escaped) {
+            (false, false) => format!(
+                "knob `{}.{}` is never set to a non-default value: delete or derive it",
+                f.strukt, f.field
+            ),
+            (true, true) => format!(
+                "knob `{}.{}` is varied; its L008 escape is stale",
+                f.strukt, f.field
+            ),
+            _ => continue,
+        };
+        out.push((
+            rel.clone(),
+            Violation {
+                line: f.line,
+                rule: "L008",
+                msg,
+            },
+        ));
+    }
+    out
 }
 
 /// `L001=0 L002=1 …`: escapes per rule, in rule order.
@@ -310,25 +329,37 @@ mod tests {
         escapes.insert("L003".into(), 28);
         assert_eq!(
             escape_summary(&escapes),
-            "L001=0 L002=0 L003=28 L004=0 L005=0 L006=0 L007=0"
+            "L001=0 L002=0 L003=28 L004=0 L005=0 L006=0 L007=0 L008=0"
         );
+    }
+
+    fn field(strukt: &str, field: &str, escaped: bool) -> (String, ConfigField) {
+        let f = ConfigField {
+            strukt: strukt.into(),
+            field: field.into(),
+            line: 1,
+            escaped,
+        };
+        ("crates/foo/src/lib.rs".into(), f)
+    }
+
+    fn flagged(violations: &[(String, Violation)]) -> Vec<&str> {
+        violations
+            .iter()
+            .map(|(_, v)| {
+                assert_eq!(v.rule, "L008");
+                v.msg.split('`').nth(1).unwrap_or_default()
+            })
+            .collect()
     }
 
     #[test]
     fn never_varied_lists_knobs_no_site_sets() {
-        let field = |strukt: &str, field: &str| {
-            let f = ConfigField {
-                strukt: strukt.into(),
-                field: field.into(),
-                line: 1,
-            };
-            (String::new(), f)
-        };
         let fields = [
-            field("FooConfig", "alpha"),
-            field("FooConfig", "beta"),
-            field("BarConfig", "alpha"),
-            field("BarConfig", "gamma"),
+            field("FooConfig", "alpha", false),
+            field("FooConfig", "beta", false),
+            field("BarConfig", "alpha", false),
+            field("BarConfig", "gamma", false),
         ];
         let sets = [
             KnobSet::Literal {
@@ -338,9 +369,28 @@ mod tests {
             KnobSet::Field("gamma".into()),
         ];
         assert_eq!(
-            never_varied(&fields, &sets),
+            flagged(&l008_never_varied(&fields, &sets)),
             ["FooConfig.beta", "BarConfig.alpha"]
         );
+    }
+
+    #[test]
+    fn l008_escape_keeps_an_unvaried_knob_and_goes_stale_once_varied() {
+        let fields = [
+            field("FooConfig", "kept", true),
+            field("FooConfig", "varied", true),
+        ];
+        let sets = [KnobSet::Field("varied".into())];
+        let v = l008_never_varied(&fields, &sets);
+        assert_eq!(flagged(&v), ["FooConfig.varied"]);
+        assert!(v[0].1.msg.contains("stale"));
+    }
+
+    #[test]
+    fn l008_is_clean_when_every_knob_is_varied() {
+        let fields = [field("FooConfig", "alpha", false)];
+        let sets = [KnobSet::Field("alpha".into())];
+        assert!(l008_never_varied(&fields, &sets).is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The seven cb-lint rules, as patterns over the [`crate::lexer`] stream.
+//! The eight cb-lint rules, as patterns over the [`crate::lexer`] stream.
 //!
 //! | rule | meaning |
 //! |------|---------|
@@ -9,6 +9,7 @@
 //! | L005 | no `.unwrap()`/`.expect(…)` on channel/lock results in non-test code |
 //! | L006 | no `thread::spawn`/`thread::Builder` outside `crates/runtime` and `crates/net` — actors run on the shared work-stealing pool |
 //! | L007 | no `unsafe` outside `crates/runtime`, and there only with a `// SAFETY:` comment on the line above |
+//! | L008 | every config knob is set to a non-default value somewhere (product, tests, examples or the benchmark); a knob nothing varies is a constant — delete or derive it |
 //!
 //! ## Escapes
 //!
@@ -42,12 +43,16 @@ pub struct Violation {
     pub msg: String,
 }
 
-/// A `pub` field of a `pub struct *Config`, for the cross-file L004 check.
+/// A `pub` field of a `pub struct *Config`, for the cross-file L004 and
+/// L008 checks.
 #[derive(Debug, Clone)]
 pub struct ConfigField {
     pub strukt: String,
     pub field: String,
     pub line: u32,
+    /// Whether an L008 escape argues the declaration (a knob kept although
+    /// nothing varies it).
+    pub escaped: bool,
 }
 
 /// A place a config knob is given a value other than its default (see
@@ -693,10 +698,12 @@ impl FileCtx {
                     && self.ct(j + 2).is_punct(':')
                     && !(j + 3 < close && self.ct(j + 3).is_punct(':'))
                 {
+                    let line = self.ct(j + 1).line;
                     out.push(ConfigField {
                         strukt: name_tok.text.clone(),
                         field: self.ct(j + 1).text.clone(),
-                        line: self.ct(j + 1).line,
+                        line,
+                        escaped: self.allowed("L008", line),
                     });
                 }
             }
@@ -711,9 +718,9 @@ impl FileCtx {
     /// `FooConfig { … }` literal — or a `Self { … }` literal in an `impl`
     /// of `FooConfig`.
     /// Literals inside `impl Default for FooConfig` are the declaration of
-    /// the defaults, not a variation, and are skipped. Report-only and
-    /// type-blind: an assignment through a field access marks that field
-    /// name on every Config struct.
+    /// the defaults, not a variation, and are skipped. Type-blind: an
+    /// assignment through a field access marks that field name on every
+    /// Config struct, so L008 can only under-report.
     pub fn knob_sets(&self) -> Vec<KnobSet> {
         let n = self.code_len();
         let impls = self.impl_blocks();
@@ -1221,6 +1228,25 @@ mod tests {
         let names: Vec<&str> = fields.iter().map(|f| f.field.as_str()).collect();
         assert_eq!(names, ["alpha", "gamma"]);
         assert!(fields.iter().all(|f| f.strukt == "FooConfig"));
+    }
+
+    #[test]
+    fn l004_fields_record_their_l008_escape() {
+        let c = ctx("pub struct FooConfig {\n\
+             /// Documented.\n\
+             // lint: allow(L008): read by an external harness\n\
+             pub alpha: u32,\n\
+             pub beta: u32,\n\
+             }");
+        let escaped: Vec<(String, bool)> = c
+            .l004_config_fields()
+            .into_iter()
+            .map(|f| (f.field, f.escaped))
+            .collect();
+        assert_eq!(
+            escaped,
+            [("alpha".to_string(), true), ("beta".to_string(), false)]
+        );
     }
 
     #[test]
