@@ -540,6 +540,59 @@ mod tests {
         assert_eq!(s2.len(), 4);
     }
 
+    /// Past the memory tier's budget most keys live only in the engine, whose
+    /// per-run filters answer membership approximately; reads, membership
+    /// and counts must still agree with what was written.
+    #[test]
+    fn disk_index_degrades_past_the_cap_and_stays_correct() {
+        // Tiny memory budget so almost everything spills.
+        let mut s = spilling(8);
+        for i in 0..8 {
+            s.merge(key(i), lww(1, b"xxxx")).unwrap();
+        }
+        assert!(s.disk_keys() >= 6, "crossing the budget spills to the engine");
+        assert_eq!(s.len(), 8);
+        for i in 0..8 {
+            assert!(s.peek(&key(i)).is_some());
+            assert_eq!(s.get(&key(i)).unwrap().0.read_value().as_ref(), b"xxxx");
+        }
+        assert!(s.peek(&key(99)).is_none());
+        assert!(s.get(&key(99)).is_none());
+        assert_eq!(s.entries().len(), 8);
+        for i in 0..6 {
+            assert!(s.delete(&key(i)));
+        }
+        assert!(!s.delete(&key(0)), "double delete reports absence");
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.entries().len(), 2);
+    }
+
+    /// Byte counts of engine-resident keys come from the engine, not from a
+    /// per-key index; they must stay exact through overwrites, deletes and a
+    /// reopen whose keyspace already lies mostly on disk.
+    #[test]
+    fn approximate_index_keeps_byte_accounting_exact() {
+        let env = FaultDisk::new();
+        let mut s = durable_store(env.clone(), 8);
+        for i in 0..5 {
+            s.merge(key(i), lww(1, b"xxxx")).unwrap();
+        }
+        assert!(s.disk_keys() >= 3);
+        assert_eq!(s.payload_bytes(), 20);
+        // Overwrite grows one value by 4 bytes.
+        s.merge(key(0), lww(2, b"yyyyyyyy")).unwrap();
+        assert_eq!(s.payload_bytes(), 24);
+        s.delete(&key(1));
+        assert_eq!(s.payload_bytes(), 20);
+        assert_eq!(s.len(), 4);
+        s.sync_wal().unwrap();
+        drop(s);
+        let s2 = durable_store(env, 8);
+        assert_eq!(s2.memory_keys(), 0, "reopen starts cold");
+        assert_eq!(s2.payload_bytes(), 20);
+        assert_eq!(s2.len(), 4);
+    }
+
     /// The store keeps only counters; membership, values and enumeration
     /// come from the engine. Across merges, deletes, flushes and a reopen
     /// they must agree with a plain map of what was written.
