@@ -64,12 +64,11 @@ pub struct AnnaConfig {
     pub durability: Durability,
     /// Per-node configuration.
     pub node: NodeConfig,
-    /// Fabric configuration — in particular the
-    /// [`NetConfig::deterministic`](cloudburst_net::NetConfig) /
-    /// `delivery_threads` runtime knobs. Consulted only by
-    /// [`AnnaCluster::launch_standalone`], which builds its own [`Network`];
-    /// [`AnnaCluster::launch`] joins an existing network and ignores this
-    /// field (the network's own config governs).
+    /// Fabric configuration (latency models, time scale, seed). Consulted
+    /// only by [`AnnaCluster::launch_standalone`], which builds its own
+    /// [`Network`] on the cluster's runtime; [`AnnaCluster::launch`] joins
+    /// an existing network and ignores this field (the network's own
+    /// config governs).
     pub net: NetConfig,
     /// Actor-runtime configuration — worker-pool size and the
     /// deterministic mode knob ([`cloudburst_runtime::RuntimeConfig`]). Consulted by
@@ -205,14 +204,17 @@ pub struct AnnaCluster {
 }
 
 impl AnnaCluster {
-    /// Build a [`Network`] from `config.net` and launch a cluster on it.
-    ///
-    /// This is the entry point that honors the `AnnaConfig::net` runtime
-    /// knobs (deterministic vs sharded delivery); use it for standalone
+    /// Build a runtime from `config.runtime` and a [`Network`] from
+    /// `config.net` that delivers on it, and launch a cluster on both: one
+    /// pool runs the storage nodes and the fabric. Use it for standalone
     /// storage benchmarks and harnesses that do not already own a network.
+    /// The cluster owns the runtime, so the returned network stops
+    /// delivering once the cluster shuts down.
     pub fn launch_standalone(config: AnnaConfig) -> (Network, Self) {
-        let net = Network::new(config.net);
-        let cluster = Self::launch(&net, config);
+        let runtime = Runtime::new(config.runtime);
+        let net = Network::on(&runtime, config.net);
+        let mut cluster = Self::launch_on(&net, &runtime, config);
+        cluster.owns_runtime = true;
         (net, cluster)
     }
 

@@ -550,7 +550,10 @@ mod tests {
         for i in 0..8 {
             s.merge(key(i), lww(1, b"xxxx")).unwrap();
         }
-        assert!(s.disk_keys() >= 6, "crossing the budget spills to the engine");
+        assert!(
+            s.disk_keys() >= 6,
+            "crossing the budget spills to the engine"
+        );
         assert_eq!(s.len(), 8);
         for i in 0..8 {
             assert!(s.peek(&key(i)).is_some());

@@ -1,5 +1,5 @@
-//! Run the parallel-scaling benchmark (sharded delivery runtime with N
-//! client threads vs deterministic single-threaded mode with 1) and record
+//! Run the parallel-scaling benchmark (pooled runtime with N client
+//! threads vs the deterministic single-worker runtime with 1) and record
 //! the results in `BENCH_parallel.json` (override the path with
 //! `CB_BENCH_OUT`). Pass `--quick` for the reduced-window profile used by
 //! the CI bench gate (`scripts/check_bench.sh`).
@@ -15,11 +15,11 @@ fn main() {
         ParallelProfile::default()
     };
     println!(
-        "parallel-scaling benchmark{} — {} nodes, {:.2} ms one-way RPC, {} delivery shards / {} client threads vs deterministic / 1, {} ms/side",
+        "parallel-scaling benchmark{} — {} nodes, {:.2} ms one-way RPC, {} runtime workers / {} client threads vs deterministic / 1, {} ms/side",
         if quick { " (quick)" } else { "" },
         profile.nodes,
         profile.rpc_ms,
-        profile.delivery_threads,
+        profile.workers,
         profile.client_threads,
         profile.measure.as_millis()
     );

@@ -40,7 +40,7 @@ use cloudburst::dag::DagSpec;
 use cloudburst::types::Arg;
 use cloudburst_anna::{AnnaCluster, AnnaConfig, Durability, ReplicationAudit};
 use cloudburst_lattice::{Capsule, Key};
-use cloudburst_net::{NetConfig, Network};
+use cloudburst_net::NetConfig;
 use cloudburst_runtime::{RuntimeConfig, RuntimeStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -433,14 +433,8 @@ fn post_value(user: usize, seq: usize) -> Bytes {
 /// Run the chaos scenario.
 pub fn run(profile: &ChaosProfile) -> ChaosReport {
     let config = CloudburstConfig {
-        // Deterministic single-threaded fabric: `--seed N` must replay the
-        // same op mix and victim schedule byte-for-byte. (Latency is zero
-        // here so deliveries are inline either way, but the knob pins the
-        // single RNG stripe and keeps replays safe if latency is ever added.)
-        net: NetConfig {
-            deterministic: true,
-            ..NetConfig::instant()
-        },
+        // Zero latency: every delivery runs inline on its sender.
+        net: NetConfig::instant(),
         anna: AnnaConfig {
             nodes: profile.storage_nodes,
             replication: profile.replication,
@@ -448,10 +442,11 @@ pub fn run(profile: &ChaosProfile) -> ChaosReport {
             durability: profile.durability,
             ..AnnaConfig::default()
         },
-        // Deterministic actor runtime for the same reason as the fabric:
-        // single-worker FIFO dispatch makes actor interleaving a pure
-        // function of enqueue order, so `--seed N` replays the whole storm
-        // — op mix, victim schedule, *and* ack outcomes — byte-for-byte.
+        // Deterministic runtime, which the fabric delivers on too:
+        // single-worker FIFO dispatch and one latency RNG stripe make actor
+        // interleaving a pure function of enqueue order, so `--seed N`
+        // replays the whole storm — op mix, victim schedule, *and* ack
+        // outcomes — byte-for-byte.
         runtime: RuntimeConfig::deterministic(),
         vms: profile.vms,
         executors_per_vm: profile.executors_per_vm,
@@ -708,27 +703,21 @@ fn ploss_value(i: usize) -> Bytes {
 /// reached its durability point. `Durability::Off` in the profile is
 /// promoted to `InMemory`: the scenario is meaningless without a disk.
 pub fn run_power_loss(profile: &ChaosProfile) -> PowerLossReport {
-    // Same reproducibility contract as `run`: single-threaded fabric.
-    let net = Network::new(NetConfig {
-        deterministic: true,
-        ..NetConfig::instant()
-    });
     let durability = match profile.durability {
         Durability::Off => Durability::InMemory,
         d => d,
     };
-    let cluster = AnnaCluster::launch(
-        &net,
-        AnnaConfig {
-            nodes: profile.storage_nodes,
-            replication: 1,
-            regions: profile.regions.max(1),
-            durability,
-            // Same replay contract as `run`: deterministic actor dispatch.
-            runtime: RuntimeConfig::deterministic(),
-            ..AnnaConfig::default()
-        },
-    );
+    let (_net, cluster) = AnnaCluster::launch_standalone(AnnaConfig {
+        nodes: profile.storage_nodes,
+        replication: 1,
+        regions: profile.regions.max(1),
+        durability,
+        net: NetConfig::instant(),
+        // Same replay contract as `run`: one deterministic runtime for the
+        // storage nodes and the fabric.
+        runtime: RuntimeConfig::deterministic(),
+        ..AnnaConfig::default()
+    });
     let client = cluster.client().with_timeout(Duration::from_secs(5));
 
     let mut rng = StdRng::seed_from_u64(profile.seed ^ 0x9077_E210);

@@ -113,8 +113,7 @@ impl Profile {
         TimeScale::new(self.scale)
     }
 
-    /// The intra-AZ network used by all benchmark clusters (parallel
-    /// delivery runtime; auto-sized dispatcher pool).
+    /// The intra-AZ network used by all benchmark clusters.
     pub fn net_config(&self, seed: u64) -> NetConfig {
         NetConfig {
             time_scale: self.time_scale(),
@@ -124,16 +123,6 @@ impl Profile {
             },
             seed,
             ..NetConfig::default()
-        }
-    }
-
-    /// Same topology as [`Profile::net_config`] forced into deterministic
-    /// single-threaded delivery — the reproducible replay configuration
-    /// used by the chaos harness and the parallel-scaling baseline.
-    pub fn deterministic_net_config(&self, seed: u64) -> NetConfig {
-        NetConfig {
-            deterministic: true,
-            ..self.net_config(seed)
         }
     }
 

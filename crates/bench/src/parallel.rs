@@ -1,12 +1,12 @@
-//! Parallel-scaling benchmark: the multi-threaded delivery runtime vs the
-//! deterministic single-threaded mode, on RPC-bound workloads.
+//! Parallel-scaling benchmark: a pooled actor runtime vs the deterministic
+//! single-worker mode, on RPC-bound workloads.
 //!
-//! Each bench runs the *same* workload twice. The **baseline** side uses
-//! `NetConfig { deterministic: true, .. }` (one delivery shard, one latency
-//! stripe — the byte-for-byte replayable configuration chaos `--seed` rests
-//! on) driven by a **single** client thread, so every injected RPC latency
-//! is paid sequentially. The **optimized** side uses the sharded runtime
-//! (`delivery_threads >= 4` dispatcher shards) driven by N client threads
+//! Each bench runs the *same* workload twice. The **baseline** side runs
+//! the cluster and its fabric on `RuntimeConfig::deterministic()` (one
+//! worker, one latency stripe — the byte-for-byte replayable configuration
+//! chaos `--seed` rests on) driven by a **single** client thread, so every
+//! injected RPC latency is paid sequentially. The **optimized** side runs
+//! them on a pooled runtime (`workers >= 4`) driven by N client threads
 //! issuing the same operations, so blocked round trips overlap.
 //!
 //! This is deliberately an *overlap* benchmark, not a CPU-parallelism
@@ -33,7 +33,8 @@ use cloudburst::types::{Arg, ConsistencyLevel};
 use cloudburst_anna::node::NodeConfig;
 use cloudburst_anna::{AnnaCluster, AnnaConfig};
 use cloudburst_lattice::{Capsule, Key};
-use cloudburst_net::{LatencyModel, NetConfig, Network, TimeScale};
+use cloudburst_net::{LatencyModel, NetConfig, TimeScale};
+use cloudburst_runtime::RuntimeConfig;
 
 use crate::harness::{geomean_speedup, GateRow};
 
@@ -51,9 +52,9 @@ pub struct ParallelProfile {
     pub payload: usize,
     /// Client threads on the optimized side (the baseline always uses 1).
     pub client_threads: usize,
-    /// Dispatcher shards on the optimized side (the acceptance criterion
+    /// Runtime workers on the optimized side (the acceptance criterion
     /// requires >= 4; the baseline's deterministic mode always uses 1).
-    pub delivery_threads: usize,
+    pub workers: usize,
     /// Injected one-way RPC latency, real milliseconds. Non-zero so round
     /// trips genuinely block — the thing the runtime overlaps.
     pub rpc_ms: f64,
@@ -73,7 +74,7 @@ impl Default for ParallelProfile {
             keys: 64,
             payload: 256,
             client_threads: 8,
-            delivery_threads: 4,
+            workers: 4,
             rpc_ms: 0.4,
             warmup: Duration::from_millis(300),
             measure: Duration::from_millis(1200),
@@ -94,28 +95,27 @@ impl ParallelProfile {
         }
     }
 
-    /// The deterministic single-threaded fabric the baseline side runs on.
-    pub fn baseline_net(&self) -> NetConfig {
+    /// The fabric both sides run: a constant `rpc_ms` hop in real time.
+    pub fn net(&self) -> NetConfig {
         NetConfig {
             time_scale: TimeScale::REAL_TIME,
             default_latency: LatencyModel::Constant { ms: self.rpc_ms },
             seed: self.seed,
-            ..NetConfig::deterministic(self.seed)
+            ..NetConfig::default()
         }
     }
 
-    /// The sharded parallel fabric the optimized side runs on.
-    pub fn parallel_net(&self) -> NetConfig {
-        NetConfig {
-            deterministic: false,
-            delivery_threads: self.delivery_threads,
-            ..self.baseline_net()
+    /// The pooled runtime the optimized side runs on.
+    pub fn pooled_runtime(&self) -> RuntimeConfig {
+        RuntimeConfig {
+            workers: self.workers,
+            ..RuntimeConfig::default()
         }
     }
 }
 
 /// The absolute aggregate floor the CI gate enforces (acceptance
-/// criterion: >= 1.5x with >= 4 delivery shards vs deterministic mode).
+/// criterion: >= 1.5x with >= 4 runtime workers vs deterministic mode).
 pub const MIN_AGGREGATE_SPEEDUP: f64 = 1.5;
 
 /// Drive `op(thread_index, op_index)` from `threads` closed-loop client
@@ -156,29 +156,28 @@ fn key_of(rank: usize) -> Key {
     Key::new(format!("par:{rank}"))
 }
 
-fn anna_cluster(profile: &ParallelProfile, net: &Network) -> AnnaCluster {
-    AnnaCluster::launch(
-        net,
-        AnnaConfig {
-            nodes: profile.nodes,
-            replication: profile.replication,
-            durability: cloudburst_anna::Durability::Off,
-            node: NodeConfig::default(),
-            ..AnnaConfig::default()
-        },
-    )
+fn anna_cluster(profile: &ParallelProfile, runtime: RuntimeConfig) -> AnnaCluster {
+    let (_net, cluster) = AnnaCluster::launch_standalone(AnnaConfig {
+        nodes: profile.nodes,
+        replication: profile.replication,
+        durability: cloudburst_anna::Durability::Off,
+        node: NodeConfig::default(),
+        net: profile.net(),
+        runtime,
+        ..AnnaConfig::default()
+    });
+    cluster
 }
 
-/// One side of a storage bench: launch a cluster on `net`, preload the
-/// keyspace, then run the closed-loop clients.
+/// One side of a storage bench: launch a cluster and its fabric on
+/// `runtime`, preload the keyspace, then run the closed-loop clients.
 fn run_storage_side(
     profile: &ParallelProfile,
-    net_config: NetConfig,
+    runtime: RuntimeConfig,
     threads: usize,
     op: impl Fn(&cloudburst_anna::AnnaClient, &ParallelProfile, usize, u64) + Sync,
 ) -> f64 {
-    let net = Network::new(net_config);
-    let cluster = anna_cluster(profile, &net);
+    let cluster = anna_cluster(profile, runtime);
     let loader = cluster.client();
     let value = Bytes::from(vec![7u8; profile.payload]);
     for rank in 0..profile.keys {
@@ -200,13 +199,18 @@ pub fn bench_fetch(profile: &ParallelProfile) -> GateRow {
         let key = key_of(((t as u64 + i) % p.keys as u64) as usize);
         client.get(&key).expect("get").expect("preloaded");
     };
-    let baseline = run_storage_side(profile, profile.baseline_net(), 1, op);
-    let optimized = run_storage_side(profile, profile.parallel_net(), profile.client_threads, op);
+    let baseline = run_storage_side(profile, RuntimeConfig::deterministic(), 1, op);
+    let optimized = run_storage_side(
+        profile,
+        profile.pooled_runtime(),
+        profile.client_threads,
+        op,
+    );
     GateRow::throughput(
         "parallel_fetch",
         format!(
-            "closed-loop get round trips ({} nodes, {:.2} ms one-way): deterministic/1 client vs {} shards/{} clients",
-            profile.nodes, profile.rpc_ms, profile.delivery_threads, profile.client_threads
+            "closed-loop get round trips ({} nodes, {:.2} ms one-way): deterministic/1 client vs {} workers/{} clients",
+            profile.nodes, profile.rpc_ms, profile.workers, profile.client_threads
         ),
         baseline,
         optimized,
@@ -227,13 +231,18 @@ pub fn bench_replicated_put(profile: &ParallelProfile) -> GateRow {
             .put_replicated(&key, capsule, p.replication)
             .expect("quorum put");
     };
-    let baseline = run_storage_side(profile, profile.baseline_net(), 1, op);
-    let optimized = run_storage_side(profile, profile.parallel_net(), profile.client_threads, op);
+    let baseline = run_storage_side(profile, RuntimeConfig::deterministic(), 1, op);
+    let optimized = run_storage_side(
+        profile,
+        profile.pooled_runtime(),
+        profile.client_threads,
+        op,
+    );
     GateRow::throughput(
         "parallel_replicated_put",
         format!(
-            "blocking quorum puts (min_acks {}): deterministic/1 client vs {} shards/{} clients",
-            profile.replication, profile.delivery_threads, profile.client_threads
+            "blocking quorum puts (min_acks {}): deterministic/1 client vs {} workers/{} clients",
+            profile.replication, profile.workers, profile.client_threads
         ),
         baseline,
         optimized,
@@ -241,9 +250,10 @@ pub fn bench_replicated_put(profile: &ParallelProfile) -> GateRow {
     )
 }
 
-fn run_dag_side(profile: &ParallelProfile, net_config: NetConfig, threads: usize) -> f64 {
+fn run_dag_side(profile: &ParallelProfile, runtime: RuntimeConfig, threads: usize) -> f64 {
     let cluster = CloudburstCluster::launch(CloudburstConfig {
-        net: net_config,
+        net: profile.net(),
+        runtime,
         anna: AnnaConfig {
             nodes: profile.nodes,
             replication: 1,
@@ -292,13 +302,13 @@ fn dag_args(x: i64) -> HashMap<usize, Vec<Arg>> {
 /// End-to-end `call_dag` on a two-function chain: client -> scheduler ->
 /// executor -> executor -> client, every hop an injected latency.
 pub fn bench_dag(profile: &ParallelProfile) -> GateRow {
-    let baseline = run_dag_side(profile, profile.baseline_net(), 1);
-    let optimized = run_dag_side(profile, profile.parallel_net(), profile.client_threads);
+    let baseline = run_dag_side(profile, RuntimeConfig::deterministic(), 1);
+    let optimized = run_dag_side(profile, profile.pooled_runtime(), profile.client_threads);
     GateRow::throughput(
         "parallel_dag",
         format!(
-            "call_dag on a 2-function chain: deterministic/1 client vs {} shards/{} clients",
-            profile.delivery_threads, profile.client_threads
+            "call_dag on a 2-function chain: deterministic/1 client vs {} workers/{} clients",
+            profile.workers, profile.client_threads
         ),
         baseline,
         optimized,
@@ -322,9 +332,9 @@ fn aggregate_row(profile: &ParallelProfile, rows: &[GateRow]) -> GateRow {
     GateRow::throughput(
         "parallel_aggregate",
         format!(
-            "geometric mean of {} RPC-bound scaling ratios ({} delivery shards, {} client threads vs deterministic mode)",
+            "geometric mean of {} RPC-bound scaling ratios ({} runtime workers, {} client threads vs deterministic mode)",
             rows.len(),
-            profile.delivery_threads,
+            profile.workers,
             profile.client_threads
         ),
         1.0,
@@ -341,7 +351,7 @@ pub fn gate_meta(profile: &ParallelProfile) -> Vec<(&'static str, String)> {
         ("keys", profile.keys.to_string()),
         ("payload_bytes", profile.payload.to_string()),
         ("client_threads", profile.client_threads.to_string()),
-        ("delivery_threads", profile.delivery_threads.to_string()),
+        ("workers", profile.workers.to_string()),
         ("rpc_ms", profile.rpc_ms.to_string()),
         ("measure_ms", profile.measure.as_millis().to_string()),
     ]
@@ -368,7 +378,7 @@ mod tests {
         assert_eq!(row.name, "parallel_fetch");
         assert!(row.baseline > 0.0);
         assert!(row.optimized > 0.0);
-        assert!(gate_meta(&profile).contains(&("delivery_threads", "4".to_string())));
+        assert!(gate_meta(&profile).contains(&("workers", "4".to_string())));
     }
 
     #[test]

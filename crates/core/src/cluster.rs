@@ -29,10 +29,9 @@ use crate::types::{ConsistencyLevel, VmId};
 /// Full-cluster configuration.
 #[derive(Debug, Clone)]
 pub struct CloudburstConfig {
-    /// Simulated-network parameters, including the delivery-runtime knobs:
-    /// `net.deterministic` pins the whole cluster's fabric to the
-    /// single-threaded replayable mode, `net.delivery_threads` sizes the
-    /// sharded dispatcher pool otherwise.
+    /// Simulated-network parameters (latency models, time scale, seed).
+    /// The fabric delivers on the cluster's one runtime (`runtime` below),
+    /// so a deterministic runtime makes the fabric replayable too.
     pub net: NetConfig,
     /// Anna storage-tier parameters. `anna.net` is ignored here — the
     /// cluster's single fabric is built from `net` above. `anna.runtime` is
@@ -270,11 +269,12 @@ pub struct CloudburstCluster {
 impl CloudburstCluster {
     /// Launch a cluster.
     pub fn launch(config: CloudburstConfig) -> Self {
-        let net = Network::new(config.net);
-        // One pool for both tiers: storage nodes, executors, cache servers,
-        // and schedulers all share these workers, so total thread count is
-        // bounded by the pool size, not by actor count.
+        // One pool for both tiers and the fabric: storage nodes, executors,
+        // cache servers, schedulers and every delayed delivery share these
+        // workers, so total thread count is bounded by the pool size, not
+        // by actor count.
         let runtime = ActorRuntime::new(config.runtime);
+        let net = Network::on(&runtime, config.net);
         let anna = Arc::new(AnnaCluster::launch_on(&net, &runtime, config.anna));
         let topology = Arc::new(Topology::new());
         let registry = FunctionRegistry::new();

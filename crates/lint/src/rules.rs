@@ -7,7 +7,7 @@
 //! | L003 | no wall-clock / entropy calls (`Instant::now`, `SystemTime::now`, `thread_rng`, …) outside tests and the bench harness |
 //! | L004 | every `pub` field of every `pub struct *Config` appears in ARCHITECTURE.md's per-knob index |
 //! | L005 | no `.unwrap()`/`.expect(…)` on channel/lock results in non-test code |
-//! | L006 | no `thread::spawn`/`thread::Builder` outside `crates/runtime` and `crates/net` — actors run on the shared work-stealing pool |
+//! | L006 | no `thread::spawn`/`thread::Builder` outside `crates/runtime` — actors and fabric deliveries run on the shared work-stealing pool |
 //! | L007 | no `unsafe` outside `crates/runtime`, and there only with a `// SAFETY:` comment on the line above |
 //! | L008 | every config knob is set to a non-default value somewhere (product, tests, examples or the benchmark); a knob nothing varies is a constant — delete or derive it |
 //!
@@ -29,8 +29,8 @@
 //! L002/L003/L005/L006; `crates/bench` for L003 and L006 (it is the
 //! measurement harness: wall clocks are its subject matter, and its load
 //! drivers model external clients that by definition live off the pool);
-//! and `crates/runtime` + `crates/net` for L006 (they *are* the thread
-//! layer everything else is forbidden from reimplementing).
+//! and `crates/runtime` for L006 (it *is* the thread layer everything else
+//! is forbidden from reimplementing).
 
 use crate::lexer::{lex, Kind, Tok};
 use std::collections::{BTreeMap, BTreeSet};
@@ -76,7 +76,7 @@ struct ImplBlock {
 
 /// Everything the per-file rules need, computed once per file.
 pub struct FileCtx {
-    /// Repo-relative path with forward slashes (`crates/net/src/delay.rs`).
+    /// Repo-relative path with forward slashes (`crates/net/src/transport.rs`).
     pub path: String,
     toks: Vec<Tok>,
     /// Indices into `toks` of non-comment tokens.
@@ -951,17 +951,14 @@ impl FileCtx {
     /// which is what keeps actor count decoupled from thread count — a
     /// stray `thread::spawn` reintroduces exactly the thread-per-actor
     /// scaling wall the runtime exists to remove. Structurally exempt:
-    /// `crates/runtime` (the pool itself), `crates/net` (the delivery
-    /// runtime under the pool), `crates/bench` (load drivers model
+    /// `crates/runtime` (the pool itself, whose timer heap also carries
+    /// the fabric's deliveries), `crates/bench` (load drivers model
     /// external clients), and test code. Nothing else can argue its way
     /// out: an L006 escape is reported as a violation of its own, and does
     /// not suppress the spawn it sits on.
     pub fn l006_thread_spawns(&self) -> Vec<Violation> {
         let mut out = Vec::new();
-        if self.path.starts_with("crates/runtime/")
-            || self.path.starts_with("crates/net/")
-            || self.is_bench_crate()
-        {
+        if self.path.starts_with("crates/runtime/") || self.is_bench_crate() {
             return out;
         }
         for (rule, line) in &self.escapes {
@@ -1336,19 +1333,29 @@ mod tests {
     }
 
     #[test]
-    fn l006_exempts_runtime_net_bench_and_tests() {
+    fn l006_exempts_runtime_bench_and_tests() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         for path in [
             "crates/runtime/src/lib.rs",
-            "crates/net/src/transport.rs",
             "crates/bench/src/fig7.rs",
             "crates/anna/tests/cluster.rs",
+            "crates/net/tests/parallel_delivery.rs",
         ] {
             let c = FileCtx::new(path, src);
             assert!(c.l006_thread_spawns().is_empty(), "{path} must be exempt");
         }
         let c = ctx("#[cfg(test)]\nmod tests {\n fn f() { std::thread::spawn(|| {}); }\n}");
         assert!(c.l006_thread_spawns().is_empty());
+    }
+
+    #[test]
+    fn l006_flags_spawns_in_the_fabric() {
+        // The fabric delivers on the runtime's timer heap; it owns no
+        // threads of its own any more.
+        let src = "fn f() { std::thread::Builder::new().spawn(|| {}).unwrap(); }";
+        let v = FileCtx::new("crates/net/src/transport.rs", src).l006_thread_spawns();
+        assert_eq!(v.len(), 1);
+        assert!(v[0].msg.contains("thread::Builder"));
     }
 
     #[test]
@@ -1379,7 +1386,7 @@ mod tests {
     fn l007_flags_unsafe_outside_runtime_even_in_tests() {
         let src = "fn f() {\n// SAFETY: argued, but in the wrong crate\nunsafe { g() }\n}";
         for path in [
-            "crates/net/src/delay.rs",
+            "crates/net/src/transport.rs",
             "crates/core/src/cache.rs",
             "crates/anna/tests/cluster.rs",
         ] {

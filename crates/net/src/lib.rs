@@ -4,18 +4,22 @@
 //! function-executor VMs, schedulers, and clients exchange messages over TCP
 //! within one availability zone. This crate replaces that fabric with an
 //! **in-process message-passing network**: every logical node registers an
-//! [`Endpoint`] on a [`Network`], and sends are delivered through a
-//! [`DelayQueue`] that injects per-message latency drawn from configurable
+//! [`Endpoint`] on a [`Network`], and every send is a one-shot task on an
+//! actor runtime's timer heap (`cloudburst_runtime::Runtime::run_after`)
+//! that delivers after a per-message latency drawn from configurable
 //! [`LatencyModel`]s.
 //!
 //! Design points:
 //!
-//! * **Multi-core delivery** — the [`DelayQueue`] is sharded: each shard owns
-//!   a dispatcher thread, and deliveries are pinned to `destination % shards`
-//!   so per-destination FIFO survives sharding. [`NetConfig::deterministic`]
-//!   collapses the fabric to one shard and one latency RNG for byte-for-byte
-//!   `--seed` replay (chaos / power-loss harnesses);
-//!   `CB_DETERMINISTIC=1` forces that mode process-wide.
+//! * **One timer heap** — deliveries and replies ride the same runtime
+//!   heap that drives every actor cadence. [`Network::on`] shares a
+//!   deployment's runtime; [`Network::new`] builds a private one. Due
+//!   tasks run in `(deadline, arm order)`, one at a time, so per-destination
+//!   FIFO holds at constant latency on a multi-worker pool. On a
+//!   deterministic runtime (`RuntimeConfig::deterministic()` or
+//!   `CB_DETERMINISTIC=1`, read only by the runtime) the network draws from
+//!   one latency RNG and delivers in one global order, for byte-for-byte
+//!   `--seed` replay (chaos / power-loss harnesses).
 //! * **Faithful asynchrony** — delivery is asynchronous and (for non-constant
 //!   models) may reorder messages between different sender/receiver pairs,
 //!   exactly like independent TCP connections.
@@ -40,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod delay;
 pub mod latency;
 pub mod region;
 pub mod shardmap;
@@ -48,7 +51,6 @@ pub mod time;
 pub mod transport;
 
 pub use batch::{Batch, Batches};
-pub use delay::DelayQueue;
 pub use latency::LatencyModel;
 pub use region::{LinkTier, Site, TieredLatency};
 pub use shardmap::ShardedReadMap;

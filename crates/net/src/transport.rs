@@ -8,12 +8,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use cloudburst_runtime::{Runtime, RuntimeConfig};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::delay::DelayQueue;
 use crate::latency::LatencyModel;
 use crate::region::{LinkTier, Site, TieredLatency};
 use crate::shardmap::ShardedReadMap;
@@ -114,17 +114,12 @@ impl fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// Configuration for a [`Network`].
-///
-/// The two runtime knobs — [`NetConfig::deterministic`] and
-/// [`NetConfig::delivery_threads`] — pick between the reproducible
-/// single-threaded fabric (one dispatcher, one latency RNG: byte-for-byte
-/// replayable for a given seed) and the sharded multi-threaded runtime
-/// (deliveries pinned to `dest % shards`, per-thread RNG stripes). The
-/// `CB_DETERMINISTIC=1` environment variable
-/// ([`cloudburst_runtime::env_deterministic`]) forces the deterministic
-/// mode process-wide; it can never be overridden *into* parallel mode when
-/// a config asked for determinism, so chaos `--seed` replays stay safe.
+/// Configuration for a [`Network`]: latency models, their time base and
+/// seed. How deliveries run is the runtime's business: a network on a
+/// deterministic [`Runtime`] (`RuntimeConfig::deterministic()`, or any
+/// runtime under `CB_DETERMINISTIC=1`) draws every latency from one RNG
+/// stripe and delivers in one global order, replayable byte-for-byte for
+/// a given seed.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// Wall-clock compression applied to all injected latencies.
@@ -132,19 +127,9 @@ pub struct NetConfig {
     /// Latency applied to every message unless overridden per send.
     /// Default: an intra-AZ TCP hop (0.2 ms median, 1 ms p99).
     pub default_latency: LatencyModel,
-    /// Seed for the network's latency-sampling RNG. In parallel mode each
-    /// RNG stripe is seeded from this value plus its stripe index.
+    /// Seed for the network's latency-sampling RNG. Each RNG stripe (one
+    /// per runtime worker) is seeded from this value plus its index.
     pub seed: u64,
-    /// Force the single-threaded deterministic fabric: one delivery
-    /// dispatcher, one latency RNG, global FIFO among equal deadlines.
-    /// Required for byte-for-byte `--seed` replay (chaos, power-loss,
-    /// fault-injection tests). When `false`, delivery runs on the sharded
-    /// multi-threaded runtime.
-    pub deterministic: bool,
-    /// Delivery dispatcher threads for the parallel runtime; `0` picks
-    /// `available_parallelism().clamp(2, 8)`. Ignored (forced to 1) when
-    /// `deterministic` is set.
-    pub delivery_threads: usize,
     /// Multi-region latency tiers. `None` (the default) keeps the flat
     /// network: every hop draws from `default_latency` regardless of where
     /// the endpoints registered. `Some` classifies each send by the sender
@@ -163,8 +148,6 @@ impl Default for NetConfig {
                 p99_ms: 1.0,
             },
             seed: 0xC10D_B075,
-            deterministic: false,
-            delivery_threads: 0,
             tiers: None,
         }
     }
@@ -173,7 +156,7 @@ impl Default for NetConfig {
 impl NetConfig {
     /// A zero-latency, real-time network — useful for unit tests that only
     /// exercise logic, not timing. Zero-delay deliveries run inline on the
-    /// sender, so the delivery pool is idle in this configuration.
+    /// sender, so the runtime's timer heap is idle in this configuration.
     pub fn instant() -> Self {
         Self {
             time_scale: TimeScale::REAL_TIME,
@@ -182,39 +165,13 @@ impl NetConfig {
             ..Self::default()
         }
     }
-
-    /// The default topology forced into deterministic single-threaded mode
-    /// with the given latency seed: replayable byte-for-byte, at the cost
-    /// of serializing all delayed deliveries through one dispatcher.
-    pub fn deterministic(seed: u64) -> Self {
-        Self {
-            seed,
-            deterministic: true,
-            ..Self::default()
-        }
-    }
-}
-
-/// How many delivery shards a config resolves to, after the environment
-/// override. Exposed so harnesses can report the mode they actually ran in.
-fn resolve_delivery_shards(config: &NetConfig) -> usize {
-    if config.deterministic || cloudburst_runtime::env_deterministic() {
-        return 1;
-    }
-    if config.delivery_threads > 0 {
-        return config.delivery_threads;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(2, 8)
 }
 
 /// The per-endpoint delivery route: the mailbox sender plus an optional
 /// wakeup hook invoked after each successful delivery. The hook is how a
 /// pooled actor (see `cloudburst-runtime`) learns a message arrived without
-/// parking an OS thread in `recv()` — the delivery dispatcher calls it,
-/// which enqueues the actor for a poll.
+/// parking an OS thread in `recv()` — the delivery task calls it, which
+/// enqueues the actor for a poll.
 #[derive(Clone)]
 struct Route {
     tx: Sender<Envelope>,
@@ -223,7 +180,12 @@ struct Route {
 
 struct Inner {
     config: NetConfig,
-    delay: DelayQueue,
+    /// Every delayed delivery and reply is a one-shot task on this
+    /// runtime's timer heap ([`Runtime::run_after`]).
+    runtime: Runtime,
+    /// Whether `runtime` is private to this network ([`Network::new`]) and
+    /// shuts down with it.
+    owns_runtime: bool,
     /// Endpoint table, consulted on every send; lock-striped because it is
     /// read-mostly and a single `RwLock<HashMap>` serialized all senders.
     // lock-rank: 80 net-endpoints
@@ -245,10 +207,10 @@ struct Inner {
     down_count: AtomicUsize,
     partition_count: AtomicUsize,
     next_addr: AtomicU64,
-    /// Latency-sampling RNG stripes. Deterministic mode has exactly one
-    /// (the global sample order IS the replayable sequence); parallel mode
-    /// has one per delivery shard, each thread pinned to a stripe, so
-    /// sampling never convoys senders on a single mutex.
+    /// Latency-sampling RNG stripes, one per runtime worker, each thread
+    /// pinned to a stripe, so sampling never convoys senders on a single
+    /// mutex. A deterministic runtime gives exactly one: the global sample
+    /// order is the replayable sequence.
     // lock-rank: 86 net-rng
     rngs: Box<[Mutex<StdRng>]>,
 }
@@ -275,6 +237,16 @@ impl Inner {
     }
 }
 
+impl Drop for Inner {
+    fn drop(&mut self) {
+        // The last handle can drop inside one of this network's own
+        // deliveries; `shutdown` never joins the thread it runs on.
+        if self.owns_runtime {
+            self.runtime.shutdown();
+        }
+    }
+}
+
 /// The simulated cluster network. Cheap to clone; all clones share state.
 #[derive(Clone)]
 pub struct Network {
@@ -282,13 +254,25 @@ pub struct Network {
 }
 
 impl Network {
-    /// Create a network with the given configuration.
+    /// Create a network with the given configuration, delivering on a
+    /// private runtime ([`RuntimeConfig::default`]) that shuts down when
+    /// the last handle drops.
     pub fn new(config: NetConfig) -> Self {
-        let shards = resolve_delivery_shards(&config);
-        let rngs: Box<[Mutex<StdRng>]> = (0..shards)
+        Self::build(Runtime::new(RuntimeConfig::default()), true, config)
+    }
+
+    /// Create a network that delivers on `runtime`, so a deployment runs
+    /// its actors and its fabric on one pool. The caller shuts the runtime
+    /// down; deliveries still pending then are dropped.
+    pub fn on(runtime: &Runtime, config: NetConfig) -> Self {
+        Self::build(runtime.clone(), false, config)
+    }
+
+    fn build(runtime: Runtime, owns_runtime: bool, config: NetConfig) -> Self {
+        let rngs: Box<[Mutex<StdRng>]> = (0..runtime.stats().workers)
             .map(|i| {
-                // Stripe 0 uses the raw seed so single-stripe (deterministic)
-                // mode reproduces the historical sample sequence exactly.
+                // Stripe 0 uses the raw seed, so a single-stripe network
+                // reproduces the historical sample sequence exactly.
                 let seed = config
                     .seed
                     .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -298,7 +282,8 @@ impl Network {
         Self {
             inner: Arc::new(Inner {
                 config,
-                delay: DelayQueue::with_shards(shards),
+                runtime,
+                owns_runtime,
                 endpoints: ShardedReadMap::ranked(80, "net-endpoints"),
                 down: RwLock::ranked(82, "net-down", HashSet::new()),
                 partitions: RwLock::ranked(84, "net-partitions", HashSet::new()),
@@ -314,19 +299,6 @@ impl Network {
     /// The network's time scale.
     pub fn time_scale(&self) -> TimeScale {
         self.inner.config.time_scale
-    }
-
-    /// Number of delivery dispatcher shards actually running (1 in
-    /// deterministic mode, after the `CB_DETERMINISTIC` override).
-    pub fn delivery_shards(&self) -> usize {
-        self.inner.delay.shards()
-    }
-
-    /// Whether this network resolved to the deterministic single-threaded
-    /// fabric (either via [`NetConfig::deterministic`] or the
-    /// `CB_DETERMINISTIC=1` environment override).
-    pub fn is_deterministic(&self) -> bool {
-        self.inner.delay.shards() == 1
     }
 
     /// Register a new endpoint and return its receiving half. The endpoint
@@ -423,10 +395,9 @@ impl Network {
             from,
             payload: Box::new(payload),
         };
-        // Deliveries are keyed by destination: every message to one receiver
-        // rides the same dispatcher shard, preserving per-destination FIFO
-        // among equal deadlines even with many shards running.
-        self.inner.delay.schedule_keyed(to.0, delay, move || {
+        // The runtime runs due tasks in (deadline, arm order), one at a
+        // time, so a constant-latency stream to one receiver stays FIFO.
+        self.inner.runtime.run_after(delay, move || {
             // Re-check liveness at delivery time: a message in flight to a
             // node that dies is lost, as on a real network.
             if inner.down_count.load(Ordering::Acquire) != 0 && inner.down.read().contains(&to.0) {
@@ -728,19 +699,14 @@ impl<R: Send + 'static> ReplyHandle<R> {
             .latency
             .unwrap_or(self.net.inner.config.default_latency);
         let delay = self.net.sample(model) + extra;
+        let runtime = &self.net.inner.runtime;
         match self.sink {
-            ReplySink::Plain(tx) => {
-                self.net.inner.delay.schedule(delay, move || {
-                    let _ = tx.send(response);
-                });
-            }
-            ReplySink::Tagged(tagged) => {
-                // If the scheduled delivery never runs (delay queue torn
-                // down), the guard's Drop still reports the loss.
-                self.net.inner.delay.schedule(delay, move || {
-                    tagged.send(response);
-                });
-            }
+            ReplySink::Plain(tx) => runtime.run_after(delay, move || {
+                let _ = tx.send(response);
+            }),
+            // If the delivery never runs (the runtime shut down first), the
+            // guard's Drop still reports the loss.
+            ReplySink::Tagged(tagged) => runtime.run_after(delay, move || tagged.send(response)),
         }
     }
 }
@@ -1159,20 +1125,36 @@ mod tests {
         );
     }
 
+    /// A network on a deterministic runtime, seeded with `seed`.
+    fn deterministic_net(seed: u64, tiers: Option<TieredLatency>) -> (Runtime, Network) {
+        let runtime = Runtime::new(RuntimeConfig::deterministic());
+        let net = Network::on(
+            &runtime,
+            NetConfig {
+                seed,
+                tiers,
+                ..NetConfig::default()
+            },
+        );
+        (runtime, net)
+    }
+
     #[test]
     fn deterministic_mode_is_single_shard_and_replayable() {
+        // A deterministic runtime gives the network one RNG stripe.
         let sample_run = |seed: u64| -> Vec<Duration> {
-            let net = Network::new(NetConfig::deterministic(seed));
-            assert!(net.is_deterministic());
-            assert_eq!(net.delivery_shards(), 1);
-            (0..64)
+            let (runtime, net) = deterministic_net(seed, None);
+            assert_eq!(net.inner.rngs.len(), 1);
+            let samples = (0..64)
                 .map(|_| {
                     net.sample(LatencyModel::LogNormal {
                         median_ms: 0.2,
                         p99_ms: 1.0,
                     })
                 })
-                .collect()
+                .collect();
+            runtime.shutdown();
+            samples
         };
         assert_eq!(
             sample_run(7),
@@ -1184,24 +1166,76 @@ mod tests {
 
     #[test]
     fn parallel_mode_runs_multiple_shards() {
-        let net = Network::new(NetConfig {
-            delivery_threads: 4,
-            ..NetConfig::default()
+        // The RNG stripes follow the runtime's workers: four on a
+        // four-worker pool, one once `CB_DETERMINISTIC=1` collapses it.
+        let runtime = Runtime::new(RuntimeConfig {
+            workers: 4,
+            ..RuntimeConfig::default()
         });
-        if cloudburst_runtime::env_deterministic() {
-            // The CI deterministic pass sets CB_DETERMINISTIC=1, which must
-            // win over any parallel request.
-            assert_eq!(net.delivery_shards(), 1);
-            return;
+        let net = Network::on(&runtime, NetConfig::default());
+        let stripes = match runtime.mode() {
+            cloudburst_runtime::RuntimeMode::Deterministic => 1,
+            _ => 4,
+        };
+        assert_eq!(net.inner.rngs.len(), stripes);
+        runtime.shutdown();
+        let (det, net) = deterministic_net(0, None);
+        assert_eq!(net.inner.rngs.len(), 1);
+        det.shutdown();
+    }
+
+    #[test]
+    fn network_dropped_right_after_construction_never_hangs() {
+        // `Network::new` starts a private runtime and its drop shuts it
+        // down. Each iteration reports over a channel, so a hang fails the
+        // watchdog below instead of stalling the suite.
+        const ITERATIONS: u32 = 500;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            for i in 0..ITERATIONS {
+                drop(Network::new(NetConfig::instant()));
+                if tx.send(i).is_err() {
+                    return;
+                }
+            }
+        });
+        for i in 0..ITERATIONS {
+            let done = rx.recv_timeout(Duration::from_secs(30));
+            assert_eq!(done, Ok(i), "dropping a network hung at iteration {i}");
         }
-        assert_eq!(net.delivery_shards(), 4);
-        // An explicitly deterministic config wins over the thread count.
-        let det = Network::new(NetConfig {
-            delivery_threads: 4,
-            deterministic: true,
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn last_handle_dropped_inside_its_own_delivery_still_shuts_down() {
+        let net = Network::new(NetConfig {
+            time_scale: TimeScale::REAL_TIME,
+            default_latency: LatencyModel::Constant { ms: 5.0 },
+            seed: 1,
             ..NetConfig::default()
         });
-        assert_eq!(det.delivery_shards(), 1);
+        let runtime = net.inner.runtime.clone();
+        let a = net.register();
+        let b = net.register();
+        a.send(b.addr(), 1u8).unwrap();
+        // The in-flight delivery now holds the network's last handle; it
+        // drops it on a pool thread of the network's own runtime.
+        drop((a, b, net));
+        // A shut-down runtime drops a new task at once, unrun.
+        let start = Instant::now();
+        loop {
+            let probe = Arc::new(());
+            let held = Arc::clone(&probe);
+            runtime.run_after(Duration::from_secs(60), move || drop(held));
+            if Arc::strong_count(&probe) == 1 {
+                break;
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "the private runtime never shut down"
+            );
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -1265,17 +1299,15 @@ mod tests {
     #[test]
     fn tiered_deterministic_mode_is_replayable() {
         let run = |seed: u64| -> Vec<Duration> {
-            let net = Network::new(NetConfig {
-                tiers: Some(TieredLatency::default()),
-                ..NetConfig::deterministic(seed)
-            });
-            assert!(net.is_deterministic());
+            let (runtime, net) = deterministic_net(seed, Some(TieredLatency::default()));
             let models = [
                 TieredLatency::default().intra_zone,
                 TieredLatency::default().wan,
                 TieredLatency::default().inter_zone,
             ];
-            (0..48).map(|i| net.sample(models[i % 3])).collect()
+            let samples = (0..48).map(|i| net.sample(models[i % 3])).collect();
+            runtime.shutdown();
+            samples
         };
         assert_eq!(
             run(11),

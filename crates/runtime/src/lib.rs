@@ -17,21 +17,26 @@
 //! The runtime owns actor time. A poll reads the clock through
 //! [`ActorCtx::now`], and every periodic job is a [`Cadence`], which holds
 //! the one re-arm rule all of them share.
+//! The same heap carries one-shot tasks ([`Runtime::run_after`]): every
+//! delayed delivery and reply of the network fabric is one, so the pool's
+//! parked threads sleep to the earliest deadline of either kind.
 //! Every worker thread runs with a 1 µs timer slack
-//! ([`tighten_timer_slack`]), so a timed park wakes at its deadline rather
-//! than at the end of the kernel's default 50 µs coalescing window.
+//! (`slack::tighten_timer_slack`), so a timed park wakes at its deadline
+//! rather than at the end of the kernel's default 50 µs coalescing window.
 //!
 //! # Modes
 //!
 //! [`RuntimeConfig`] resolves (after the `CB_DETERMINISTIC` environment
-//! override, see [`env_deterministic`]) to one of two modes:
+//! override, the process's one determinism switch) to one of two modes:
 //!
 //! * **pooled** — `workers` threads (0 = auto, `available_parallelism`
 //!   clamped to 2..=8) with per-worker local deques, a global injector, and
 //!   seeded victim-order stealing. The default.
 //! * **deterministic** — a single worker draining the injector FIFO: actor
 //!   dispatch order is a pure function of enqueue order, so chaos `--seed`
-//!   replays stay byte-for-byte. Forced process-wide by
+//!   replays stay byte-for-byte. A network on this runtime draws its
+//!   latencies from one RNG stripe and delivers in one global
+//!   `(deadline, seq)` order. Forced process-wide by
 //!   `CB_DETERMINISTIC=1`; a config asking for determinism can never be
 //!   overridden *into* parallel mode.
 //!
@@ -62,10 +67,10 @@
 //!
 //! Three ranked locks (see ARCHITECTURE.md's table): `rt-actor-cell` (16)
 //! guards an actor's parked state and is never held across a poll;
-//! `rt-injector` (91) guards the injector, timer heap, and the idle stack
-//! of parked threads; `rt-worker` (92) guards one worker's local deque, and may
-//! be taken while holding 91 (an idle worker stealing) but never the other
-//! way around.
+//! `rt-injector` (91) guards the injector, both timer heaps, the ready
+//! one-shot tasks, and the idle stack of parked threads; `rt-worker` (92)
+//! guards one worker's local deque, and may be taken while holding 91 (an
+//! idle worker stealing) but never the other way around.
 
 #![warn(missing_docs)]
 
@@ -77,15 +82,15 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+mod delay;
 mod slack;
-#[doc(hidden)]
-pub use slack::current_timer_slack_ns;
-pub use slack::{tighten_timer_slack, TIMER_SLACK_NS};
+use slack::tighten_timer_slack;
+#[cfg(test)]
+use slack::{current_timer_slack_ns, TIMER_SLACK_NS};
 
-/// Configuration for a [`Runtime`]. Mirrors the `NetConfig` pattern: a
-/// `deterministic` flag that can never be overridden back into parallel
-/// mode, and the `CB_DETERMINISTIC` environment override for process-wide
-/// forcing.
+/// Configuration for a [`Runtime`]: a `deterministic` flag that can never
+/// be overridden back into parallel mode, and the `CB_DETERMINISTIC`
+/// environment override for process-wide forcing.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
     /// Worker threads for the pooled mode; `0` picks
@@ -141,12 +146,11 @@ impl RuntimeMode {
 }
 
 /// Whether `CB_DETERMINISTIC=1` is set: the one process-wide determinism
-/// switch. It forces every [`Runtime`] into the single-worker FIFO mode and
-/// (read from here by `cloudburst-net`) every fabric into single-shard
-/// delivery — together, the configuration chaos `--seed` replay runs in.
-/// The variable can only *add* determinism: a config that asked for it is
-/// never overridden into parallel mode.
-pub fn env_deterministic() -> bool {
+/// switch. It forces every [`Runtime`] — and so every network delivering
+/// on one — into the single-worker FIFO mode chaos `--seed` replay runs
+/// in. The variable can only *add* determinism: a config that asked for
+/// it is never overridden into parallel mode.
+fn env_deterministic() -> bool {
     std::env::var("CB_DETERMINISTIC").is_ok_and(|v| v == "1")
 }
 
@@ -353,6 +357,13 @@ impl Ord for TimerEntry {
 struct Sched {
     injector: VecDeque<Arc<Cell>>,
     timers: BinaryHeap<TimerEntry>,
+    /// One-shot tasks not yet due, earliest `(deadline, seq)` first.
+    tasks: BinaryHeap<delay::Entry>,
+    task_seq: u64,
+    /// Due one-shot tasks in `(deadline, seq)` order, run by one thread at
+    /// a time: the one that set `draining`.
+    ready: VecDeque<delay::Task>,
+    draining: bool,
     /// Parked threads (pool workers and spares share the one stack), most
     /// recently parked last. Each parks on its own condvar paired with
     /// `sched`; a waker pops the entry it notifies, so an entry still here
@@ -371,9 +382,9 @@ struct Inner {
     /// Lock-free mirror of `sched.idle.len()`, read by producers to decide
     /// whether a wakeup signal is needed at all.
     sleepers: AtomicUsize,
-    /// Lock-free mirror of the timer heap's earliest deadline (ns since
-    /// `epoch`; `u64::MAX` = none), so busy workers can check for due
-    /// timers with one load per dispatch iteration.
+    /// Lock-free mirror of the earliest deadline in either timer heap (ns
+    /// since `epoch`; `u64::MAX` = none), so busy workers can check for
+    /// due timers with one load per dispatch iteration.
     next_deadline: AtomicU64,
     workers: Box<[WorkerSlot]>,
     // lock-rank: 93 rt-threads
@@ -416,7 +427,7 @@ pub struct RuntimeStats {
     pub injector_depth: usize,
     /// Largest mailbox depth any actor reported at the start of a poll.
     pub max_mailbox_depth: usize,
-    /// Timer-heap expirations dispatched.
+    /// Actor timer expirations dispatched (one-shot tasks are not counted).
     pub timer_fires: u64,
     /// Spare workers ever spawned to cover [`blocking`] regions.
     pub spares_spawned: u64,
@@ -497,6 +508,10 @@ impl Runtime {
                 Sched {
                     injector: VecDeque::new(),
                     timers: BinaryHeap::new(),
+                    tasks: BinaryHeap::new(),
+                    task_seq: 0,
+                    ready: VecDeque::new(),
+                    draining: false,
                     idle: Vec::new(),
                     shutdown: false,
                 },
@@ -621,7 +636,10 @@ impl Runtime {
     /// Stop all workers and join them. Actors should already be dead
     /// (stopped or protocol-shut); any still alive are force-stopped
     /// crash-style — no graceful flush — so a handle joined *after*
-    /// shutdown can never hang. Safe to call more than once.
+    /// shutdown can never hang. Pending one-shot tasks are dropped unrun.
+    /// Safe to call more than once, and from a task or poll on this
+    /// runtime's own pool: the calling thread is never joined, and exits
+    /// once it returns to its loop.
     pub fn shutdown(&self) {
         self.inner.shutdown_flag.store(true, Ordering::SeqCst);
         // Force-stop survivors first: workers only exit once their queues
@@ -637,17 +655,27 @@ impl Runtime {
                 self.inner.notify(cell);
             }
         }
-        {
+        // Pending one-shot tasks are dropped outside the lock: one may hold
+        // the last handle to whatever owns this runtime.
+        let pending = {
             let mut sched = self.inner.sched.lock();
             sched.shutdown = true;
             for parker in sched.idle.drain(..) {
                 parker.notify_one();
             }
             self.inner.sleepers.store(0, Ordering::SeqCst);
-        }
+            (
+                std::mem::take(&mut sched.tasks),
+                std::mem::take(&mut sched.ready),
+            )
+        };
+        drop(pending);
+        let current = std::thread::current().id();
         let handles: Vec<_> = self.inner.threads.lock().drain(..).collect();
         for h in handles {
-            let _ = h.join();
+            if h.thread().id() != current {
+                let _ = h.join();
+            }
         }
         // Finalize stragglers the exiting workers never ran, so late
         // `join`/`stop` calls return instead of waiting forever.
@@ -837,8 +865,10 @@ impl Inner {
     }
 
     /// Pop every due timer and enqueue its cell (directly into the held
-    /// injector — `notify` would re-take the sched lock).
+    /// injector — `notify` would re-take the sched lock), and move every
+    /// due one-shot task to the ready queue.
     fn expire_due_timers(self: &Arc<Self>, sched: &mut Sched, now: Instant) {
+        self.expire_due_tasks(sched, now);
         while let Some(top) = sched.timers.peek() {
             if top.deadline > now {
                 break;
@@ -879,11 +909,14 @@ impl Inner {
                 }
             }
         }
-        let next = sched
-            .timers
-            .peek()
-            .map(|e| self.to_ns(e.deadline).max(1))
-            .unwrap_or(u64::MAX);
+        let next = [
+            sched.timers.peek().map(|e| e.deadline),
+            sched.tasks.peek().map(|e| e.deadline),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .map_or(u64::MAX, |d| self.to_ns(d).max(1));
         self.next_deadline.store(next, Ordering::Relaxed);
     }
 
@@ -1071,13 +1104,19 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
                 if inner.to_ns(now) >= inner.next_deadline.load(Ordering::Relaxed) {
                     let mut sched = inner.sched.lock();
                     inner.expire_due_timers(&mut sched, now);
+                    inner.drain_ready(sched);
                 }
                 continue;
             }
         }
-        // 2. Injector + timers + stealing under the sched lock.
+        // 2. Timers, due one-shot tasks, injector and stealing under the
+        // sched lock.
         let mut sched = inner.sched.lock();
         inner.expire_due_timers(&mut sched, rt_now());
+        let Some(mut sched) = inner.drain_ready(sched) else {
+            cold = false;
+            continue;
+        };
         let found = sched.injector.pop_front().or_else(|| inner.try_steal(wid));
         if let Some(cell) = found {
             drop(sched);

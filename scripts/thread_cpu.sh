@@ -9,7 +9,8 @@
 #
 #   cb-worker        runtime pool workers (cb-worker-<i>)
 #   cb-worker-spare  spares spawned to cover blocking regions
-#   net-delay        fabric delivery dispatchers (net-delay-<i>)
+#   net-delay        fabric delivery dispatchers (net-delay-<i>), present only
+#                    in builds from before deliveries moved onto the pool
 #   clients          everything else: the closed-loop client threads and
 #                    the main thread (unnamed, so they carry the process name)
 #
