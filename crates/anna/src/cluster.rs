@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cloudburst_lattice::Key;
+use cloudburst_lattice::{Key, KeyMap};
 use cloudburst_net::{reply_channel, Endpoint, NetConfig, Network, Site};
 use cloudburst_runtime::{Runtime, RuntimeConfig, RuntimeStats};
 use parking_lot::Mutex;
@@ -534,7 +534,7 @@ impl AnnaCluster {
     /// holds it — the input to a targeted repair push.
     fn audit_with_repair_plan(&self) -> (ReplicationAudit, Vec<(Key, NodeId)>) {
         let dumps = self.control.key_dump();
-        let mut holders: HashMap<Key, HashSet<NodeId>> = HashMap::new();
+        let mut holders: KeyMap<HashSet<NodeId>> = KeyMap::default();
         for (node, keys) in dumps {
             for key in keys {
                 holders.entry(key).or_default().insert(node);

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use cloudburst_lattice::Key;
+use cloudburst_lattice::{Key, KeyMap};
 use cloudburst_net::Address;
 use parking_lot::RwLock;
 
@@ -28,7 +28,7 @@ struct Inner {
     ring: HashRing,
     addrs: HashMap<NodeId, Address>,
     default_replication: usize,
-    overrides: HashMap<Key, Override>,
+    overrides: KeyMap<Override>,
 }
 
 impl Inner {
@@ -45,7 +45,7 @@ impl Inner {
         let prefer = over.and_then(|o| o.region);
         let replicas = self
             .ring
-            .replicas_biased(key.as_str(), replication, prefer)
+            .replicas_at(key.hash(), replication, prefer)
             .into_iter()
             .filter_map(|n| self.addrs.get(&n).map(|&a| (n, a)))
             .collect();
@@ -88,7 +88,7 @@ impl Directory {
                     ring: HashRing::new(),
                     addrs: HashMap::new(),
                     default_replication,
-                    overrides: HashMap::new(),
+                    overrides: KeyMap::default(),
                 },
             ),
         }
@@ -265,7 +265,7 @@ impl Directory {
     /// The primary owner of `key`.
     pub fn primary(&self, key: &Key) -> Option<(NodeId, Address)> {
         let inner = self.inner.read();
-        let node = inner.ring.primary(key.as_str())?;
+        let node = inner.ring.primary_at(key.hash())?;
         inner.addrs.get(&node).map(|&a| (node, a))
     }
 

@@ -22,12 +22,12 @@
 //! * [`StorageScaler`] abstracts "add/remove one storage node with
 //!   rebalance"; [`crate::AnnaCluster`] implements it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cloudburst_lattice::Key;
+use cloudburst_lattice::{Key, KeyMap};
 use cloudburst_net::Address;
 use cloudburst_runtime::{Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime};
 use parking_lot::Mutex;
@@ -337,7 +337,7 @@ impl ElasticHandle {
             tick: Cadence::new(tick),
             timeline: Arc::clone(&timeline),
             counters: Arc::clone(&counters),
-            cool: HashMap::new(),
+            cool: KeyMap::default(),
             pending_trims: Vec::new(),
             last_ops: 0.0,
             last_sample: None,
@@ -397,7 +397,7 @@ struct Worker {
     timeline: Arc<ScaleTimeline>,
     counters: Arc<Counters>,
     /// Consecutive cool ticks per promoted key (the demotion hysteresis).
-    cool: HashMap<Key, usize>,
+    cool: KeyMap<usize>,
     /// Stray copies queued for deletion one tick after their demotion, so
     /// the pre-delete `Replicate` flush has a full tick to land first.
     pending_trims: Vec<(Key, Vec<Address>)>,
@@ -442,8 +442,8 @@ impl Worker {
         // per-region breakdown. Heat lands on the node that served the
         // traffic, and nearest-first reads keep traffic in the reader's
         // region, so the breakdown locates *where* a key is hot.
-        let mut heat: HashMap<Key, f64> = HashMap::new();
-        let mut region_heat: HashMap<Key, BTreeMap<u16, f64>> = HashMap::new();
+        let mut heat: KeyMap<f64> = KeyMap::default();
+        let mut region_heat: KeyMap<BTreeMap<u16, f64>> = KeyMap::default();
         let mut total_load = 0.0;
         let mut total_ops = 0.0;
         for s in &stats {
@@ -486,8 +486,8 @@ impl Worker {
     /// wherever the ring walk happens to land.
     fn promote(
         &mut self,
-        heat: &HashMap<Key, f64>,
-        region_heat: &HashMap<Key, BTreeMap<u16, f64>>,
+        heat: &KeyMap<f64>,
+        region_heat: &KeyMap<BTreeMap<u16, f64>>,
         nodes: usize,
     ) {
         let target = if self.config.hot_replication == 0 {
@@ -546,7 +546,7 @@ impl Worker {
     /// Demote promoted keys that stayed cool for `cool_ticks` consecutive
     /// ticks; the cleared key's strays are flushed now and deleted next
     /// tick ([`AnnaClient::clear_key_replication`]).
-    fn demote(&mut self, heat: &HashMap<Key, f64>) {
+    fn demote(&mut self, heat: &KeyMap<f64>) {
         let overridden = self.directory.overrides();
         // Forget cool-down state for keys no longer overridden (demoted by
         // someone else, or cleared manually).

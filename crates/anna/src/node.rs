@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cloudburst_lattice::{Capsule, Key};
+use cloudburst_lattice::{Capsule, Key, KeyMap, KeySet};
 use cloudburst_net::{Address, Batches, Endpoint, LatencyModel};
 use cloudburst_runtime::{Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime, POLL_BUDGET};
 
@@ -166,10 +166,10 @@ impl StorageNode {
             disk_latency: config.disk_latency,
             service_latency: config.service_latency,
             gossip: Cadence::new(gossip_tick),
-            dirty: HashMap::new(),
+            dirty: KeyMap::default(),
             dirty_bytes: 0,
-            push_dirty: HashSet::new(),
-            index: HashMap::new(),
+            push_dirty: KeySet::default(),
+            index: KeyMap::default(),
             cache_keysets: HashMap::new(),
             telemetry: NodeTelemetry::new(TelemetryConfig {
                 half_life,
@@ -211,17 +211,17 @@ struct Worker {
     /// `dirty_bytes` toward the early-flush cap). The flush reads each key's
     /// *current* merged state, so a hot key costs one delta entry per tick
     /// no matter how many writes landed on it.
-    dirty: HashMap<Key, usize>,
+    dirty: KeyMap<usize>,
     dirty_bytes: usize,
     /// Keys whose registered caches need a push at the next flush. A hot
     /// key's N writes per window collapse to one `KeyUpdate` per cache,
     /// carrying the merged state read at flush time.
-    push_dirty: HashSet<Key>,
+    push_dirty: KeySet,
     /// key → caches that reported storing it (only meaningful for keys this
     /// node is primary for; the index is partitioned like the key space).
-    index: HashMap<Key, HashSet<Address>>,
+    index: KeyMap<HashSet<Address>>,
     /// cache → last reported keyset snapshot (to diff snapshots).
-    cache_keysets: HashMap<Address, HashSet<Key>>,
+    cache_keysets: HashMap<Address, KeySet>,
     /// Unified access telemetry: lifetime counters plus decayed per-key heat
     /// and node load, decayed on the gossip cadence and reported in `Stats`.
     telemetry: NodeTelemetry,
@@ -633,7 +633,7 @@ impl Worker {
     /// ("we modified Anna to accept these cached keysets and incrementally
     /// construct an index", paper §4.2).
     fn apply_keyset_snapshot(&mut self, cache: Address, keys: Vec<Key>) {
-        let new: HashSet<Key> = keys.into_iter().collect();
+        let new: KeySet = keys.into_iter().collect();
         let old = self.cache_keysets.remove(&cache).unwrap_or_default();
         for gone in old.difference(&new) {
             if let Some(set) = self.index.get_mut(gone) {
@@ -685,7 +685,7 @@ impl Worker {
         // to have gone through.
         let mut handoffs: Vec<(Key, Vec<Address>)> = Vec::new();
         for (key, capsule) in self.store.entries() {
-            let replicas = ring.replicas(key.as_str(), replication);
+            let replicas = ring.replicas_at(key.hash(), replication, None);
             if replicas.contains(&self.id) {
                 // Push a copy to every other member. *Every* holding member
                 // pushes — not just the primary — because after a crash the

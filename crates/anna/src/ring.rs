@@ -7,37 +7,13 @@
 
 use std::collections::BTreeMap;
 
+use cloudburst_lattice::key::{key_hash, mix64};
+
 /// Identifier of a storage node.
 pub type NodeId = u64;
 
 /// Number of virtual nodes per physical node.
 const DEFAULT_VNODES: u32 = 64;
-
-/// FNV-1a 64-bit hash. Implemented locally to keep the dependency budget of
-/// DESIGN.md (no external hashing crates); speed is irrelevant at ring scale
-/// and distribution quality is verified by tests.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The splitmix64 finalizer: a strong 64-bit bit mixer. FNV alone distributes
-/// short structured inputs (e.g. vnode tokens) poorly; finishing with a full
-/// avalanche mix fixes ring balance.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Position of a key on the ring.
-fn key_point(key: &str) -> u64 {
-    mix64(fnv1a(key.as_bytes()))
-}
 
 /// A consistent-hash ring mapping keys to ordered replica lists.
 ///
@@ -179,12 +155,19 @@ impl HashRing {
         replication: usize,
         prefer: Option<u16>,
     ) -> Vec<NodeId> {
+        self.replicas_at(key_hash(key), replication, prefer)
+    }
+
+    /// [`HashRing::replicas_biased`] from a precomputed ring point: a key's
+    /// [`key_hash`], which a [`cloudburst_lattice::Key`] carries as
+    /// [`Key::hash`](cloudburst_lattice::Key::hash), so placing a `Key`
+    /// never rehashes its text.
+    pub fn replicas_at(&self, point: u64, replication: usize, prefer: Option<u16>) -> Vec<NodeId> {
         if self.vnodes.is_empty() || replication == 0 {
             return Vec::new();
         }
         let want = replication.min(self.node_count);
-        let start = key_point(key);
-        let walk = self.vnodes.range(start..).chain(self.vnodes.range(..start));
+        let walk = self.vnodes.range(point..).chain(self.vnodes.range(..point));
         if self.region_counts.len() <= 1 {
             // Single-region fast path: the historical clockwise walk with
             // its early exit (bias is meaningless with one region).
@@ -249,7 +232,13 @@ impl HashRing {
 
     /// The primary owner of `key`, if the ring is non-empty.
     pub fn primary(&self, key: &str) -> Option<NodeId> {
-        self.replicas(key, 1).first().copied()
+        self.primary_at(key_hash(key))
+    }
+
+    /// The primary owner of the key at ring point `point` (its
+    /// [`key_hash`]), if the ring is non-empty.
+    pub fn primary_at(&self, point: u64) -> Option<NodeId> {
+        self.replicas_at(point, 1, None).first().copied()
     }
 }
 
@@ -482,6 +471,31 @@ mod tests {
         assert_eq!(ring.region_count(), 1);
         ring.add_node_in(2, 1);
         assert_eq!(ring.region_count(), 2);
+    }
+
+    #[test]
+    fn key_hash_is_the_ring_point() {
+        let mut ring = HashRing::new();
+        for n in 0..4 {
+            ring.add_node_in(n, (n % 2) as u16);
+        }
+        for k in keys(200) {
+            let point = key_hash(&k);
+            assert_eq!(cloudburst_lattice::Key::new(&k).hash(), point);
+            // The primary owns the first vnode clockwise from the point.
+            let owner = ring
+                .vnodes
+                .range(point..)
+                .chain(ring.vnodes.range(..point))
+                .map(|(_, &n)| n)
+                .next();
+            assert_eq!(ring.primary(&k), owner);
+            assert_eq!(ring.primary_at(point), owner);
+            assert_eq!(
+                ring.replicas_at(point, 3, Some(1)),
+                ring.replicas_biased(&k, 3, Some(1))
+            );
+        }
     }
 }
 

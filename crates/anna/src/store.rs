@@ -26,9 +26,7 @@
 //! `Capsule::clone` is a refcount bump, so serving a read copies no payload
 //! bytes.
 
-use std::collections::HashMap;
-
-use cloudburst_lattice::{Capsule, CapsuleError, Key};
+use cloudburst_lattice::{Capsule, CapsuleError, Key, KeyMap};
 use cloudburst_lru::SlotLru;
 
 use crate::lsm::{DiskError, LsmEngine};
@@ -54,7 +52,7 @@ struct MemEntry {
 /// A two-tier lattice store for one storage node.
 #[derive(Debug)]
 pub struct TieredStore {
-    mem: HashMap<Key, MemEntry>,
+    mem: KeyMap<MemEntry>,
     /// O(1) recency list over memory-tier keys (coldest first).
     lru: SlotLru,
     /// The disk tier; `None` keeps every key in memory.
@@ -92,7 +90,7 @@ impl TieredStore {
 
     fn with_engine(capacity_bytes: usize, engine: Option<Box<LsmEngine>>) -> Self {
         Self {
-            mem: HashMap::new(),
+            mem: KeyMap::default(),
             lru: SlotLru::new(),
             engine,
             keys: 0,

@@ -18,10 +18,9 @@
 //! after a decay prune, so the bound only sheds the cold tail that the
 //! policy engine would ignore anyway.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use cloudburst_lattice::Key;
+use cloudburst_lattice::{Key, KeyMap};
 
 /// Heat entries below this value are dropped at decay time (noise floor).
 const PRUNE_BELOW: f64 = 0.25;
@@ -55,7 +54,7 @@ impl Default for TelemetryConfig {
 #[derive(Debug)]
 pub struct NodeTelemetry {
     config: TelemetryConfig,
-    heat: HashMap<Key, f64>,
+    heat: KeyMap<f64>,
     load: f64,
     last_decay: Instant,
     gets_served: u64,
@@ -67,7 +66,7 @@ impl NodeTelemetry {
     pub fn new(config: TelemetryConfig) -> Self {
         Self {
             config,
-            heat: HashMap::new(),
+            heat: KeyMap::default(),
             load: 0.0,
             // lint: allow(L003): heat decay is defined in wall-clock half-lives (TelemetryConfig::half_life)
             last_decay: Instant::now(),

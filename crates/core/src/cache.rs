@@ -9,14 +9,13 @@
 //! Anna so the key→cache index stays fresh.
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use cloudburst_anna::{AnnaClient, KeyUpdate};
-use cloudburst_lattice::{Capsule, Key, Lattice, VectorClock};
+use cloudburst_lattice::{Capsule, Key, KeyMap, Lattice, VectorClock};
 use cloudburst_lru::SlotLru;
 use cloudburst_net::{reply_channel, Address, Batch, Endpoint, Network, ReplyHandle, Site};
 use cloudburst_runtime::{
@@ -86,6 +85,12 @@ const CAUSAL_CUT_FETCH_ROUNDS: usize = 3;
 /// never put more than this many payload bytes in one `MultiPut`.
 const MAX_BATCH_BYTES: usize = 1 << 20;
 
+/// The shard of `shards` owning a key with hash `hash`: bits 32 and up,
+/// which a shard map of fewer than 2^32 buckets never indexes by.
+fn shard_index(hash: u64, shards: usize) -> usize {
+    ((hash >> 32) as usize) % shards
+}
+
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {
@@ -131,7 +136,7 @@ struct CacheEntry {
 /// Pending write-behind state (see [`CacheInner::put_session`]).
 #[derive(Default)]
 struct DirtyBuffer {
-    entries: HashMap<Key, Capsule>,
+    entries: KeyMap<Capsule>,
     bytes: usize,
 }
 
@@ -158,7 +163,7 @@ impl Default for FillSlot {
 /// in each entry makes a touch a pointer splice with no second lookup).
 #[derive(Default)]
 struct CacheShard {
-    map: HashMap<Key, CacheEntry>,
+    map: KeyMap<CacheEntry>,
     lru: SlotLru,
 }
 
@@ -195,13 +200,12 @@ pub struct CacheInner {
     shards: Box<[Mutex<CacheShard>]>,
     /// Per-shard entry cap (`max_entries / shards`, at least 1).
     shard_max: usize,
-    shard_hasher: RandomState,
     /// Per-session version snapshots (Algorithms 1 & 2). Values are cheap
     /// capsule handles: storing one is a refcount bump, and the snapshot
     /// stays valid when the live entry later merges new state, because a
     /// merge copies-on-divergence instead of mutating shared data.
     // lock-rank: 42 cache-snapshots
-    snapshots: Mutex<HashMap<RequestId, HashMap<Key, Capsule>>>,
+    snapshots: Mutex<HashMap<RequestId, KeyMap<Capsule>>>,
     /// Write-behind buffer: session writes land here and flush to Anna as
     /// batched `MultiPut`s on the flush window (server thread) or when the
     /// byte cap fills (writer thread). Repeated writes to one key merge in
@@ -213,7 +217,7 @@ pub struct CacheInner {
     /// is outstanding — the leader always removes its entry before
     /// publishing the outcome, so a failed fill can never poison the slot.
     // lock-rank: 46 cache-inflight
-    inflight: Mutex<HashMap<Key, Arc<FillSlot>>>,
+    inflight: Mutex<KeyMap<Arc<FillSlot>>>,
     /// Stats, exported to executor metrics.
     pub stats: CacheStats,
     shutdown: AtomicBool,
@@ -254,10 +258,9 @@ impl VmCache {
             level,
             shards,
             shard_max: (config.max_entries / shard_count).max(1),
-            shard_hasher: RandomState::new(),
             snapshots: Mutex::ranked(42, "cache-snapshots", HashMap::new()),
             dirty: Mutex::ranked(44, "cache-dirty", DirtyBuffer::default()),
-            inflight: Mutex::ranked(46, "cache-inflight", HashMap::new()),
+            inflight: Mutex::ranked(46, "cache-inflight", KeyMap::default()),
             stats: CacheStats::default(),
             shutdown: AtomicBool::new(false),
         });
@@ -361,10 +364,13 @@ impl CacheInner {
         self.shard_max * self.shards.len()
     }
 
-    /// The lock stripe owning `key`.
+    /// The lock stripe owning `key`. It reads the key's hash from bits
+    /// the shard's map does not use: hashbrown takes bucket indexes from
+    /// the low bits and 7-bit tags from the top bits, so picking the shard
+    /// from either would crowd every key in a shard into a fraction of its
+    /// buckets or tags.
     fn shard(&self, key: &Key) -> &Mutex<CacheShard> {
-        let h = self.shard_hasher.hash_one(key);
-        &self.shards[(h as usize) % self.shards.len()]
+        &self.shards[shard_index(key.hash(), self.shards.len())]
     }
 
     // ------------------------------------------------------------------
@@ -1052,6 +1058,24 @@ mod tests {
         RT.get_or_init(|| ActorRuntime::new(cloudburst_runtime::RuntimeConfig::default()))
     }
 
+    #[test]
+    fn keys_spread_evenly_over_cache_shards() {
+        const SHARDS: usize = 8;
+        const KEYS: usize = 10_000;
+        let mut counts = [0usize; SHARDS];
+        for i in 0..KEYS {
+            counts[shard_index(Key::new(format!("user:{i}")).hash(), SHARDS)] += 1;
+        }
+        let mean = (KEYS / SHARDS) as f64;
+        for (shard, &c) in counts.iter().enumerate() {
+            let off = (c as f64 - mean).abs() / mean;
+            assert!(
+                off <= 0.15,
+                "shard {shard} holds {c} keys, mean {mean}: {counts:?}"
+            );
+        }
+    }
+
     fn setup(level: ConsistencyLevel) -> (Network, AnnaCluster, VmCache) {
         let net = Network::new(NetConfig::instant());
         let anna = AnnaCluster::launch(
@@ -1460,7 +1484,7 @@ mod tests {
                 )
             })
             .collect();
-        let table: HashMap<Key, Capsule> = deps
+        let table: KeyMap<Capsule> = deps
             .iter()
             .map(|(k, vc)| {
                 (

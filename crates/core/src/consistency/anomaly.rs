@@ -15,7 +15,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use cloudburst_lattice::{Key, Timestamp};
+use cloudburst_lattice::{Key, KeyMap, KeySet, Timestamp};
 use parking_lot::Mutex;
 
 use crate::types::{RequestId, VmId};
@@ -162,8 +162,8 @@ fn collect_version_deps(events: &[TraceEvent]) -> VersionDeps {
 }
 
 /// All versions seen per key (written or read, so pre-loaded versions count).
-fn versions_by_key(deps: &VersionDeps, events: &[TraceEvent]) -> HashMap<Key, Vec<Timestamp>> {
-    let mut versions: HashMap<Key, HashSet<Timestamp>> = HashMap::new();
+fn versions_by_key(deps: &VersionDeps, events: &[TraceEvent]) -> KeyMap<Vec<Timestamp>> {
+    let mut versions: KeyMap<HashSet<Timestamp>> = KeyMap::default();
     for (key, ts) in deps.keys() {
         versions.entry(key.clone()).or_default().insert(*ts);
     }
@@ -186,9 +186,9 @@ fn versions_by_key(deps: &VersionDeps, events: &[TraceEvent]) -> HashMap<Key, Ve
 /// dependency edges closed transitively along same-key chains. (Cross-key
 /// chains that induce same-key order are rare in these workloads and their
 /// omission only makes the detector conservative.)
-fn same_key_order(deps: &VersionDeps) -> HashMap<Key, HashSet<(Timestamp, Timestamp)>> {
+fn same_key_order(deps: &VersionDeps) -> KeyMap<HashSet<(Timestamp, Timestamp)>> {
     // order[k] contains (a, b) iff version a happens-before version b.
-    let mut order: HashMap<Key, HashSet<(Timestamp, Timestamp)>> = HashMap::new();
+    let mut order: KeyMap<HashSet<(Timestamp, Timestamp)>> = KeyMap::default();
     for ((key, ts), dep_list) in deps {
         for (dep_key, dep_ts) in dep_list {
             if dep_key == key && dep_ts != ts {
@@ -217,7 +217,7 @@ fn same_key_order(deps: &VersionDeps) -> HashMap<Key, HashSet<(Timestamp, Timest
 }
 
 fn concurrent(
-    order: &HashMap<Key, HashSet<(Timestamp, Timestamp)>>,
+    order: &KeyMap<HashSet<(Timestamp, Timestamp)>>,
     key: &Key,
     a: Timestamp,
     b: Timestamp,
@@ -233,8 +233,8 @@ fn concurrent(
 
 fn count_single_key(
     events: &[TraceEvent],
-    order: &HashMap<Key, HashSet<(Timestamp, Timestamp)>>,
-    versions: &HashMap<Key, Vec<Timestamp>>,
+    order: &KeyMap<HashSet<(Timestamp, Timestamp)>>,
+    versions: &KeyMap<Vec<Timestamp>>,
     counts: &mut AnomalyCounts,
 ) {
     for e in events {
@@ -331,23 +331,23 @@ fn count_repeatable_read(events: &[TraceEvent], counts: &mut AnomalyCounts) {
         evs.sort_by_key(|e| match e {
             TraceEvent::Read { step, .. } | TraceEvent::Write { step, .. } => *step,
         });
-        let mut last_seen: HashMap<&Key, Timestamp> = HashMap::new();
-        let mut flagged: HashSet<&Key> = HashSet::new();
+        let mut last_seen: KeyMap<Timestamp> = KeyMap::default();
+        let mut flagged = KeySet::default();
         for e in &evs {
             match e {
                 TraceEvent::Read { key, version, .. } => {
                     if let Some(&prev) = last_seen.get(key) {
                         if prev != *version && !flagged.contains(key) {
                             counts.repeatable_read += 1;
-                            flagged.insert(key);
+                            flagged.insert(key.clone());
                         }
                     }
-                    last_seen.entry(key).or_insert(*version);
+                    last_seen.entry(key.clone()).or_insert(*version);
                 }
                 TraceEvent::Write { key, version, .. } => {
                     // An in-DAG write legitimately changes the version
                     // downstream readers must see.
-                    last_seen.insert(key, *version);
+                    last_seen.insert(key.clone(), *version);
                 }
             }
         }

@@ -13,9 +13,8 @@
 //! read-set entries once per hop.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
-use cloudburst_lattice::{Capsule, Key, Lattice, VectorClock};
+use cloudburst_lattice::{Capsule, Key, KeyMap, Lattice, VectorClock};
 use cloudburst_net::Address;
 
 use crate::types::{ConsistencyLevel, RequestId, VersionId};
@@ -49,9 +48,9 @@ pub struct SessionMeta {
     pub level: ConsistencyLevel,
     /// Keys read so far, with their observed versions (`R` in Algorithms
     /// 1 and 2).
-    pub read_set: HashMap<Key, ReadRecord>,
+    pub read_set: KeyMap<ReadRecord>,
     /// Causal dependencies of the read set (`dependencies` in Algorithm 2).
-    pub dependencies: HashMap<Key, DepRecord>,
+    pub dependencies: KeyMap<DepRecord>,
     /// When anomaly tracing is enabled (Table 2 experiments), every read is
     /// also logged here — even at levels that ship no protocol metadata — so
     /// the detector can reconstruct shadow causality.
@@ -63,7 +62,7 @@ pub struct SessionMeta {
     /// wrote, holding the join of the versions it observed (a capsule
     /// handle, so logging is a refcount bump). Kept at every level but LWW;
     /// empty whenever the session is shipped.
-    pub log: HashMap<Key, Capsule>,
+    pub log: KeyMap<Capsule>,
 }
 
 impl SessionMeta {
@@ -72,11 +71,11 @@ impl SessionMeta {
         Self {
             request_id,
             level,
-            read_set: HashMap::new(),
-            dependencies: HashMap::new(),
+            read_set: KeyMap::default(),
+            dependencies: KeyMap::default(),
             traced: false,
             shadow_reads: Vec::new(),
-            log: HashMap::new(),
+            log: KeyMap::default(),
         }
     }
 
@@ -119,10 +118,10 @@ impl SessionMeta {
     /// End this hop: fold the log into the shipped read set, every entry
     /// snapshotted at `cache`, and hand the logged versions back for the
     /// caller to snapshot. Levels that ship no metadata just drop the log.
-    pub fn seal_log(&mut self, cache: Address) -> HashMap<Key, Capsule> {
+    pub fn seal_log(&mut self, cache: Address) -> KeyMap<Capsule> {
         let log = std::mem::take(&mut self.log);
         if !self.level.ships_session_metadata() {
-            return HashMap::new();
+            return KeyMap::default();
         }
         for (key, capsule) in &log {
             let version = match capsule {
@@ -206,7 +205,7 @@ fn merge_read(existing: &mut ReadRecord, incoming: ReadRecord) {
     }
 }
 
-fn merge_dep(deps: &mut HashMap<Key, DepRecord>, key: &Key, clock: &VectorClock, cache: Address) {
+fn merge_dep(deps: &mut KeyMap<DepRecord>, key: &Key, clock: &VectorClock, cache: Address) {
     match deps.get_mut(key) {
         None => {
             deps.insert(

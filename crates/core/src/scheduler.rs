@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use cloudburst_anna::metrics as mkeys;
 use cloudburst_anna::AnnaClient;
-use cloudburst_lattice::Key;
+use cloudburst_lattice::{Key, KeySet};
 use cloudburst_net::{Address, Endpoint, ReplyHandle};
 use cloudburst_runtime::{
     Actor, ActorCtx, ActorHandle, Cadence, Poll, Runtime as ActorRuntime, POLL_BUDGET,
@@ -274,7 +274,7 @@ struct Worker {
     /// Executor utilization, refreshed from Anna (§4.3).
     utilization: HashMap<ExecutorId, f64>,
     /// VM → cached keys (the scheduler's local index, §4.3).
-    cached_keys: HashMap<VmId, HashSet<Key>>,
+    cached_keys: HashMap<VmId, KeySet>,
     pending: HashMap<RequestId, PendingDag>,
     call_counts: HashMap<String, u64>,
     incoming_total: u64,
@@ -674,7 +674,7 @@ impl Worker {
             // best (coverage, region) score break *randomly* — under equal
             // coverage (e.g. a hot key cached on every replica VM) a
             // deterministic winner would funnel all load onto one executor.
-            let empty = HashSet::new();
+            let empty = KeySet::default();
             let scored: Vec<((usize, bool), &Candidate)> = underloaded
                 .iter()
                 .map(|entry| {
@@ -1346,10 +1346,12 @@ mod tests {
         worker.utilization.insert(0, 0.5);
         worker.utilization.insert(1, 0.6);
         worker.utilization.insert(99, 0.9); // never existed / long gone
-        worker.cached_keys.insert(0, HashSet::from([Key::new("a")]));
         worker
             .cached_keys
-            .insert(42, HashSet::from([Key::new("b")])); // dead VM
+            .insert(0, KeySet::from_iter([Key::new("a")]));
+        worker
+            .cached_keys
+            .insert(42, KeySet::from_iter([Key::new("b")])); // dead VM
         topo.remove_executor(1); // crashed mid-window
         worker.refresh_metrics();
         assert_eq!(

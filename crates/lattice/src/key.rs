@@ -1,103 +1,82 @@
-//! [`Key`]: the shared key type used across the whole system.
+//! [`Key`]: the shared key type used across the whole system, and the maps
+//! keyed by it.
+//!
+//! A key's hash is computed once, when the key is built: [`key_hash`], the
+//! same 64-bit point Anna's consistent-hash ring places the key at. Every
+//! consumer reads that one number — the ring walk, the VM cache's shard
+//! pick, and every [`KeyMap`]/[`KeySet`], whose hasher passes it straight
+//! through instead of rehashing the text.
 
-use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
-use std::sync::{Arc, Weak};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-/// Number of interner shards; must be a power of two. Key construction is
-/// rare compared to key cloning/comparison on the hot path, but sharding
-/// keeps bursts of construction (workload generators, rebalance scans) from
-/// serializing on one lock.
-const INTERN_SHARDS: usize = 16;
-
-/// Initial per-shard size at which dead weak references are purged before
-/// inserting, bounding the interner by the live key count.
-const PURGE_THRESHOLD: usize = 1024;
-
-#[derive(Default)]
-struct InternShard {
-    map: HashMap<Box<str>, Weak<str>>,
-    /// Adaptive purge trigger: when a purge reclaims little (the shard is
-    /// mostly *live* keys), the threshold doubles past the live size so
-    /// subsequent inserts stay O(1) instead of re-scanning the shard.
-    purge_at: usize,
+/// FNV-1a 64-bit hash. Implemented locally to keep the dependency budget
+/// (no external hashing crates); distribution quality comes from [`mix64`].
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
-struct Interner {
-    // lock-rank: 95 key-intern
-    shards: [Mutex<InternShard>; INTERN_SHARDS],
-    hasher: RandomState,
+/// The splitmix64 finalizer: a strong 64-bit bit mixer. FNV alone
+/// distributes short structured inputs (e.g. ring vnode tokens) poorly;
+/// finishing with a full avalanche mix fixes ring balance.
+pub fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
-impl Interner {
-    fn global() -> &'static Interner {
-        static GLOBAL: std::sync::OnceLock<Interner> = std::sync::OnceLock::new();
-        GLOBAL.get_or_init(|| Interner {
-            shards: std::array::from_fn(|_| {
-                // Near the top of the hierarchy: keys are constructed while
-                // holding almost any other lock, and the interner acquires
-                // nothing further.
-                Mutex::ranked(
-                    95,
-                    "key-intern",
-                    InternShard {
-                        map: HashMap::new(),
-                        purge_at: PURGE_THRESHOLD,
-                    },
-                )
-            }),
-            hasher: RandomState::new(),
-        })
-    }
-
-    fn intern(&self, s: &str) -> Arc<str> {
-        let h = self.hasher.hash_one(s);
-        let shard = &mut *self.shards[(h as usize) & (INTERN_SHARDS - 1)].lock();
-        if let Some(existing) = shard.map.get(s).and_then(Weak::upgrade) {
-            return existing;
-        }
-        if shard.map.len() >= shard.purge_at {
-            shard.map.retain(|_, w| w.strong_count() > 0);
-            shard.purge_at = (shard.map.len() * 2).max(PURGE_THRESHOLD);
-        }
-        let arc: Arc<str> = Arc::from(s);
-        shard.map.insert(Box::from(s), Arc::downgrade(&arc));
-        arc
-    }
+/// The workspace's one key hash: `mix64(fnv1a(text))`. It is a key's
+/// position on Anna's ring and the hash every [`KeyMap`] buckets by.
+pub fn key_hash(text: &str) -> u64 {
+    mix64(fnv1a(text.as_bytes()))
 }
 
 /// A key in the Anna key-value store.
 ///
 /// Keys are immutable strings shared across many components (storage nodes,
-/// caches, schedulers, dependency sets), so they are **interned** and
-/// reference-counted: constructing a `Key` for a string already live
-/// anywhere in the process returns the same allocation, a clone is an atomic
-/// increment, and equality between interned copies is a pointer comparison.
-/// The interner holds only weak references, so dropping the last `Key` for a
-/// string releases its memory.
+/// caches, schedulers, dependency sets). A `Key` carries its text behind an
+/// `Arc`, so a clone is an atomic increment, and its [`key_hash`], computed
+/// once at construction, so no consumer hashes the text again. Equality
+/// checks the hash, then the pointer, then the text; ordering is
+/// lexicographic on the text (equal text has equal hash, so the derived
+/// order never reaches the second field).
 #[derive(Clone, PartialOrd, Ord)]
-pub struct Key(Arc<str>);
+pub struct Key {
+    text: Arc<str>,
+    hash: u64,
+}
 
 impl Key {
     /// Create a key from anything string-like.
     pub fn new(s: impl AsRef<str>) -> Self {
-        Self(Interner::global().intern(s.as_ref()))
+        let s = s.as_ref();
+        Self {
+            hash: key_hash(s),
+            text: Arc::from(s),
+        }
     }
 
     /// The key as a string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.text
+    }
+
+    /// The key's [`key_hash`]: its ring point and its map hash.
+    pub fn hash(&self) -> u64 {
+        self.hash
     }
 }
 
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        // Interned keys with equal contents are usually the same allocation.
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        self.hash == other.hash && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
     }
 }
 
@@ -105,20 +84,19 @@ impl Eq for Key {}
 
 impl Hash for Key {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Content hash, to stay consistent with `Borrow<str>` lookups.
-        self.0.hash(state);
+        state.write_u64(self.hash);
     }
 }
 
 impl fmt::Debug for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Key({:?})", &*self.0)
+        write!(f, "Key({:?})", &*self.text)
     }
 }
 
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.text)
     }
 }
 
@@ -140,22 +118,40 @@ impl From<&String> for Key {
     }
 }
 
-impl Borrow<str> for Key {
-    fn borrow(&self) -> &str {
-        &self.0
+impl AsRef<str> for Key {
+    fn as_ref(&self) -> &str {
+        &self.text
     }
 }
 
-impl AsRef<str> for Key {
-    fn as_ref(&self) -> &str {
-        &self.0
+/// A [`Hasher`] that passes a [`Key`]'s precomputed hash through. `Key`'s
+/// `Hash` writes exactly one `u64`, so that value is the bucket hash.
+#[derive(Default)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("KeyHasher hashes only Key, which writes one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
     }
 }
+
+/// A `HashMap` keyed by [`Key`] that buckets by the key's own hash.
+pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
+
+/// A `HashSet` of [`Key`]s that buckets by each key's own hash.
+pub type KeySet = HashSet<Key, BuildHasherDefault<KeyHasher>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn key_roundtrips() {
@@ -169,44 +165,39 @@ mod tests {
     fn key_clone_is_shared() {
         let k = Key::new("a");
         let k2 = k.clone();
-        assert!(Arc::ptr_eq(&k.0, &k2.0));
+        assert!(Arc::ptr_eq(&k.text, &k2.text));
+        assert_eq!(k.hash(), k2.hash());
     }
 
     #[test]
-    fn independently_constructed_keys_are_interned() {
-        let k1 = Key::new("interned:same");
-        let k2 = Key::new(String::from("interned:same"));
-        let k3: Key = "interned:same".into();
-        assert!(Arc::ptr_eq(&k1.0, &k2.0), "same string must share storage");
-        assert!(Arc::ptr_eq(&k1.0, &k3.0));
-        assert_ne!(k1, Key::new("interned:other"));
+    fn equal_text_gives_equal_key_hash_and_order() {
+        let k1 = Key::new("user:same");
+        let k2 = Key::new(String::from("user:same"));
+        let k3: Key = "user:same".into();
+        assert!(!Arc::ptr_eq(&k1.text, &k2.text), "no interning");
+        assert_eq!(k1, k2);
+        assert_eq!(k1, k3);
+        assert_eq!(k1.hash(), k2.hash());
+        assert_eq!(k1.hash(), key_hash("user:same"));
+        assert_eq!(k1.cmp(&k2), std::cmp::Ordering::Equal);
+        assert_ne!(k1, Key::new("user:other"));
     }
 
     #[test]
-    fn interner_releases_dropped_keys() {
-        let text = "interned:transient";
-        let weak = {
-            let k = Key::new(text);
-            Arc::downgrade(&k.0)
-        };
-        // The interner holds only a weak reference; with the last Key gone
-        // the allocation is dead and a new construction re-interns.
-        assert!(weak.upgrade().is_none());
-        let again = Key::new(text);
-        assert_eq!(again.as_str(), text);
-    }
-
-    #[test]
-    fn borrow_str_lookup() {
-        let mut m: HashMap<Key, u32> = HashMap::new();
+    fn key_map_finds_a_separately_built_key() {
+        let mut m: KeyMap<u32> = KeyMap::default();
         m.insert(Key::new("x"), 1);
-        // Borrow<str> lets us look up by &str without allocating.
-        assert_eq!(m.get("x"), Some(&1));
+        assert_eq!(m.get(&Key::new("x")), Some(&1));
+        assert_eq!(m.get(&Key::new("y")), None);
+        let set: KeySet = ["a", "b", "a"].into_iter().map(Key::new).collect();
+        assert_eq!(set.len(), 2);
+        assert!(set.contains(&Key::new(String::from("b"))));
     }
 
     #[test]
     fn ordering_is_lexicographic() {
         assert!(Key::new("a") < Key::new("b"));
         assert!(Key::new("a:1") < Key::new("a:2"));
+        assert!(Key::new("ab") < Key::new("b"));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Run as `cargo run -p lint` (or `scripts/lint.sh`). Scans every `.rs`
 //! file in the product tree — `crates/` and the root `src/` — and enforces
-//! the eight rules documented in [`rules`]. `vendor/` and `target/` are
+//! the nine rules documented in [`rules`]. `vendor/` and `target/` are
 //! never scanned: the vendored stand-ins are third-party API surface, and
 //! the sanitizer inside `vendor/parking_lot` legitimately uses `std::sync`
 //! primitives to avoid recursing into itself.
@@ -28,8 +28,8 @@ use std::path::{Path, PathBuf};
 
 /// The rules the summary line reports escape counts for (every one, zero
 /// or not, so a count reaching zero stays visible).
-const RULES: [&str; 8] = [
-    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008",
+const RULES: [&str; 9] = [
+    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009",
 ];
 
 fn main() {
@@ -98,6 +98,7 @@ fn run(root: &Path) -> Result<usize, String> {
             .chain(ctx.l005_channel_unwraps())
             .chain(ctx.l006_thread_spawns())
             .chain(ctx.l007_unsafe())
+            .chain(ctx.l009_key_maps())
         {
             all.push((rel.clone(), v));
         }
@@ -329,7 +330,7 @@ mod tests {
         escapes.insert("L003".into(), 28);
         assert_eq!(
             escape_summary(&escapes),
-            "L001=0 L002=0 L003=28 L004=0 L005=0 L006=0 L007=0 L008=0"
+            "L001=0 L002=0 L003=28 L004=0 L005=0 L006=0 L007=0 L008=0 L009=0"
         );
     }
 

@@ -1,4 +1,4 @@
-//! The eight cb-lint rules, as patterns over the [`crate::lexer`] stream.
+//! The nine cb-lint rules, as patterns over the [`crate::lexer`] stream.
 //!
 //! | rule | meaning |
 //! |------|---------|
@@ -10,6 +10,7 @@
 //! | L006 | no `thread::spawn`/`thread::Builder` outside `crates/runtime` — actors and fabric deliveries run on the shared work-stealing pool |
 //! | L007 | no `unsafe` outside `crates/runtime`, and there only with a `// SAFETY:` comment on the line above |
 //! | L008 | every config knob is set to a non-default value somewhere (product, tests, examples or the benchmark); a knob nothing varies is a constant — delete or derive it |
+//! | L009 | no `HashMap<Key, …>`/`HashSet<Key>` with the default hasher in product code — use `KeyMap`/`KeySet`, which bucket by the hash the key already carries |
 //!
 //! ## Escapes
 //!
@@ -26,7 +27,7 @@
 //! violation. L007 takes none either: its only argument is the `SAFETY:`
 //! comment, and test code gets no exemption from it. Structural exemptions are limited to: test
 //! code (files under `tests/`, `#[cfg(test)]` regions) for
-//! L002/L003/L005/L006; `crates/bench` for L003 and L006 (it is the
+//! L002/L003/L005/L006/L009; `crates/bench` for L003, L006 and L009 (it is the
 //! measurement harness: wall clocks are its subject matter, and its load
 //! drivers model external clients that by definition live off the pool);
 //! and `crates/runtime` for L006 (it *is* the thread layer everything else
@@ -1047,6 +1048,91 @@ impl FileCtx {
     }
 }
 
+impl FileCtx {
+    // ---------------------------------------------------------------- L009
+
+    /// One way to key a map by `Key`: a `HashMap<Key, V>` or `HashSet<Key>`
+    /// with the default hasher SipHashes the key text on every lookup,
+    /// although the key already carries its hash. Product code names
+    /// `KeyMap<V>`/`KeySet` instead. A map that names its own hasher
+    /// (`HashMap<Key, V, S>`) is not this rule's business. Test code and
+    /// `crates/bench` are exempt.
+    pub fn l009_key_maps(&self) -> Vec<Violation> {
+        let mut out = Vec::new();
+        if self.is_bench_crate() {
+            return out;
+        }
+        let n = self.code_len();
+        for i in 0..n {
+            let t = self.ct(i);
+            let (want_args, alias) = if t.is_ident("HashMap") {
+                (2, "KeyMap<V>")
+            } else if t.is_ident("HashSet") {
+                (1, "KeySet")
+            } else {
+                continue;
+            };
+            if self.in_test(t.line) {
+                continue;
+            }
+            // `HashMap<…>` or the turbofish `HashMap::<…>`.
+            let mut j = i + 1;
+            if j + 1 < n && self.ct(j).is_punct(':') && self.ct(j + 1).is_punct(':') {
+                j += 2;
+            }
+            if j >= n || !self.ct(j).is_punct('<') {
+                continue;
+            }
+            // The first type argument: an optional `&`, then a path whose
+            // last segment must be `Key`.
+            let mut k = j + 1;
+            if k < n && self.ct(k).is_punct('&') {
+                k += 1;
+            }
+            let mut last = None;
+            while k < n && self.ct(k).kind == Kind::Ident {
+                last = Some(k);
+                if k + 2 < n && self.ct(k + 1).is_punct(':') && self.ct(k + 2).is_punct(':') {
+                    k += 3;
+                } else {
+                    k += 1;
+                    break;
+                }
+            }
+            if !last.is_some_and(|l| self.ct(l).is_ident("Key")) {
+                continue;
+            }
+            // Count the top-level type arguments up to the closing `>`.
+            let mut depth = 1usize;
+            let mut args = 1usize;
+            while k < n && depth > 0 {
+                let c = self.ct(k);
+                if c.is_punct('<') {
+                    depth += 1;
+                } else if c.is_punct('>') {
+                    depth -= 1;
+                } else if c.is_punct(',') && depth == 1 {
+                    args += 1;
+                }
+                k += 1;
+            }
+            if args == want_args {
+                self.report(
+                    &mut out,
+                    "L009",
+                    t.line,
+                    format!(
+                        "`{}` keyed by `Key` with the default hasher rehashes the key text; \
+                         use `{alias}`, which buckets by the hash the key carries",
+                        t.text
+                    ),
+                );
+            }
+        }
+        out
+    }
+}
+
 /// `lock-rank:` followed by an integer rank and a non-empty name.
 fn comment_has_lock_rank(c: &str) -> bool {
     let Some(at) = c.find("lock-rank:") else {
@@ -1479,6 +1565,44 @@ mod tests {
         );
         assert!(c.l003_nondeterminism().is_empty());
         assert!(c.l005_channel_unwraps().is_empty());
+    }
+
+    // ------------------------------------------------------------- L009
+
+    #[test]
+    fn l009_flags_default_hasher_key_maps_in_product_code() {
+        let c = ctx(
+            "struct S { cache: HashMap<Key, Vec<(u8, u8)>>, seen: HashSet<Key> }\n\
+             fn f() { let m = HashMap::<cloudburst_lattice::Key, u32>::new(); }",
+        );
+        let v = c.l009_key_maps();
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v[0].msg.contains("KeyMap<V>"));
+        assert!(v[1].msg.contains("KeySet"));
+        assert_eq!(v[2].line, 2);
+    }
+
+    #[test]
+    fn l009_allows_key_maps_other_keys_and_named_hashers() {
+        let c = ctx(
+            "struct S { a: KeyMap<u32>, b: KeySet, c: HashMap<VmId, KeySet>,\n\
+             d: HashMap<(Key, Timestamp), u8>, e: HashMap<Key, u8, MyHasher>,\n\
+             f: HashMap<KeyId, u8> }",
+        );
+        assert!(c.l009_key_maps().is_empty());
+    }
+
+    #[test]
+    fn l009_exempts_tests_and_bench() {
+        let c = ctx("#[cfg(test)]\n\
+             mod tests {\n\
+                 fn t() { let m: HashMap<Key, u32> = HashMap::new(); }\n\
+             }");
+        assert!(c.l009_key_maps().is_empty());
+        for path in ["crates/core/tests/runtime.rs", "crates/bench/src/fig11.rs"] {
+            let c = FileCtx::new(path, "struct S { m: HashMap<Key, u32> }");
+            assert!(c.l009_key_maps().is_empty(), "{path} must be exempt");
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@ use cloudburst_lattice::Key;
 const NIL: u32 = u32::MAX;
 
 /// Shared placeholder left in freed slab slots so a removed entry's real key
-/// (and its interner entry) is released immediately rather than pinned until
-/// the slot is reused. Cloning it is a refcount bump.
+/// text is released immediately rather than pinned until the slot is
+/// reused. Cloning it is a refcount bump.
 fn tombstone() -> Key {
     static TOMBSTONE: std::sync::OnceLock<Key> = std::sync::OnceLock::new();
     TOMBSTONE.get_or_init(|| Key::new("")).clone()

@@ -30,8 +30,11 @@
 # verdict and no exit status depend on them.
 #
 # <base-bin> / <head-bin> are `cloudburst-benchmark` executables built from
-# the two commits. Without --workload each side of a pair is one `all` run
-# (every workload, untraced and traced); with it, one untraced run of W.
+# the two commits. Build both with scripts/build_yardstick.sh <rev> <out>:
+# it builds each side at one fixed path with that path remapped, so the
+# build directory cannot move µs metrics between the two sides. Without
+# --workload each side of a pair is one `all` run (every workload, untraced
+# and traced); with it, one untraced run of W.
 # Result sets land in DIR (default: a fresh temp dir) as base-<i>.json /
 # head-<i>.json. Exit status: 1 if any pair's compare printed REGRESSED or
 # could not be read, if a summary row is REGRESSED, or if the claim fails;
