@@ -85,8 +85,10 @@ const CAUSAL_CUT_FETCH_ROUNDS: usize = 3;
 /// never put more than this many payload bytes in one `MultiPut`.
 const MAX_BATCH_BYTES: usize = 1 << 20;
 
-/// The shard of `shards` owning a key with hash `hash`: bits 32 and up,
-/// which a shard map of fewer than 2^32 buckets never indexes by.
+/// The shard of `shards` owning a key with hash `hash`. It reads bits the
+/// shard's own map does not use: hashbrown takes bucket indexes from the low
+/// bits and 7-bit tags from the top bits, so a shard picked from either
+/// would crowd its keys into a fraction of the buckets or tags.
 fn shard_index(hash: u64, shards: usize) -> usize {
     ((hash >> 32) as usize) % shards
 }
@@ -364,11 +366,7 @@ impl CacheInner {
         self.shard_max * self.shards.len()
     }
 
-    /// The lock stripe owning `key`. It reads the key's hash from bits
-    /// the shard's map does not use: hashbrown takes bucket indexes from
-    /// the low bits and 7-bit tags from the top bits, so picking the shard
-    /// from either would crowd every key in a shard into a fraction of its
-    /// buckets or tags.
+    /// The lock stripe owning `key`.
     fn shard(&self, key: &Key) -> &Mutex<CacheShard> {
         &self.shards[shard_index(key.hash(), self.shards.len())]
     }

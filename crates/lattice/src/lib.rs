@@ -43,7 +43,7 @@ pub use capsule::{Capsule, CapsuleError, ConsistencyKind};
 pub use causal::CausalLattice;
 pub use codec::CodecError;
 pub use counter::CounterLattice;
-pub use key::{key_hash, Key, KeyMap, KeySet};
+pub use key::{Key, KeyMap, KeySet};
 pub use lww::LwwLattice;
 pub use map::MapLattice;
 pub use max::{BoolOrLattice, MaxLattice};
