@@ -70,8 +70,9 @@ pub struct AnnaConfig {
     /// an existing network and ignores this field (the network's own
     /// config governs).
     pub net: NetConfig,
-    /// Actor-runtime configuration — worker-pool size and the
-    /// deterministic mode knob ([`cloudburst_runtime::RuntimeConfig`]). Consulted by
+    /// Actor-runtime configuration — worker-pool size (one worker is the
+    /// deterministic pool) and steal seed
+    /// ([`cloudburst_runtime::RuntimeConfig`]). Consulted by
     /// [`AnnaCluster::launch`] and [`AnnaCluster::launch_standalone`], which
     /// build a runtime the cluster then owns; [`AnnaCluster::launch_on`]
     /// joins an existing runtime and ignores this field.
@@ -279,13 +280,6 @@ impl AnnaCluster {
     /// injector depth, …) — surfaced through harness summaries.
     pub fn runtime_stats(&self) -> RuntimeStats {
         self.runtime.stats()
-    }
-
-    /// The durable disk env behind node `id`, if the cluster runs with
-    /// durability on. Lets tests script faults (torn tails, failed syncs)
-    /// against a specific node's storage.
-    pub fn disk_env(&self, id: NodeId) -> Option<Arc<dyn DiskEnv>> {
-        self.disks.lock().get(&id).cloned()
     }
 
     /// Get-or-create the durable env for `id` per the configured mode.

@@ -691,6 +691,35 @@ mod tests {
     }
 
     #[test]
+    fn failed_sync_keeps_the_wal_dirty_until_a_sync_succeeds() {
+        // What holding acks on a failed sync relies on: while syncs fail
+        // the record is not durable, and the engine keeps saying so.
+        let env = FaultDisk::new();
+        let mut e = LsmEngine::open(env.clone(), opts_small());
+        e.put(key(1), lww(1, b"held"));
+        env.set_fail_syncs(true);
+        assert!(e.sync().is_err());
+        assert!(e.wal_dirty(), "a failed sync must leave the WAL dirty");
+        env.power_loss();
+        let e2 = LsmEngine::open(env, opts_small());
+        assert!(e2.get(&key(1)).is_none(), "an unsynced record survived");
+
+        // Once syncs recover, the next sync makes the record durable.
+        let env = FaultDisk::new();
+        let mut e = LsmEngine::open(env.clone(), opts_small());
+        e.put(key(1), lww(1, b"held"));
+        env.set_fail_syncs(true);
+        assert!(e.sync().is_err());
+        assert!(e.wal_dirty());
+        env.set_fail_syncs(false);
+        e.sync().unwrap();
+        assert!(!e.wal_dirty());
+        env.power_loss();
+        let e2 = LsmEngine::open(env, opts_small());
+        assert_eq!(e2.get(&key(1)).unwrap().read_value().as_ref(), b"held");
+    }
+
+    #[test]
     fn torn_wal_tail_recovers_prefix() {
         let env = FaultDisk::new();
         let mut e = LsmEngine::open(env.clone(), opts_small());

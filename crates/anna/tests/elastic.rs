@@ -444,7 +444,7 @@ fn system_keys_are_never_promoted() {
     let client = cluster.client();
     let sys = cloudburst_anna::metrics::executor_metrics_key(1);
     client.put_lww(&sys, Bytes::from_static(b"m")).unwrap();
-    let _elastic = cluster.spawn_elastic(
+    let elastic = cluster.spawn_elastic(
         ElasticConfig {
             tick_ms: 10.0,
             promote_heat: 20.0,
@@ -463,9 +463,13 @@ fn system_keys_are_never_promoted() {
             }
         })
     };
-    // Give the loop ample time to (wrongly) promote, then check it never
-    // did despite the key being by far the hottest.
-    std::thread::sleep(Duration::from_millis(500));
+    // Give the loop ample ticks to (wrongly) promote — 50, what 500 ms
+    // covers at `tick_ms: 10.0` — then check it never did despite the key
+    // being by far the hottest.
+    assert!(
+        eventually(Duration::from_secs(10), || elastic.stats().ticks >= 50),
+        "the policy loop stopped ticking"
+    );
     assert!(!cluster.directory().is_overridden(&sys));
     stop.store(true, Ordering::Relaxed);
     let _ = reader.join();

@@ -32,7 +32,8 @@ use crate::types::{ConsistencyLevel, ExecutorId, RequestId, VersionId, VmId};
 pub enum CacheRequest {
     /// Fetch the version snapshot of `key` held for `request_id`
     /// (Algorithms 1 & 2: `fetch_from_upstream`). Falls back to the live
-    /// cache and then to Anna if no snapshot is held.
+    /// cache; answers `None` when neither is held, and the requester reads
+    /// Anna itself, so the server actor never waits on storage.
     Fetch {
         /// The session whose snapshot is wanted.
         request_id: RequestId,
@@ -849,6 +850,12 @@ impl CacheInner {
         self.snapshots.lock().get(&request)?.get(key).cloned()
     }
 
+    /// What this cache holds of `key` for `request`: the session's
+    /// snapshot, else the live copy.
+    fn held_for(&self, request: RequestId, key: &Key) -> Option<Capsule> {
+        self.snapshot_of(request, key).or_else(|| self.peek(key))
+    }
+
     fn fetch_from_upstream(
         &self,
         upstream: Address,
@@ -861,8 +868,7 @@ impl CacheInner {
         if upstream == self.addr {
             // We are the upstream cache; answer locally.
             return self
-                .snapshot_of(request, key)
-                .or_else(|| self.peek(key))
+                .held_for(request, key)
                 .or_else(|| self.anna.get(key).ok().flatten());
         }
         let (reply, waiter) = reply_channel::<Option<Capsule>>(&self.net);
@@ -877,7 +883,13 @@ impl CacheInner {
                 },
             )
             .ok()?;
-        waiter.wait_timeout(Duration::from_secs(10)).ok().flatten()
+        // An upstream holding neither copy answers `None`; read Anna here,
+        // on the body path that waits anyway, for the value it would have
+        // fetched. A timeout or a dead upstream gives `None`.
+        waiter
+            .wait_timeout(Duration::from_secs(10))
+            .ok()?
+            .or_else(|| self.anna.get(key).ok().flatten())
     }
 
     /// Evict all version snapshots of a completed session.
@@ -954,11 +966,7 @@ impl CacheInner {
                 self.stats
                     .upstream_fetches_served
                     .fetch_add(1, Ordering::Relaxed);
-                let capsule = self
-                    .snapshot_of(request_id, &key)
-                    .or_else(|| self.peek(&key))
-                    .or_else(|| self.anna.get(&key).ok().flatten());
-                reply.reply(capsule);
+                reply.reply(self.held_for(request_id, &key));
                 false
             }
             CacheRequest::SessionComplete { request_id } => {
@@ -1301,6 +1309,72 @@ mod tests {
                 .load(Ordering::Relaxed)
                 >= 1
         );
+    }
+
+    #[test]
+    fn fetch_of_an_unheld_key_answers_none_and_the_requester_reads_anna() {
+        let net = Network::new(NetConfig::instant());
+        let anna = AnnaCluster::launch(
+            &net,
+            AnnaConfig {
+                nodes: 2,
+                replication: 1,
+                durability: cloudburst_anna::Durability::Off,
+                ..AnnaConfig::default()
+            },
+        );
+        let topo = Arc::new(Topology::new());
+        let [up, down] = [1, 2].map(|vm| {
+            VmCache::spawn(
+                test_runtime(),
+                vm,
+                &net,
+                anna.client(),
+                Arc::clone(&topo),
+                ConsistencyLevel::RepeatableRead,
+                CacheConfig::default(),
+            )
+        });
+        let client = anna.client();
+        let key = Key::new("cold");
+        client.put_lww(&key, Bytes::from_static(b"stored")).unwrap();
+        let gets_served = || -> u64 {
+            client
+                .cluster_stats()
+                .unwrap()
+                .iter()
+                .map(|s| s.gets_served)
+                .sum()
+        };
+        let before = gets_served();
+
+        // The upstream holds neither a snapshot nor a live copy: it
+        // answers `None` without reading storage.
+        let (reply, waiter) = reply_channel::<Option<Capsule>>(&net);
+        net.send(
+            down.inner().addr,
+            up.inner().addr,
+            CacheRequest::Fetch {
+                request_id: 7,
+                key: key.clone(),
+                reply,
+            },
+        )
+        .unwrap();
+        assert!(waiter
+            .wait_timeout(Duration::from_secs(10))
+            .unwrap()
+            .is_none());
+        assert_eq!(gets_served(), before, "the server actor read Anna");
+
+        // The requester's own read falls through to Anna.
+        let capsule = down
+            .inner()
+            .fetch_from_upstream(up.inner().addr, 7, &key)
+            .expect("stored value");
+        assert_eq!(capsule.read_value().as_ref(), b"stored");
+        assert_eq!(gets_served(), before + 1);
+        assert!(!up.inner().contains(&key), "the upstream admitted nothing");
     }
 
     #[test]

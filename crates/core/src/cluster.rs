@@ -40,7 +40,7 @@ pub struct CloudburstConfig {
     pub anna: AnnaConfig,
     /// Actor-runtime parameters for the shared worker pool that runs every
     /// storage node, executor, cache server, and scheduler.
-    /// `CB_DETERMINISTIC=1` forces the deterministic mode at launch.
+    /// `CB_DETERMINISTIC=1` forces it to one worker at launch.
     pub runtime: RuntimeConfig,
     /// Initial number of function-execution VMs.
     pub vms: usize,

@@ -57,16 +57,6 @@ impl<K: Ord, V: Lattice> MapLattice<K, V> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.0.iter()
     }
-
-    /// Access the underlying map.
-    pub fn as_map(&self) -> &BTreeMap<K, V> {
-        &self.0
-    }
-
-    /// Consume into the underlying map.
-    pub fn into_map(self) -> BTreeMap<K, V> {
-        self.0
-    }
 }
 
 impl<K: Ord + Clone, V: Lattice> Lattice for MapLattice<K, V> {

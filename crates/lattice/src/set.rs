@@ -62,11 +62,6 @@ impl<T: Ord> SetLattice<T> {
     pub fn first(&self) -> Option<&T> {
         self.0.first()
     }
-
-    /// Access the underlying sorted set.
-    pub fn as_set(&self) -> &BTreeSet<T> {
-        &self.0
-    }
 }
 
 impl<T: Ord + Clone> SetLattice<T> {

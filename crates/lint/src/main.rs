@@ -142,26 +142,7 @@ fn run(root: &Path) -> Result<usize, String> {
             ));
         }
     }
-    // …and the reverse: a `### `Name`` heading in the index that names a
-    // struct no longer in the tree is documentation rot.
-    let known: std::collections::BTreeSet<&str> = config_fields
-        .iter()
-        .map(|(_, f)| f.strukt.as_str())
-        .collect();
-    for heading in knob_index_struct_headings(&knob_index) {
-        if heading.ends_with("Config") && !known.contains(heading.as_str()) {
-            all.push((
-                "ARCHITECTURE.md".into(),
-                Violation {
-                    line: 0,
-                    rule: "L004",
-                    msg: format!(
-                        "per-knob index documents `{heading}` but no such pub Config struct exists"
-                    ),
-                },
-            ));
-        }
-    }
+    all.extend(l004_stale_index(&knob_index, &config_fields));
 
     // L008: knobs set nowhere but their declaration and `Default` impl,
     // counting the callers outside the linted tree too.
@@ -189,6 +170,40 @@ fn run(root: &Path) -> Result<usize, String> {
         all.len()
     );
     Ok(all.len())
+}
+
+/// L004's reverse check: a `### `Name`` heading in the per-knob index
+/// that names a struct no longer in the tree, or a row under a live
+/// heading that names a field no longer in its struct, is documentation
+/// rot.
+fn l004_stale_index(section: &str, fields: &[(String, ConfigField)]) -> Vec<(String, Violation)> {
+    let live = |strukt: &str| fields.iter().any(|(_, f)| f.strukt == strukt);
+    let gone_structs = knob_index_struct_headings(section)
+        .into_iter()
+        .filter(|h| h.ends_with("Config") && !live(h))
+        .map(|h| format!("per-knob index documents `{h}` but no such pub Config struct exists"));
+    let gone_fields = knob_index_rows(section)
+        .into_iter()
+        .filter(|(s, field)| {
+            live(s)
+                && !fields
+                    .iter()
+                    .any(|(_, f)| f.strukt == *s && f.field == *field)
+        })
+        .map(|(s, field)| {
+            format!("per-knob index documents knob `{s}.{field}` but `{s}` has no such pub field")
+        });
+    gone_structs
+        .chain(gone_fields)
+        .map(|msg| {
+            let v = Violation {
+                line: 0,
+                rule: "L004",
+                msg,
+            };
+            ("ARCHITECTURE.md".to_string(), v)
+        })
+        .collect()
 }
 
 /// L008: a knob that no [`KnobSet`] sets is a constant dressed as a knob,
@@ -282,6 +297,28 @@ fn knob_index_struct_headings(section: &str) -> Vec<String> {
         };
         if let Some(end) = rest.find('`') {
             out.push(rest[..end].to_string());
+        }
+    }
+    out
+}
+
+/// `(struct, field)` for every knob a table row under a `### `Name``
+/// heading documents: the backticked names of the row's first cell, which
+/// may list several (`` `a` / `b` ``). Header and separator rows name none.
+fn knob_index_rows(section: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let mut strukt = None;
+    for line in section.lines() {
+        if line.starts_with("### ") {
+            strukt = knob_index_struct_headings(line).pop();
+            continue;
+        }
+        let (Some(strukt), Some(row)) = (&strukt, line.strip_prefix('|')) else {
+            continue;
+        };
+        let cell = row.split('|').next().unwrap_or_default();
+        for name in cell.split('`').skip(1).step_by(2) {
+            out.push((strukt.clone(), name.to_string()));
         }
     }
     out
@@ -398,5 +435,61 @@ mod tests {
     fn struct_headings_are_extracted() {
         let s = knob_index_section(ARCH_FIXTURE);
         assert_eq!(knob_index_struct_headings(&s), ["FooConfig", "GoneConfig"]);
+    }
+
+    #[test]
+    fn knob_rows_are_extracted_under_their_heading() {
+        let section = "\
+Intro `not_a_row`.
+
+### `FooConfig` — `crates/foo/src/lib.rs`
+
+| knob | default | effect |
+|---|---|---|
+| `alpha` | `1` | does `beta` |
+| `gamma` / `delta` | 1 / 2 | a pair |
+
+### `BarConfig`
+
+| `eps` | — | … |
+";
+        let rows: Vec<String> = knob_index_rows(section)
+            .into_iter()
+            .map(|(s, f)| format!("{s}.{f}"))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                "FooConfig.alpha",
+                "FooConfig.gamma",
+                "FooConfig.delta",
+                "BarConfig.eps"
+            ]
+        );
+    }
+
+    #[test]
+    fn stale_index_flags_gone_structs_and_gone_fields_of_live_ones() {
+        let section = knob_index_section(ARCH_FIXTURE);
+        let flagged = |fields: &[(String, ConfigField)]| -> Vec<String> {
+            l004_stale_index(&section, fields)
+                .into_iter()
+                .map(|(_, v)| {
+                    assert_eq!(v.rule, "L004");
+                    v.msg.split('`').nth(1).unwrap_or_default().to_string()
+                })
+                .collect()
+        };
+        // `FooConfig.alpha` is documented and live: only the gone struct.
+        assert_eq!(
+            flagged(&[field("FooConfig", "alpha", false)]),
+            ["GoneConfig"]
+        );
+        // `alpha` renamed away: its row is stale too; `GoneConfig`'s rows
+        // are covered by its heading.
+        assert_eq!(
+            flagged(&[field("FooConfig", "beta", false)]),
+            ["GoneConfig", "FooConfig.alpha"]
+        );
     }
 }

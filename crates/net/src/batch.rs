@@ -47,11 +47,6 @@ impl Batch {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// Consume the batch, yielding its payloads in push order.
-    pub fn into_items(self) -> Vec<Box<dyn Any + Send>> {
-        self.items
-    }
 }
 
 impl Default for Batch {

@@ -459,12 +459,6 @@ impl Network {
         }
     }
 
-    /// Whether an endpoint is currently killed.
-    pub fn is_down(&self, addr: Address) -> bool {
-        self.inner.down_count.load(Ordering::Acquire) != 0
-            && self.inner.down.read().contains(&addr.0)
-    }
-
     /// Partition the link between `a` and `b` (both directions).
     pub fn partition(&self, a: Address, b: Address) {
         let mut partitions = self.inner.partitions.write();
@@ -1173,8 +1167,8 @@ mod tests {
             ..RuntimeConfig::default()
         });
         let net = Network::on(&runtime, NetConfig::default());
-        let stripes = match runtime.mode() {
-            cloudburst_runtime::RuntimeMode::Deterministic => 1,
+        let stripes = match runtime.stats().mode.as_str() {
+            "deterministic" => 1,
             _ => 4,
         };
         assert_eq!(net.inner.rngs.len(), stripes);

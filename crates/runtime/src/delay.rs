@@ -1,12 +1,18 @@
-//! One-shot tasks on the runtime's timer heap: [`Runtime::run_after`].
+//! The runtime's one timer heap: actor wakes and one-shot tasks
+//! ([`Runtime::run_after`]).
 //!
-//! The fabric schedules every delayed delivery and reply here, so one heap
-//! (beside the actor timers, under the same `rt-injector` lock) holds every
-//! deadline in the process and the threads that sleep to the next one are
-//! the pool's own. Three rules keep a delivery fabric on top of it honest:
+//! An actor's [`crate::Poll::Idle`] deadline and every delayed delivery and
+//! reply of the network fabric are entries of one heap under the
+//! `rt-injector` lock, so it holds every deadline in the process and the
+//! threads that sleep to the next one are the pool's own. Four rules keep
+//! a delivery fabric and the actors on top of it honest:
 //!
 //! * entries are ordered by `(deadline, seq)`, `seq` taken under the lock,
-//!   so tasks armed with equal deadlines fire in the order they were armed;
+//!   so entries armed with equal deadlines fire in the order they were
+//!   armed;
+//! * a due wake enqueues its actor on the injector, but only while the
+//!   actor's `armed_deadline` still holds the entry's deadline: a re-arm
+//!   supersedes every older entry;
 //! * a due task moves to the `ready` queue in that order, and one thread
 //!   at a time drains it (`draining`), running each task outside every
 //!   runtime lock, so the order survives a multi-worker pool: constant
@@ -19,18 +25,27 @@
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Weak;
 use std::time::{Duration, Instant};
 
 use parking_lot::MutexGuard;
 
-use crate::{rt_now, Inner, Runtime, Sched};
+use crate::{rt_now, Cell, Inner, Runtime, Sched};
 
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
 
+/// What a due entry does.
+pub(crate) enum Fire {
+    /// Run a one-shot task.
+    Task(Task),
+    /// Wake an actor whose timer this is, unless re-armed since.
+    Wake(Weak<Cell>),
+}
+
 pub(crate) struct Entry {
-    pub(crate) deadline: Instant,
+    deadline: Instant,
     seq: u64,
-    task: Task,
+    fire: Fire,
 }
 
 impl PartialEq for Entry {
@@ -61,38 +76,68 @@ impl Runtime {
             task();
             return;
         }
-        let inner = &self.inner;
         let deadline = rt_now() + delay;
-        let ns = inner.to_ns(deadline).max(1);
-        let mut sched = inner.sched.lock();
+        let mut sched = self.inner.sched.lock();
         if sched.shutdown {
             drop(sched);
             return; // `task` drops here, outside the lock
         }
-        let seq = sched.task_seq;
-        sched.task_seq += 1;
-        sched.tasks.push(Entry {
-            deadline,
-            seq,
-            task: Box::new(task),
-        });
-        if ns < inner.next_deadline.load(Ordering::Relaxed) {
-            inner.next_deadline.store(ns, Ordering::Relaxed);
-            // A parked thread may be waiting on a later deadline; wake one
-            // so it re-parks with the shorter wait.
-            inner.wake_one(&mut sched);
-        }
+        self.inner
+            .push_deadline(&mut sched, deadline, Fire::Task(Box::new(task)));
     }
 }
 
 impl Inner {
-    /// Move every task due at `now` to the ready queue (caller holds
-    /// `sched`).
-    pub(crate) fn expire_due_tasks(&self, sched: &mut Sched, now: Instant) {
-        while sched.tasks.peek().is_some_and(|e| e.deadline <= now) {
-            let entry = sched.tasks.pop().expect("peeked entry");
-            sched.ready.push_back(entry.task);
+    /// Arm `fire` at `deadline` (caller holds `sched`).
+    pub(crate) fn push_deadline(&self, sched: &mut Sched, deadline: Instant, fire: Fire) {
+        let seq = sched.seq;
+        sched.seq += 1;
+        sched.heap.push(Entry {
+            deadline,
+            seq,
+            fire,
+        });
+        let ns = self.to_ns(deadline);
+        if ns < self.next_deadline.load(Ordering::Relaxed) {
+            self.next_deadline.store(ns, Ordering::Relaxed);
+            // A parked thread may be waiting on a later deadline; wake one
+            // so it re-parks with the shorter wait.
+            self.wake_one(sched);
         }
+    }
+
+    /// Fire every entry due at `now` (caller holds `sched`): a task moves
+    /// to the ready queue, a current wake enqueues its cell directly on the
+    /// held injector (`notify` would re-take the lock).
+    pub(crate) fn expire_due(&self, sched: &mut Sched, now: Instant) {
+        while sched.heap.peek().is_some_and(|e| e.deadline <= now) {
+            let entry = sched.heap.pop().expect("peeked entry");
+            match entry.fire {
+                Fire::Task(task) => sched.ready.push_back(task),
+                Fire::Wake(cell) => {
+                    let Some(cell) = cell.upgrade() else {
+                        continue;
+                    };
+                    let ns = self.to_ns(entry.deadline);
+                    if cell
+                        .armed_deadline
+                        .compare_exchange(ns, 0, Ordering::AcqRel, Ordering::Acquire)
+                        .is_err()
+                    {
+                        continue; // superseded by a re-arm
+                    }
+                    self.timer_fires.fetch_add(1, Ordering::Relaxed);
+                    if cell.mark_queued() {
+                        sched.injector.push_back(cell);
+                    }
+                }
+            }
+        }
+        let next = sched
+            .heap
+            .peek()
+            .map_or(u64::MAX, |e| self.to_ns(e.deadline));
+        self.next_deadline.store(next, Ordering::Relaxed);
     }
 
     /// If ready tasks wait and no other thread is draining them, become
@@ -135,7 +180,7 @@ fn run_batch(shutdown: &AtomicBool, batch: &mut VecDeque<Task>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RuntimeConfig, RuntimeMode};
+    use crate::RuntimeConfig;
     use std::sync::atomic::AtomicUsize;
     use std::sync::{mpsc, Arc};
 
@@ -154,7 +199,7 @@ mod tests {
 
     fn pending(rt: &Runtime) -> usize {
         let sched = rt.inner.sched.lock();
-        sched.tasks.len() + sched.ready.len()
+        sched.heap.len() + sched.ready.len()
     }
 
     /// Wait for `cond` with a 10 s deadline.
@@ -272,7 +317,7 @@ mod tests {
             let order: Vec<i32> = (0..200)
                 .map(|_| rx.recv_timeout(Duration::from_secs(2)).unwrap())
                 .collect();
-            assert_eq!(order, (0..200).collect::<Vec<_>>(), "{:?}", rt.mode());
+            assert_eq!(order, (0..200).collect::<Vec<_>>(), "{rt:?}");
             rt.shutdown();
         }
     }
@@ -346,15 +391,12 @@ mod tests {
             let at = Duration::from_millis(5);
             rt.run_after(at, move || {
                 owner.shutdown();
-                tx.send(owner.mode()).unwrap();
+                tx.send(owner.stats().workers).unwrap();
             });
             // Same deadline, armed later: it is dropped once shutdown began.
             rt.run_after(at, move || next_ran.store(true, Ordering::SeqCst));
-            let mode = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert!(matches!(
-                mode,
-                RuntimeMode::Deterministic | RuntimeMode::Pooled(4)
-            ));
+            let workers = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(matches!(workers, 1 | 4));
             assert!(!next.load(Ordering::SeqCst), "ran after shutdown");
             rt.shutdown();
         }

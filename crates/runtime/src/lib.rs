@@ -19,26 +19,24 @@
 //! the one re-arm rule all of them share.
 //! The same heap carries one-shot tasks ([`Runtime::run_after`]): every
 //! delayed delivery and reply of the network fabric is one, so the pool's
-//! parked threads sleep to the earliest deadline of either kind.
+//! parked threads sleep to the earliest deadline in the process.
 //! Every worker thread runs with a 1 µs timer slack
 //! (`slack::tighten_timer_slack`), so a timed park wakes at its deadline
 //! rather than at the end of the kernel's default 50 µs coalescing window.
 //!
-//! # Modes
+//! # Determinism
 //!
-//! [`RuntimeConfig`] resolves (after the `CB_DETERMINISTIC` environment
-//! override, the process's one determinism switch) to one of two modes:
-//!
-//! * **pooled** — `workers` threads (0 = auto, `available_parallelism`
-//!   clamped to 2..=8) with per-worker local deques, a global injector, and
-//!   seeded victim-order stealing. The default.
-//! * **deterministic** — a single worker draining the injector FIFO: actor
-//!   dispatch order is a pure function of enqueue order, so chaos `--seed`
-//!   replays stay byte-for-byte. A network on this runtime draws its
-//!   latencies from one RNG stripe and delivers in one global
-//!   `(deadline, seq)` order. Forced process-wide by
-//!   `CB_DETERMINISTIC=1`; a config asking for determinism can never be
-//!   overridden *into* parallel mode.
+//! [`RuntimeConfig::workers`] sizes the pool (0 = auto,
+//! `available_parallelism` clamped to 2..=8). A pool of several workers
+//! gives each a local deque beside the global injector, with seeded
+//! victim-order stealing. A **one-worker** pool enqueues only on the
+//! injector and drains it FIFO, so actor dispatch order is a pure function
+//! of enqueue order and chaos `--seed` replays stay byte-for-byte; a
+//! network on such a runtime draws its latencies from one RNG stripe and
+//! delivers in one global `(deadline, seq)` order.
+//! [`RuntimeConfig::deterministic`] asks for that pool, and
+//! `CB_DETERMINISTIC=1`, the process's one determinism switch, forces every
+//! runtime to it.
 //!
 //! # Blocking regions
 //!
@@ -67,14 +65,14 @@
 //!
 //! Three ranked locks (see ARCHITECTURE.md's table): `rt-actor-cell` (16)
 //! guards an actor's parked state and is never held across a poll;
-//! `rt-injector` (91) guards the injector, both timer heaps, the ready
+//! `rt-injector` (91) guards the injector, the timer heap, the ready
 //! one-shot tasks, and the idle stack of parked threads; `rt-worker` (92)
 //! guards one worker's local deque, and may be taken while holding 91 (an
 //! idle worker stealing) but never the other way around.
 
 #![warn(missing_docs)]
 
-use std::cell::Cell as StdCell;
+use std::cell::OnceCell;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -88,20 +86,16 @@ use slack::tighten_timer_slack;
 #[cfg(test)]
 use slack::{current_timer_slack_ns, TIMER_SLACK_NS};
 
-/// Configuration for a [`Runtime`]: a `deterministic` flag that can never
-/// be overridden back into parallel mode, and the `CB_DETERMINISTIC`
-/// environment override for process-wide forcing.
+/// Configuration for a [`Runtime`]. The `CB_DETERMINISTIC` environment
+/// override forces `workers` to 1 process-wide.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Worker threads for the pooled mode; `0` picks
-    /// `available_parallelism().clamp(2, 8)`. Ignored (forced to 1) in
-    /// deterministic mode.
+    /// Worker threads; `0` picks `available_parallelism().clamp(2, 8)`.
+    /// One worker is the deterministic pool: actors run in global FIFO
+    /// enqueue order, so chaos `--seed` replay stays byte-for-byte.
     pub workers: usize,
-    /// Force the single-worker deterministic pool: actors run in global
-    /// FIFO enqueue order, so chaos `--seed` replay stays byte-for-byte.
-    pub deterministic: bool,
-    /// Seed for the steal-victim rotation in pooled mode. Stealing order
-    /// never affects correctness, only which worker drains a backlog.
+    /// Seed for the steal-victim rotation of a multi-worker pool. Stealing
+    /// order never affects correctness, only which worker drains a backlog.
     pub seed: u64,
 }
 
@@ -109,7 +103,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
             workers: 0,
-            deterministic: false,
             seed: 0xAC70_12B5,
         }
     }
@@ -119,54 +112,27 @@ impl RuntimeConfig {
     /// A deterministic single-worker configuration (replayable dispatch).
     pub fn deterministic() -> Self {
         Self {
-            deterministic: true,
+            workers: 1,
             ..Self::default()
         }
     }
 }
 
-/// The mode a [`RuntimeConfig`] resolved to, after the `CB_DETERMINISTIC`
-/// environment override. Exposed so harnesses can report what actually ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeMode {
-    /// Work-stealing pool with this many workers.
-    Pooled(usize),
-    /// Single worker, global FIFO dispatch.
-    Deterministic,
-}
-
-impl RuntimeMode {
-    /// Short label for logs and bench summaries.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Pooled(_) => "pooled",
-            Self::Deterministic => "deterministic",
-        }
-    }
-}
-
-/// Whether `CB_DETERMINISTIC=1` is set: the one process-wide determinism
-/// switch. It forces every [`Runtime`] — and so every network delivering
-/// on one — into the single-worker FIFO mode chaos `--seed` replay runs
-/// in. The variable can only *add* determinism: a config that asked for
-/// it is never overridden into parallel mode.
-fn env_deterministic() -> bool {
-    std::env::var("CB_DETERMINISTIC").is_ok_and(|v| v == "1")
-}
-
-fn resolve_mode(config: &RuntimeConfig) -> RuntimeMode {
-    if config.deterministic || env_deterministic() {
-        return RuntimeMode::Deterministic;
-    }
-    let workers = if config.workers > 0 {
+/// The pool size a [`RuntimeConfig`] resolves to. `CB_DETERMINISTIC=1`,
+/// the one process-wide determinism switch, forces every [`Runtime`] — and
+/// so every network delivering on one — to the single worker chaos
+/// `--seed` replay runs on. It can only *add* determinism.
+fn resolve_workers(config: &RuntimeConfig) -> usize {
+    if std::env::var("CB_DETERMINISTIC").is_ok_and(|v| v == "1") {
+        1
+    } else if config.workers > 0 {
         config.workers
     } else {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .clamp(2, 8)
-    };
-    RuntimeMode::Pooled(workers)
+    }
 }
 
 /// What an actor's [`Actor::poll`] tells the runtime to do next.
@@ -268,7 +234,6 @@ impl ActorCtx<'_> {
     /// Record the mailbox depth observed at the start of this poll, for the
     /// `max_mailbox_depth` runtime statistic.
     pub fn note_mailbox_depth(&self, depth: usize) {
-        self.cell.max_mailbox.fetch_max(depth, Ordering::Relaxed);
         self.inner.max_mailbox.fetch_max(depth, Ordering::Relaxed);
     }
 }
@@ -301,13 +266,36 @@ struct Cell {
     slot: Mutex<Slot>,
     /// Signals `slot.dead` for `join`/`stop` waiters.
     dead_cv: Condvar,
-    /// Timer re-arm generation; see `arm_timer`.
-    timer_gen: AtomicU64,
-    /// The deadline (ns since runtime epoch) currently armed, or 0. Lets a
-    /// steady cadence re-arm the same deadline without heap churn.
+    /// The deadline (ns since runtime epoch) currently armed, or 0. A heap
+    /// entry wakes the cell only while this still holds its deadline, so a
+    /// re-arm supersedes every older entry, and a steady cadence re-arming
+    /// the same deadline adds none.
     armed_deadline: AtomicU64,
-    polls: AtomicU64,
-    max_mailbox: AtomicUsize,
+}
+
+impl Cell {
+    /// The one notify transition: IDLE → QUEUED, returning true (the
+    /// caller must enqueue the cell); a running (or not yet started) cell
+    /// is marked dirty for the finishing worker to re-enqueue; a queued or
+    /// dead one is left alone.
+    fn mark_queued(&self) -> bool {
+        loop {
+            let s = self.state.load(Ordering::Acquire);
+            let next = match s {
+                IDLE => QUEUED,
+                RUNNING | EMBRYO => RUNNING_DIRTY,
+                QUEUED | RUNNING_DIRTY | DEAD => return false,
+                _ => unreachable!("invalid actor state {s}"),
+            };
+            if self
+                .state
+                .compare_exchange(s, next, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return next == QUEUED;
+            }
+        }
+    }
 }
 
 /// A handle to a spawned actor: notify it, stop it, wait for it to die.
@@ -330,36 +318,12 @@ struct WorkerSlot {
     steals: AtomicU64,
 }
 
-struct TimerEntry {
-    deadline: Instant,
-    gen: u64,
-    cell: Weak<Cell>,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-deadline-first.
-        other.deadline.cmp(&self.deadline)
-    }
-}
-
 struct Sched {
     injector: VecDeque<Arc<Cell>>,
-    timers: BinaryHeap<TimerEntry>,
-    /// One-shot tasks not yet due, earliest `(deadline, seq)` first.
-    tasks: BinaryHeap<delay::Entry>,
-    task_seq: u64,
+    /// Every deadline not yet due — actor wakes and one-shot tasks —
+    /// earliest `(deadline, seq)` first.
+    heap: BinaryHeap<delay::Entry>,
+    seq: u64,
     /// Due one-shot tasks in `(deadline, seq)` order, run by one thread at
     /// a time: the one that set `draining`.
     ready: VecDeque<delay::Task>,
@@ -373,7 +337,6 @@ struct Sched {
 }
 
 struct Inner {
-    mode: RuntimeMode,
     seed: u64,
     /// Epoch for the `next_deadline`/`armed_deadline` ns mirrors.
     epoch: Instant,
@@ -382,7 +345,7 @@ struct Inner {
     /// Lock-free mirror of `sched.idle.len()`, read by producers to decide
     /// whether a wakeup signal is needed at all.
     sleepers: AtomicUsize,
-    /// Lock-free mirror of the earliest deadline in either timer heap (ns
+    /// Lock-free mirror of the earliest deadline in the timer heap (ns
     /// since `epoch`; `u64::MAX` = none), so busy workers can check for
     /// due timers with one load per dispatch iteration.
     next_deadline: AtomicU64,
@@ -401,7 +364,6 @@ struct Inner {
     spares_parked: AtomicUsize,
     spares_spawned: AtomicU64,
     next_actor_id: AtomicU64,
-    actors_spawned: AtomicU64,
     polls: AtomicU64,
     timer_fires: AtomicU64,
     wakes: AtomicU64,
@@ -444,17 +406,9 @@ impl RuntimeStats {
 }
 
 thread_local! {
-    /// Worker identity of the current thread: `Some(Some(i))` on pool
-    /// worker `i`, `Some(None)` on a spare, `None` off-pool. Paired with a
-    /// weak runtime reference in WORKER_RT.
-    static WORKER_ID: StdCell<Option<Option<usize>>> = const { StdCell::new(None) };
-}
-
-// The runtime the current worker thread belongs to. Separate from
-// WORKER_ID because `Weak` is not `Copy`.
-thread_local! {
-    static WORKER_RT: std::cell::RefCell<Option<Weak<Inner>>> =
-        const { std::cell::RefCell::new(None) };
+    /// The runtime the current thread works for and its pool-worker index
+    /// (`None` on a spare); unset off-pool.
+    static WORKER: OnceCell<(Weak<Inner>, Option<usize>)> = const { OnceCell::new() };
 }
 
 /// Run `f`, declaring it may block on something produced by another actor
@@ -463,11 +417,7 @@ thread_local! {
 /// spare worker when none is idle; anywhere else it is a free
 /// pass-through. See the crate docs ("Blocking regions").
 pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
-    let on_pool = WORKER_ID.with(|w| w.get()).is_some();
-    if !on_pool {
-        return f();
-    }
-    let rt = WORKER_RT.with(|r| r.borrow().as_ref().and_then(Weak::upgrade));
+    let rt = WORKER.with(|w| w.get().and_then(|(rt, _)| rt.upgrade()));
     let Some(rt) = rt else {
         return f();
     };
@@ -486,11 +436,7 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
 impl Runtime {
     /// Build a runtime and start its workers.
     pub fn new(config: RuntimeConfig) -> Self {
-        let mode = resolve_mode(&config);
-        let worker_count = match mode {
-            RuntimeMode::Pooled(n) => n,
-            RuntimeMode::Deterministic => 1,
-        };
+        let worker_count = resolve_workers(&config);
         let workers: Box<[WorkerSlot]> = (0..worker_count)
             .map(|_| WorkerSlot {
                 deque: Mutex::ranked(92, "rt-worker", VecDeque::new()),
@@ -498,7 +444,6 @@ impl Runtime {
             })
             .collect();
         let inner = Arc::new(Inner {
-            mode,
             seed: config.seed,
             // lint: allow(L003): runtime epoch for deadline arithmetic; never compared across runs
             epoch: Instant::now(),
@@ -507,9 +452,8 @@ impl Runtime {
                 "rt-injector",
                 Sched {
                     injector: VecDeque::new(),
-                    timers: BinaryHeap::new(),
-                    tasks: BinaryHeap::new(),
-                    task_seq: 0,
+                    heap: BinaryHeap::new(),
+                    seq: 0,
                     ready: VecDeque::new(),
                     draining: false,
                     idle: Vec::new(),
@@ -526,7 +470,6 @@ impl Runtime {
             spares_parked: AtomicUsize::new(0),
             spares_spawned: AtomicU64::new(0),
             next_actor_id: AtomicU64::new(1),
-            actors_spawned: AtomicU64::new(0),
             polls: AtomicU64::new(0),
             timer_fires: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
@@ -544,11 +487,6 @@ impl Runtime {
         Runtime { inner }
     }
 
-    /// The mode this runtime resolved to (after `CB_DETERMINISTIC`).
-    pub fn mode(&self) -> RuntimeMode {
-        self.inner.mode
-    }
-
     /// Register an actor cell *without* attaching its actor yet, returning
     /// the handle. Use this to wire wakeup hooks (`Endpoint::set_notify`)
     /// that need the handle before the actor (which owns the endpoint) is
@@ -556,7 +494,6 @@ impl Runtime {
     /// and replayed as an immediate first poll.
     pub fn register(&self, name: impl Into<String>) -> ActorHandle {
         let id = self.inner.next_actor_id.fetch_add(1, Ordering::Relaxed);
-        self.inner.actors_spawned.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(Cell {
             id,
             name: name.into(),
@@ -573,10 +510,7 @@ impl Runtime {
                 },
             ),
             dead_cv: Condvar::new(),
-            timer_gen: AtomicU64::new(0),
             armed_deadline: AtomicU64::new(0),
-            polls: AtomicU64::new(0),
-            max_mailbox: AtomicUsize::new(0),
         });
         self.inner.cells.lock().push(Arc::downgrade(&cell));
         ActorHandle {
@@ -615,15 +549,20 @@ impl Runtime {
     /// Snapshot runtime statistics.
     pub fn stats(&self) -> RuntimeStats {
         let inner = &self.inner;
+        let mode = if inner.workers.len() == 1 {
+            "deterministic"
+        } else {
+            "pooled"
+        };
         RuntimeStats {
-            mode: inner.mode.label().to_string(),
+            mode: mode.to_string(),
             workers: inner.workers.len(),
             steals: inner
                 .workers
                 .iter()
                 .map(|w| w.steals.load(Ordering::Relaxed))
                 .collect(),
-            actors_spawned: inner.actors_spawned.load(Ordering::Relaxed),
+            actors_spawned: inner.next_actor_id.load(Ordering::Relaxed) - 1,
             polls: inner.polls.load(Ordering::Relaxed),
             injector_depth: inner.sched.lock().injector.len(),
             max_mailbox_depth: inner.max_mailbox.load(Ordering::Relaxed),
@@ -665,7 +604,7 @@ impl Runtime {
             }
             self.inner.sleepers.store(0, Ordering::SeqCst);
             (
-                std::mem::take(&mut sched.tasks),
+                std::mem::take(&mut sched.heap),
                 std::mem::take(&mut sched.ready),
             )
         };
@@ -690,7 +629,7 @@ impl Runtime {
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("mode", &self.inner.mode)
+            .field("workers", &self.inner.workers.len())
             .finish()
     }
 }
@@ -751,50 +690,26 @@ impl std::fmt::Debug for ActorHandle {
 }
 
 impl Inner {
+    /// `t` in ns since `epoch`; never 0, which `armed_deadline` reads as
+    /// nothing armed.
     fn to_ns(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.epoch).as_nanos() as u64
+        (t.saturating_duration_since(self.epoch).as_nanos() as u64).max(1)
     }
 
     /// Wake/schedule a cell. See the state machine comment above.
     fn notify(self: &Arc<Self>, cell: &Arc<Cell>) {
-        loop {
-            let s = cell.state.load(Ordering::Acquire);
-            match s {
-                IDLE => {
-                    if cell
-                        .state
-                        .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        self.enqueue(Arc::clone(cell));
-                        return;
-                    }
-                }
-                RUNNING | EMBRYO => {
-                    if cell
-                        .state
-                        .compare_exchange(s, RUNNING_DIRTY, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        return;
-                    }
-                }
-                QUEUED | RUNNING_DIRTY | DEAD => return,
-                _ => unreachable!("invalid actor state {s}"),
-            }
+        if cell.mark_queued() {
+            self.enqueue(Arc::clone(cell));
         }
     }
 
     /// The pool-worker index of the current thread, if it is a pool worker
     /// of *this* runtime (not a spare, not another instance's worker).
     fn local_worker(self: &Arc<Self>) -> Option<usize> {
-        WORKER_ID.with(|w| w.get()).flatten().filter(|_| {
-            WORKER_RT.with(|r| {
-                r.borrow()
-                    .as_ref()
-                    .and_then(Weak::upgrade)
-                    .is_some_and(|rt| Arc::ptr_eq(&rt, self))
-            })
+        WORKER.with(|w| {
+            w.get()
+                .filter(|(rt, _)| std::ptr::eq(rt.as_ptr(), Arc::as_ptr(self)))
+                .and_then(|&(_, wid)| wid)
         })
     }
 
@@ -807,14 +722,14 @@ impl Inner {
         }
     }
 
-    /// Push a QUEUED cell where a worker will find it. On a pool worker:
-    /// its local deque (cheap, good locality). Anywhere else — and always
-    /// in deterministic mode, where global FIFO order *is* the replay
-    /// contract — the shared injector.
+    /// Push a QUEUED cell where a worker will find it. On a worker of a
+    /// multi-worker pool: its local deque (cheap, good locality). Anywhere
+    /// else — and always on a one-worker pool, where global FIFO order
+    /// *is* the replay contract — the shared injector.
     fn enqueue(self: &Arc<Self>, cell: Arc<Cell>) {
-        let local = match self.mode {
-            RuntimeMode::Pooled(_) => self.local_worker(),
-            RuntimeMode::Deterministic => None,
+        let local = match self.workers.len() {
+            1 => None,
+            _ => self.local_worker(),
         };
         match local {
             Some(wid) => {
@@ -840,84 +755,18 @@ impl Inner {
         }
     }
 
-    /// Arm (or re-arm) the cell's timer. A cadence that re-arms the exact
-    /// same deadline is deduplicated against the mirror so steady actors
-    /// don't grow the heap on every poll.
+    /// Arm (or re-arm) the cell's timer. Re-arming the deadline already
+    /// armed adds no heap entry; any other deadline supersedes it.
     fn arm_timer(self: &Arc<Self>, cell: &Arc<Cell>, deadline: Instant) {
-        let ns = self.to_ns(deadline).max(1);
-        if cell.armed_deadline.swap(ns, Ordering::AcqRel) == ns {
-            return;
+        let ns = self.to_ns(deadline);
+        if cell.armed_deadline.swap(ns, Ordering::AcqRel) != ns {
+            let mut sched = self.sched.lock();
+            self.push_deadline(
+                &mut sched,
+                deadline,
+                delay::Fire::Wake(Arc::downgrade(cell)),
+            );
         }
-        let gen = cell.timer_gen.fetch_add(1, Ordering::AcqRel) + 1;
-        let mut sched = self.sched.lock();
-        sched.timers.push(TimerEntry {
-            deadline,
-            gen,
-            cell: Arc::downgrade(cell),
-        });
-        let prev = self.next_deadline.load(Ordering::Relaxed);
-        if ns < prev {
-            self.next_deadline.store(ns, Ordering::Relaxed);
-            // A parked worker may be waiting on the previous (later)
-            // deadline; wake one so it re-parks with the shorter wait.
-            self.wake_one(&mut sched);
-        }
-    }
-
-    /// Pop every due timer and enqueue its cell (directly into the held
-    /// injector — `notify` would re-take the sched lock), and move every
-    /// due one-shot task to the ready queue.
-    fn expire_due_timers(self: &Arc<Self>, sched: &mut Sched, now: Instant) {
-        self.expire_due_tasks(sched, now);
-        while let Some(top) = sched.timers.peek() {
-            if top.deadline > now {
-                break;
-            }
-            let entry = sched.timers.pop().expect("peeked entry");
-            let Some(cell) = entry.cell.upgrade() else {
-                continue;
-            };
-            if cell.timer_gen.load(Ordering::Acquire) != entry.gen {
-                continue; // superseded by a later re-arm
-            }
-            cell.armed_deadline.store(0, Ordering::Release);
-            self.timer_fires.fetch_add(1, Ordering::Relaxed);
-            // Inline notify with direct injector access.
-            loop {
-                let s = cell.state.load(Ordering::Acquire);
-                match s {
-                    IDLE => {
-                        if cell
-                            .state
-                            .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                        {
-                            sched.injector.push_back(Arc::clone(&cell));
-                            break;
-                        }
-                    }
-                    RUNNING | EMBRYO => {
-                        if cell
-                            .state
-                            .compare_exchange(s, RUNNING_DIRTY, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                        {
-                            break;
-                        }
-                    }
-                    _ => break,
-                }
-            }
-        }
-        let next = [
-            sched.timers.peek().map(|e| e.deadline),
-            sched.tasks.peek().map(|e| e.deadline),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-        .map_or(u64::MAX, |d| self.to_ns(d).max(1));
-        self.next_deadline.store(next, Ordering::Relaxed);
     }
 
     /// Steal one cell from another worker's deque (caller holds the sched
@@ -967,7 +816,6 @@ impl Inner {
             cell.state.store(IDLE, Ordering::Release);
             return;
         };
-        cell.polls.fetch_add(1, Ordering::Relaxed);
         self.polls.fetch_add(1, Ordering::Relaxed);
         let poll = actor.poll(&mut ActorCtx {
             cell: &cell,
@@ -1082,8 +930,7 @@ fn rt_now() -> Instant {
 fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
     tighten_timer_slack();
     let spare = wid.is_none();
-    WORKER_ID.with(|w| w.set(Some(wid)));
-    WORKER_RT.with(|r| *r.borrow_mut() = Some(Arc::downgrade(&inner)));
+    let _ = WORKER.with(|w| w.set((Arc::downgrade(&inner), wid)));
     /// Longest a spare parks when no timer is armed.
     const SPARE_IDLE_PARK: Duration = Duration::from_millis(50);
     // This thread's entry on the idle stack (paired with `sched`).
@@ -1103,7 +950,7 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
                 let now = rt_now();
                 if inner.to_ns(now) >= inner.next_deadline.load(Ordering::Relaxed) {
                     let mut sched = inner.sched.lock();
-                    inner.expire_due_timers(&mut sched, now);
+                    inner.expire_due(&mut sched, now);
                     inner.drain_ready(sched);
                 }
                 continue;
@@ -1112,7 +959,7 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
         // 2. Timers, due one-shot tasks, injector and stealing under the
         // sched lock.
         let mut sched = inner.sched.lock();
-        inner.expire_due_timers(&mut sched, rt_now());
+        inner.expire_due(&mut sched, rt_now());
         let Some(mut sched) = inner.drain_ready(sched) else {
             cold = false;
             continue;
@@ -1568,10 +1415,10 @@ mod tests {
 
     #[test]
     fn cell_queued_behind_a_blocking_poll_is_stolen() {
-        // The peer's cell sits in the blocking worker's own deque, which
-        // nobody was woken for. With two workers the parked one must be
-        // woken to steal it; with one worker the spare must (a spare may
-        // steal from a one-worker pool).
+        // With two workers the peer's cell sits in the blocking worker's
+        // own deque, which nobody was woken for: the parked one must be
+        // woken to steal it. With one worker it sits on the injector, and
+        // the spare must drain it.
         for workers in [2, 1] {
             let rt = Runtime::new(RuntimeConfig {
                 workers,
@@ -1705,10 +1552,137 @@ mod tests {
     #[test]
     fn deterministic_mode_resolution_and_stats_label() {
         let rt = Runtime::new(RuntimeConfig::deterministic());
-        assert_eq!(rt.mode(), RuntimeMode::Deterministic);
         assert_eq!(rt.stats().mode, "deterministic");
         assert_eq!(rt.stats().workers, 1);
         rt.shutdown();
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 2,
+            ..RuntimeConfig::default()
+        });
+        let forced = std::env::var("CB_DETERMINISTIC").is_ok_and(|v| v == "1");
+        let expected = if forced {
+            (1, "deterministic")
+        } else {
+            (2, "pooled")
+        };
+        assert_eq!((rt.stats().workers, rt.stats().mode.as_str()), expected);
+        rt.shutdown();
+    }
+
+    /// Logs its index when polled.
+    struct Tagged {
+        tag: usize,
+        log: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Actor for Tagged {
+        fn poll(&mut self, _ctx: &mut ActorCtx<'_>) -> Poll {
+            self.log.lock().push(self.tag);
+            Poll::Idle(None)
+        }
+    }
+
+    /// Once armed, notifies `peers` in order from inside its own poll and
+    /// reports where the runtime queued them: (local deque, injector).
+    struct Kicker {
+        armed: Arc<AtomicBool>,
+        peers: Vec<ActorHandle>,
+        rt: Runtime,
+        queued: mpsc::Sender<(usize, usize)>,
+    }
+
+    impl Actor for Kicker {
+        fn poll(&mut self, _ctx: &mut ActorCtx<'_>) -> Poll {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                for peer in &self.peers {
+                    peer.notify();
+                }
+                let local = self.rt.inner.workers[0].deque.lock().len();
+                let injector = self.rt.inner.sched.lock().injector.len();
+                let _ = self.queued.send((local, injector));
+            }
+            Poll::Idle(None)
+        }
+    }
+
+    #[test]
+    fn one_worker_pool_dispatches_through_the_injector_in_enqueue_order() {
+        let rt = Runtime::new(RuntimeConfig::deterministic());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let tagged: Vec<ActorHandle> = (0..5)
+            .map(|tag| {
+                let log = Arc::clone(&log);
+                rt.spawn(format!("tagged-{tag}"), Tagged { tag, log })
+            })
+            .collect();
+        let order = [3, 1, 4, 0, 2];
+        let (tx, rx) = mpsc::channel();
+        let armed = Arc::new(AtomicBool::new(false));
+        let kicker = rt.spawn(
+            "kicker",
+            Kicker {
+                armed: Arc::clone(&armed),
+                peers: order.iter().map(|&i| tagged[i].clone()).collect(),
+                rt: rt.clone(),
+                queued: tx,
+            },
+        );
+        wait_until(|| log.lock().len() == 5 && all_parked(&rt));
+        log.lock().clear();
+        armed.store(true, Ordering::SeqCst);
+        kicker.notify();
+        // Notified from a pool thread, the cells still skip its deque.
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok((0, 5)));
+        wait_until(|| log.lock().len() == 5);
+        assert_eq!(*log.lock(), order);
+        for h in tagged.iter().chain([&kicker]) {
+            h.stop();
+        }
+        rt.shutdown();
+    }
+
+    /// Arms the deadline its plan holds for each poll, in order, counting
+    /// polls; an exhausted plan arms nothing.
+    struct Rearm {
+        plan: VecDeque<Duration>,
+        polls: Arc<AtomicU64>,
+    }
+
+    impl Actor for Rearm {
+        fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
+            self.polls.fetch_add(1, Ordering::SeqCst);
+            Poll::Idle(self.plan.pop_front().map(|d| ctx.now() + d))
+        }
+    }
+
+    #[test]
+    fn rearmed_deadline_supersedes_the_old_one() {
+        // The start poll arms `first`; a notify's poll re-arms `second`,
+        // earlier or later. Only `second` fires: once the stale entry has
+        // left the heap, there were three polls and one timer fire.
+        let ms = Duration::from_millis;
+        for config in [RuntimeConfig::default(), RuntimeConfig::deterministic()] {
+            for (first, second) in [(ms(150), ms(300)), (ms(300), ms(20))] {
+                let rt = Runtime::new(config);
+                let polls = Arc::new(AtomicU64::new(0));
+                let h = rt.spawn(
+                    "rearm",
+                    Rearm {
+                        plan: VecDeque::from([first, second]),
+                        polls: Arc::clone(&polls),
+                    },
+                );
+                wait_until(|| polls.load(Ordering::SeqCst) == 1);
+                h.notify();
+                wait_until(|| polls.load(Ordering::SeqCst) == 3);
+                assert_eq!(rt.stats().timer_fires, 1, "{first:?} then {second:?}");
+                wait_until(|| rt.inner.sched.lock().heap.is_empty());
+                assert_eq!(polls.load(Ordering::SeqCst), 3, "a stale entry fired");
+                assert_eq!(rt.stats().timer_fires, 1);
+                h.stop();
+                rt.shutdown();
+            }
+        }
     }
 
     #[test]
