@@ -282,6 +282,13 @@ impl AnnaCluster {
         self.runtime.stats()
     }
 
+    /// The durable disk env behind node `id`, if the cluster runs with
+    /// durability on: what the node's storage holds, for inspection
+    /// (files and their sizes).
+    pub fn disk_env(&self, id: NodeId) -> Option<Arc<dyn DiskEnv>> {
+        self.disks.lock().get(&id).cloned()
+    }
+
     /// Get-or-create the durable env for `id` per the configured mode.
     fn disk_for(&self, id: NodeId) -> Option<Arc<dyn DiskEnv>> {
         if self.config.durability == Durability::Off {
