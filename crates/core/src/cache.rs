@@ -865,31 +865,28 @@ impl CacheInner {
         self.stats
             .upstream_fetches_issued
             .fetch_add(1, Ordering::Relaxed);
-        if upstream == self.addr {
+        let held = if upstream == self.addr {
             // We are the upstream cache; answer locally.
-            return self
-                .held_for(request, key)
-                .or_else(|| self.anna.get(key).ok().flatten());
-        }
-        let (reply, waiter) = reply_channel::<Option<Capsule>>(&self.net);
-        self.net
-            .send(
-                self.addr,
-                upstream,
-                CacheRequest::Fetch {
-                    request_id: request,
-                    key: key.clone(),
-                    reply,
-                },
-            )
-            .ok()?;
-        // An upstream holding neither copy answers `None`; read Anna here,
-        // on the body path that waits anyway, for the value it would have
-        // fetched. A timeout or a dead upstream gives `None`.
-        waiter
-            .wait_timeout(Duration::from_secs(10))
-            .ok()?
-            .or_else(|| self.anna.get(key).ok().flatten())
+            self.held_for(request, key)
+        } else {
+            let (reply, waiter) = reply_channel::<Option<Capsule>>(&self.net);
+            self.net
+                .send(
+                    self.addr,
+                    upstream,
+                    CacheRequest::Fetch {
+                        request_id: request,
+                        key: key.clone(),
+                        reply,
+                    },
+                )
+                .ok()?;
+            // A timeout or a dead upstream gives `None`.
+            waiter.wait_timeout(Duration::from_secs(10)).ok()?
+        };
+        // The upstream holds neither copy: read Anna here, on the body path
+        // that waits anyway, for the value it would have fetched.
+        held.or_else(|| self.anna.get(key).ok().flatten())
     }
 
     /// Evict all version snapshots of a completed session.
