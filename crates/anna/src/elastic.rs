@@ -179,7 +179,10 @@ pub struct ScaleTimeline {
 impl Default for ScaleTimeline {
     fn default() -> Self {
         Self {
-            // lint: allow(L003): timeline epoch; samples are offsets from it, never compared across runs
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "timeline epoch; samples are offsets from it, never compared across runs"
+            )]
             start: Instant::now(),
             samples: Mutex::ranked(60, "scale-timeline", Vec::new()),
         }

@@ -30,6 +30,13 @@
 //! receiving requests over a [`cloudburst_net::Network`] (see DESIGN.md §2).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "test code may read the wall clock: it times its own waits"
+    )
+)]
 
 pub mod client;
 pub mod cluster;

@@ -498,8 +498,12 @@ impl Worker {
     fn serve_busy(&mut self) {
         let d = self.endpoint.network().sample(self.service_latency);
         if !d.is_zero() {
-            // lint: allow(L003): service occupancy is a wall-clock window (scaled paper-ms), by design
-            self.busy_until = Some(Instant::now() + d);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "service occupancy is a wall-clock window (scaled paper-ms), by design"
+            )]
+            let now = Instant::now();
+            self.busy_until = Some(now + d);
         }
     }
 

@@ -68,7 +68,10 @@ impl NodeTelemetry {
             config,
             heat: KeyMap::default(),
             load: 0.0,
-            // lint: allow(L003): heat decay is defined in wall-clock half-lives (TelemetryConfig::half_life)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "heat decay is defined in wall-clock half-lives (TelemetryConfig::half_life)"
+            )]
             last_decay: Instant::now(),
             gets_served: 0,
             puts_served: 0,
@@ -118,7 +121,12 @@ impl NodeTelemetry {
         if dt < self.config.half_life / 32 {
             return;
         }
-        self.last_decay = Instant::now(); // lint: allow(L003): decay-epoch reset for the half-life clock above
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "decay-epoch reset for the half-life clock above"
+        )]
+        let now = Instant::now();
+        self.last_decay = now;
         let factor = 0.5f64.powf(dt.as_secs_f64() / self.config.half_life.as_secs_f64());
         self.load *= factor;
         self.heat.retain(|_, h| {

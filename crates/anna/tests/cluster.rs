@@ -1,6 +1,11 @@
 //! End-to-end tests of the Anna cluster: storage semantics, replication,
 //! cache-index propagation, tiering, and elasticity.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
+
 use std::time::Duration;
 
 use bytes::Bytes;

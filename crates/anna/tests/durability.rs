@@ -3,6 +3,11 @@
 //! loses zero acknowledged writes, and the WAL-before-ack group commit
 //! holds under scripted disk faults.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
+
 use std::time::Duration;
 
 use bytes::Bytes;

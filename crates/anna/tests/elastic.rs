@@ -3,6 +3,11 @@
 //! with hysteresis, stray trimming) → storage autoscaling — plus the
 //! failure-path behaviour of replication overrides.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

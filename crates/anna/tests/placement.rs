@@ -6,6 +6,11 @@
 //! primary and replica list, the region-diverse walk over every node, and
 //! the plain clockwise walk of the same four nodes on a one-region ring.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
+
 use cloudburst_anna::ring::NodeId;
 use cloudburst_anna::{Directory, HashRing};
 use cloudburst_lattice::Key;

@@ -160,7 +160,10 @@ pub fn run_gossip(
     }
     let net = cluster.network().clone();
     let control = net.register();
-    // lint: allow(L003): measured experiment latency is the app's output
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measured experiment latency is the app's output"
+    )]
     let start = Instant::now();
     let mut waiters = Vec::with_capacity(n);
     for (i, value) in values.iter().enumerate() {
@@ -224,7 +227,10 @@ pub fn run_gather_cloudburst(
     values: &[f64],
     run_id: u64,
 ) -> Result<GossipResult, String> {
-    // lint: allow(L003): measured experiment latency is the app's output
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measured experiment latency is the app's output"
+    )]
     let start = Instant::now();
     // Each "actor" publishes (we drive the publications as function calls).
     for (i, v) in values.iter().enumerate() {
@@ -307,7 +313,10 @@ pub fn run_gather_storage(
     values: &[f64],
     run_id: u64,
 ) -> Result<GossipResult, String> {
-    // lint: allow(L003): measured experiment latency is the app's output
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measured experiment latency is the app's output"
+    )]
     let start = Instant::now();
     for (i, v) in values.iter().enumerate() {
         lambda.invoke(

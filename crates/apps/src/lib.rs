@@ -10,6 +10,13 @@
 //!   (§6.3.2, Figures 11 & 12).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "test code may read the wall clock: it times its own waits"
+    )
+)]
 
 pub mod gossip;
 pub mod prediction;

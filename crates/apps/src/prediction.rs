@@ -95,7 +95,10 @@ impl PredictionPipeline {
         client: &cloudburst::CloudburstClient,
         image: Bytes,
     ) -> Result<(Duration, String), String> {
-        // lint: allow(L003): returned Duration is the measured serving latency, the app's output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "returned Duration is the measured serving latency, the app's output"
+        )]
         let start = Instant::now();
         let result = client
             .call_dag("prediction", HashMap::from([(0, vec![Arg::value(image)])]))
@@ -137,7 +140,10 @@ impl PredictionPipeline {
 
     /// Serve one prediction through a serverful runner.
     pub fn call_runner(&self, runner: &Arc<TaskRunner>, image: Bytes) -> Result<Duration, String> {
-        // lint: allow(L003): returned Duration is the measured serving latency, the app's output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "returned Duration is the measured serving latency, the app's output"
+        )]
         let start = Instant::now();
         runner.chain(&["resize", "model", "combine"], image)?;
         Ok(start.elapsed())
@@ -192,7 +198,10 @@ impl PredictionPipeline {
         image: Bytes,
         result_passing: bool,
     ) -> Result<Duration, String> {
-        // lint: allow(L003): returned Duration is the measured serving latency, the app's output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "returned Duration is the measured serving latency, the app's output"
+        )]
         let start = Instant::now();
         let net = lambda.network().clone();
         let mut value = image;

@@ -391,7 +391,10 @@ impl RetwisRedis {
 
     /// GetTimeline against Redis; returns (duration, result).
     pub fn get_timeline(&self, user: usize) -> (Duration, TimelineResult) {
-        // lint: allow(L003): returned Duration is the measured request latency, the workload's output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "returned Duration is the measured request latency, the workload's output"
+        )]
         let start = Instant::now();
         let following = self
             .storage

@@ -1,6 +1,11 @@
 //! Integration tests of the evaluation applications against a live
 //! Cloudburst cluster.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
+
 use std::time::Duration;
 
 use bytes::Bytes;

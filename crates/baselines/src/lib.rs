@@ -11,6 +11,13 @@
 //! points, storage hops) arise from the same causes. See DESIGN.md §2.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "test code may read the wall clock: it times its own waits"
+    )
+)]
 
 pub mod calibration;
 pub mod faas;

@@ -84,7 +84,10 @@ impl std::fmt::Debug for TaskRunner {
 /// (§6.1.1).
 pub struct SimDask;
 
-#[allow(clippy::new_ret_no_self)]
+#[expect(
+    clippy::new_ret_no_self,
+    reason = "a deployment is a shared TaskRunner; the unit struct only names the system"
+)]
 impl SimDask {
     /// A Dask deployment.
     pub fn new(net: &Network) -> Arc<TaskRunner> {
@@ -97,7 +100,10 @@ impl SimDask {
 /// (§6.1.1).
 pub struct SimSand;
 
-#[allow(clippy::new_ret_no_self)]
+#[expect(
+    clippy::new_ret_no_self,
+    reason = "a deployment is a shared TaskRunner; the unit struct only names the system"
+)]
 impl SimSand {
     /// A SAND deployment.
     pub fn new(net: &Network) -> Arc<TaskRunner> {
@@ -110,7 +116,10 @@ impl SimSand {
 /// endpoint and the user-provided web server.
 pub struct SimSageMaker;
 
-#[allow(clippy::new_ret_no_self)]
+#[expect(
+    clippy::new_ret_no_self,
+    reason = "a deployment is a shared TaskRunner; the unit struct only names the system"
+)]
 impl SimSageMaker {
     /// A SageMaker endpoint.
     pub fn new(net: &Network) -> Arc<TaskRunner> {
@@ -122,7 +131,10 @@ impl SimSageMaker {
 /// orchestration overhead; the floor every system is compared against.
 pub struct NativePython;
 
-#[allow(clippy::new_ret_no_self)]
+#[expect(
+    clippy::new_ret_no_self,
+    reason = "a deployment is a shared TaskRunner; the unit struct only names the system"
+)]
 impl NativePython {
     /// A native single-process runner.
     pub fn new(net: &Network) -> Arc<TaskRunner> {

@@ -51,7 +51,6 @@ fn retwis_config(profile: &Profile) -> RetwisConfig {
 
 /// Drive the 90 % GetTimeline / 10 % PostTweet mix against a Cloudburst
 /// deployment; returns (latencies, timeline-requests, anomalous-timelines).
-#[allow(clippy::type_complexity)]
 fn drive_cloudburst(
     cluster: &CloudburstCluster,
     profile: &Profile,

@@ -92,7 +92,10 @@ impl CloudburstFuture {
         if let Some(outcome) = self.settled.get() {
             return outcome.clone();
         }
-        // lint: allow(L003): client-facing timeout deadline; timeouts are wall-clock by contract
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "client-facing timeout deadline; timeouts are wall-clock by contract"
+        )]
         let deadline = Instant::now() + timeout;
         match self.waiter.wait_timeout(timeout) {
             Ok(result) => self
@@ -124,7 +127,10 @@ impl CloudburstFuture {
             if let Some(capsule) = polled {
                 return Ok(capsule.read_value());
             }
-            // lint: allow(L003): deadline comparison for the timeout above
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "deadline comparison for the timeout above"
+            )]
             if Instant::now() >= deadline {
                 return Err(ClientError::Unreachable("future timed out".into()));
             }

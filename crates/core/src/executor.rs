@@ -234,7 +234,10 @@ impl ExecutorHandle {
     /// Spawn an executor as an actor on the shared runtime. Message arrival
     /// enqueues it for a poll; the metrics publication cadence rides the
     /// runtime's timer heap instead of a `recv_timeout` tick.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per wired-in dependency, each passed once at spawn"
+    )]
     pub fn spawn(
         runtime: &ActorRuntime,
         id: ExecutorId,
@@ -277,7 +280,10 @@ impl ExecutorHandle {
             seq: 0,
             busy: Duration::ZERO,
             busy_until: None,
-            // lint: allow(L003): utilization-window epoch; only elapsed ratios leave this struct
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "utilization-window epoch; only elapsed ratios leave this struct"
+            )]
             window_start: Instant::now(),
             completed: 0,
             advertised: false,
@@ -449,7 +455,10 @@ impl Worker {
                 reply,
                 response_key,
             } => {
-                // lint: allow(L003): measures invocation latency reported in InvocationResult
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "measures invocation latency reported in InvocationResult"
+                )]
                 let start = Instant::now();
                 let mut session = SessionMeta::new(0, self.cache.level());
                 session.traced = self.trace.is_some();
@@ -518,7 +527,10 @@ impl Worker {
         mut session: SessionMeta,
     ) {
         session.traced = session.traced || self.trace.is_some();
-        // lint: allow(L003): measures invocation latency for busy-time accounting and the result
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures invocation latency for busy-time accounting and the result"
+        )]
         let start = Instant::now();
         // The plan handle keeps the borrow of topology tables independent of
         // `schedule`, which the last successor trigger takes by move.
@@ -717,7 +729,12 @@ impl Worker {
             (self.busy.as_secs_f64() / elapsed.as_secs_f64()).min(1.0)
         };
         self.busy = Duration::ZERO;
-        self.window_start = Instant::now(); // lint: allow(L003): utilization-window reset, see window_start
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "utilization-window reset, see window_start"
+        )]
+        let now = Instant::now();
+        self.window_start = now;
         let pairs = vec![
             ("utilization".to_string(), utilization),
             ("completed".to_string(), self.completed as f64),
@@ -855,14 +872,20 @@ impl Runtime for ExecCtx<'_> {
     }
 
     fn recv_timeout(&mut self, paper_ms: f64) -> Vec<Bytes> {
-        // lint: allow(L003): bounded-wait deadline; timeouts are wall-clock by contract
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounded-wait deadline; timeouts are wall-clock by contract"
+        )]
         let deadline = Instant::now() + self.worker.endpoint.network().time_scale().ms(paper_ms);
         loop {
             let messages = self.recv();
             if !messages.is_empty() {
                 return messages;
             }
-            // lint: allow(L003): deadline comparison for the bounded wait above
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "deadline comparison for the bounded wait above"
+            )]
             if Instant::now() >= deadline {
                 return Vec::new();
             }

@@ -61,6 +61,13 @@
 //! | [`consistency`] | §5, §6.2 | session metadata, anomaly detection |
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "test code may read the wall clock: it times its own waits"
+    )
+)]
 
 pub mod cache;
 pub mod client;

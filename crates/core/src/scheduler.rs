@@ -149,7 +149,10 @@ pub struct SchedulerHandle {
 impl SchedulerHandle {
     /// Spawn a scheduler as an actor on the shared runtime; the metrics
     /// refresh / timeout sweep cadence rides the runtime's timer heap.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per wired-in dependency, each passed once at spawn"
+    )]
     pub fn spawn(
         runtime: &ActorRuntime,
         scheduler_id: u64,
@@ -509,7 +512,10 @@ impl Worker {
                 output_key,
                 reply_slot,
                 cache_addrs: plan.cache_addrs.clone(),
-                // lint: allow(L003): DAG re-execution deadline (§4.5); timeouts are wall-clock by contract
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "DAG re-execution deadline (§4.5); timeouts are wall-clock by contract"
+                )]
                 deadline: Instant::now()
                     + self
                         .endpoint
@@ -798,7 +804,10 @@ impl Worker {
 
     /// Whole-DAG re-execution after a configurable timeout (§4.5).
     fn check_timeouts(&mut self) {
-        // lint: allow(L003): deadline comparison for the DAG timeout above
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadline comparison for the DAG timeout above"
+        )]
         let now = Instant::now();
         let expired: Vec<RequestId> = self
             .pending

@@ -7,6 +7,11 @@
 //! Every test runs on a zero-latency network, so whatever time a call takes
 //! beyond its bodies is the overhead model's.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
+
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 

@@ -2,6 +2,11 @@
 //! composition, locality, messaging, futures, consistency sessions, fault
 //! tolerance, and elasticity.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
+
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -430,7 +435,17 @@ fn direct_messaging_between_functions() {
             .unwrap();
         recv_client.call_dag("recv-dag", HashMap::new()).unwrap()
     });
-    std::thread::sleep(Duration::from_millis(50));
+    // Wait until the receiver has advertised (the condition `greet` polls
+    // for), so `greet`'s own budget does not depend on how soon the
+    // receiver thread gets to run.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while client.get("peer-id").unwrap().is_none() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "peer never advertised"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     client.call_function("greet", vec![]).unwrap().unwrap();
     let received = receiver.join().unwrap();
     assert_eq!(received.unwrap().as_ref(), b"hello-direct");

@@ -25,6 +25,13 @@
 //! exercised by property tests asserting the ACI laws.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "test code may read the wall clock: it times its own waits"
+    )
+)]
 
 pub mod capsule;
 pub mod causal;

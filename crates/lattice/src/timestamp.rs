@@ -59,7 +59,10 @@ impl TimestampGenerator {
 
     /// Issue the next timestamp: `max(system_clock, last + 1)`.
     pub fn next(&self) -> Timestamp {
-        // lint: allow(L003): hybrid logical clock seeds from the system clock by definition; max(last+1) keeps it monotone
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "hybrid logical clock seeds from the system clock by definition; max(last+1) keeps it monotone"
+        )]
         let now = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))

@@ -1,16 +1,24 @@
-//! The nine cb-lint rules, as patterns over the [`crate::lexer`] stream.
+//! The six cb-lint rules, as patterns over the [`crate::lexer`] stream.
+//! They are the rules no compiler knows: each reads a comment, a document
+//! or the whole tree, or is scoped by crate in a way one clippy list cannot
+//! express.
 //!
 //! | rule | meaning |
 //! |------|---------|
-//! | L001 | no `std::sync::Mutex`/`RwLock` in product crates — use the vendored `parking_lot`, which carries the lock-rank sanitizer |
 //! | L002 | every long-lived `Mutex`/`RwLock` field declares `// lock-rank: <N> <name>` (the sanitizer's hierarchy contract) |
-//! | L003 | no wall-clock / entropy calls (`Instant::now`, `SystemTime::now`, `thread_rng`, …) outside tests and the bench harness |
 //! | L004 | every `pub` field of every `pub struct *Config` appears in ARCHITECTURE.md's per-knob index |
 //! | L005 | no `.unwrap()`/`.expect(…)` on channel/lock results in non-test code |
 //! | L006 | no `thread::spawn`/`thread::Builder` outside `crates/runtime` — actors and fabric deliveries run on the shared work-stealing pool |
-//! | L007 | no `unsafe` outside `crates/runtime`, and there only with a `// SAFETY:` comment on the line above |
 //! | L008 | every config knob is set to a non-default value somewhere (product, tests, examples or the benchmark); a knob nothing varies is a constant — delete or derive it |
 //! | L009 | no `HashMap<Key, …>`/`HashSet<Key>` with the default hasher in product code — use `KeyMap`/`KeySet`, which bucket by the hash the key already carries |
+//!
+//! The numbers L001, L003 and L007 are retired; the compiler checks those
+//! rules by resolved path. `clippy.toml` bans `std::sync::{Mutex, RwLock}`
+//! (L001, `disallowed_types`) and `Instant::now`/`SystemTime::now` (L003,
+//! `disallowed_methods`); every crate outside `vendor/` but `crates/runtime`
+//! forbids `unsafe_code`, and the runtime denies
+//! `clippy::undocumented_unsafe_blocks` (L007). See the `[lints]` tables in
+//! the `Cargo.toml`s.
 //!
 //! ## Escapes
 //!
@@ -18,23 +26,26 @@
 //! on the same line or the line(s) immediately above the offending code:
 //!
 //! ```text
-//! // lint: allow(L003): reason the exception is sound
+//! // lint: allow(L005): reason the exception is sound
 //! ```
 //!
-//! The reason is mandatory — an escape without one is itself a violation
-//! (`no blanket allowlists`). L006 takes no escape at all: a new component
-//! must be an actor, so an L006 escape in a product crate is itself a
-//! violation. L007 takes none either: its only argument is the `SAFETY:`
-//! comment, and test code gets no exemption from it. Structural exemptions are limited to: test
-//! code (files under `tests/`, `#[cfg(test)]` regions) for
-//! L002/L003/L005/L006/L009; `crates/bench` for L003, L006 and L009 (it is the
-//! measurement harness: wall clocks are its subject matter, and its load
+//! The reason is mandatory, and the escape must name rules of [`RULES`]:
+//! an escape without a reason, or naming a rule that does not exist (a
+//! typo, or a retired number), is itself an `L000` violation. L006 takes
+//! no escape at all: a new component must be an actor, so an L006 escape
+//! in a product crate is itself a violation. Structural exemptions are
+//! limited to: test code (files under `tests/`, `#[cfg(test)]` regions)
+//! for L002/L005/L006/L009; `crates/bench` for L006 and L009 (its load
 //! drivers model external clients that by definition live off the pool);
 //! and `crates/runtime` for L006 (it *is* the thread layer everything else
 //! is forbidden from reimplementing).
 
 use crate::lexer::{lex, Kind, Tok};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The rules this linter defines, in report order. An escape must name
+/// one of them.
+pub const RULES: [&str; 6] = ["L002", "L004", "L005", "L006", "L008", "L009"];
 
 /// One reported violation. The file path is attached by the caller.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -94,8 +105,8 @@ pub struct FileCtx {
     allows: BTreeMap<String, BTreeSet<u32>>,
     /// Every well-formed escape: (rule, line of the escape comment).
     escapes: Vec<(String, u32)>,
-    /// Escapes with a missing/empty reason (reported as violations).
-    bad_escapes: Vec<u32>,
+    /// Malformed escapes, already phrased as `L000` violations.
+    bad_escapes: Vec<Violation>,
 }
 
 impl FileCtx {
@@ -230,7 +241,11 @@ impl FileCtx {
     /// Parse `lint: allow(LXXX[, LYYY]): reason` escapes out of comments.
     /// An escape covers its own line and the next line with code on it.
     /// Doc comments (`///`, `//!`) document escapes; they never are one.
+    /// An escape with no rule, no reason or a rule outside [`RULES`] is
+    /// recorded as a violation and covers nothing.
     fn find_allows(&mut self) {
+        const MALFORMED: &str = "lint escape must name rule(s) and give a reason: \
+                                 `// lint: allow(LXXX): why this site is sound`";
         let entries: Vec<(u32, String)> = self
             .comments
             .iter()
@@ -243,7 +258,7 @@ impl FileCtx {
             };
             let rest = &text[at + "lint: allow(".len()..];
             let Some(close) = rest.find(')') else {
-                self.bad_escapes.push(line);
+                self.bad_escape(line, MALFORMED.into());
                 continue;
             };
             let rules: Vec<String> = rest[..close]
@@ -254,7 +269,15 @@ impl FileCtx {
             let after = rest[close + 1..].trim_start();
             let reason_ok = after.starts_with(':') && !after[1..].trim().is_empty();
             if rules.is_empty() || !reason_ok {
-                self.bad_escapes.push(line);
+                self.bad_escape(line, MALFORMED.into());
+                continue;
+            }
+            if let Some(r) = rules.iter().find(|r| !RULES.contains(&r.as_str())) {
+                let msg = format!(
+                    "lint escape names `{r}`, which is no cb-lint rule (it defines {})",
+                    RULES.join(", ")
+                );
+                self.bad_escape(line, msg);
                 continue;
             }
             let mut covered: BTreeSet<u32> = BTreeSet::new();
@@ -270,6 +293,14 @@ impl FileCtx {
                 self.escapes.push((r, line));
             }
         }
+    }
+
+    fn bad_escape(&mut self, line: u32, msg: String) {
+        self.bad_escapes.push(Violation {
+            line,
+            rule: "L000",
+            msg,
+        });
     }
 
     /// Escapes in non-test code, per rule — the number of argued
@@ -305,88 +336,17 @@ impl FileCtx {
         self.path.starts_with("crates/bench/")
     }
 
-    /// Escapes with no reason are violations in their own right: the whole
-    /// point of per-site escapes is that each one argues its case.
+    /// Malformed escapes are violations in their own right: the whole
+    /// point of per-site escapes is that each one argues its case, for a
+    /// rule that exists.
     pub fn escape_violations(&self) -> Vec<Violation> {
-        self.bad_escapes
-            .iter()
-            .map(|&line| Violation {
-                line,
-                rule: "L000",
-                msg: "lint escape must name rule(s) and give a reason: \
-                      `// lint: allow(LXXX): why this site is sound`"
-                    .into(),
-            })
-            .collect()
+        self.bad_escapes.clone()
     }
 
     fn report(&self, out: &mut Vec<Violation>, rule: &'static str, line: u32, msg: String) {
         if !self.allowed(rule, line) {
             out.push(Violation { line, rule, msg });
         }
-    }
-
-    // ---------------------------------------------------------------- L001
-
-    /// No `std::sync::{Mutex, RwLock}` — product code must take locks
-    /// through the vendored `parking_lot`, which is where the rank
-    /// annotations and the `CB_SANITIZE` deadlock sanitizer live.
-    pub fn l001_std_locks(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let n = self.code_len();
-        let mut i = 0;
-        while i + 5 < n {
-            let is_std_sync = self.ct(i).is_ident("std")
-                && self.ct(i + 1).is_punct(':')
-                && self.ct(i + 2).is_punct(':')
-                && self.ct(i + 3).is_ident("sync")
-                && self.ct(i + 4).is_punct(':')
-                && self.ct(i + 5).is_punct(':');
-            if is_std_sync {
-                let j = i + 6;
-                if j < n {
-                    let t = self.ct(j);
-                    if t.is_ident("Mutex") || t.is_ident("RwLock") {
-                        self.report(
-                            &mut out,
-                            "L001",
-                            t.line,
-                            format!(
-                                "std::sync::{} is banned in product crates; use parking_lot::{} \
-                                 (ranked, sanitizer-aware)",
-                                t.text, t.text
-                            ),
-                        );
-                    } else if t.is_punct('{') {
-                        // use std::sync::{…, Mutex, …}
-                        let mut d = 1usize;
-                        let mut k = j + 1;
-                        while k < n && d > 0 {
-                            let u = self.ct(k);
-                            if u.is_punct('{') {
-                                d += 1;
-                            } else if u.is_punct('}') {
-                                d -= 1;
-                            } else if u.is_ident("Mutex") || u.is_ident("RwLock") {
-                                self.report(
-                                    &mut out,
-                                    "L001",
-                                    u.line,
-                                    format!(
-                                        "std::sync::{} is banned in product crates; use \
-                                         parking_lot::{} (ranked, sanitizer-aware)",
-                                        u.text, u.text
-                                    ),
-                                );
-                            }
-                            k += 1;
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-        out
     }
 
     // ---------------------------------------------------------------- L002
@@ -404,7 +364,7 @@ impl FileCtx {
             let t = self.ct(i);
             if (t.is_ident("struct") || t.is_ident("enum")) && i + 1 < n {
                 if let Some(next) = self.body_of_item(i) {
-                    self.check_body_fields(i, next, &mut out);
+                    self.check_body_fields(next, &mut out);
                     i = next.1; // resume after the body
                     continue;
                 }
@@ -469,12 +429,7 @@ impl FileCtx {
     /// Split a struct/enum body into top-level comma-separated chunks and
     /// flag any chunk whose type tokens mention `Mutex`/`RwLock` but whose
     /// attached comments lack a `lock-rank:` annotation.
-    fn check_body_fields(
-        &self,
-        _ki: usize,
-        (open, close): (usize, usize),
-        out: &mut Vec<Violation>,
-    ) {
+    fn check_body_fields(&self, (open, close): (usize, usize), out: &mut Vec<Violation>) {
         let mut chunk_start = open + 1;
         let mut depth = 0i32; // (), [], {} nesting inside the body
         let mut angle = 0i32;
@@ -593,58 +548,6 @@ impl FileCtx {
             l -= 1;
         }
         false
-    }
-
-    // ---------------------------------------------------------------- L003
-
-    /// No ambient nondeterminism in product code: wall clocks and entropy
-    /// must flow in through config (seeds, injected clocks) so runs are
-    /// replayable. The bench crate is structurally exempt — it is the
-    /// measurement harness, and wall-clock time is its subject matter.
-    pub fn l003_nondeterminism(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        if self.is_bench_crate() {
-            return out;
-        }
-        let n = self.code_len();
-        for i in 0..n {
-            let t = self.ct(i);
-            let hit: Option<String> = if t.is_ident("now")
-                && i >= 3
-                && self.ct(i - 1).is_punct(':')
-                && self.ct(i - 2).is_punct(':')
-                && (self.ct(i - 3).is_ident("Instant") || self.ct(i - 3).is_ident("SystemTime"))
-            {
-                Some(format!("{}::now", self.ct(i - 3).text))
-            } else if t.is_ident("thread_rng") || t.is_ident("from_entropy") || t.is_ident("OsRng")
-            {
-                Some(t.text.clone())
-            } else if t.is_ident("random")
-                && i >= 3
-                && self.ct(i - 1).is_punct(':')
-                && self.ct(i - 2).is_punct(':')
-                && self.ct(i - 3).is_ident("rand")
-            {
-                Some("rand::random".into())
-            } else {
-                None
-            };
-            if let Some(what) = hit {
-                if self.in_test(t.line) {
-                    continue;
-                }
-                self.report(
-                    &mut out,
-                    "L003",
-                    t.line,
-                    format!(
-                        "`{what}` is ambient nondeterminism; take a seed/clock from config, \
-                         or argue the exception inline"
-                    ),
-                );
-            }
-        }
-        out
     }
 
     // ---------------------------------------------------------------- L004
@@ -1000,55 +903,6 @@ impl FileCtx {
         out
     }
 
-    // ---------------------------------------------------------------- L007
-
-    /// `unsafe` lives in `crates/runtime` only — the platform layer, where
-    /// the one OS binding (timer slack) sits — and every use there carries
-    /// a `// SAFETY:` comment on the line directly above it that argues why
-    /// the block is sound. Test code is held to the same rule, and an
-    /// L007 escape is a violation of its own.
-    pub fn l007_unsafe(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for (rule, line) in &self.escapes {
-            if rule == "L007" {
-                out.push(Violation {
-                    line: *line,
-                    rule: "L007",
-                    msg: "L007 takes no escape: argue an `unsafe` block with a \
-                          `// SAFETY:` comment, in `crates/runtime`"
-                        .into(),
-                });
-            }
-        }
-        let in_runtime = self.path.starts_with("crates/runtime/");
-        for i in 0..self.code_len() {
-            let t = self.ct(i);
-            if !t.is_ident("unsafe") {
-                continue;
-            }
-            let msg = if !in_runtime {
-                "`unsafe` outside `crates/runtime`: product code goes through the \
-                 runtime's safe wrappers"
-            } else if !self
-                .comments
-                .get(&(t.line - 1))
-                .is_some_and(|cs| cs.iter().any(|c| c.trim_start().starts_with("SAFETY:")))
-            {
-                "`unsafe` without a `// SAFETY:` comment on the line above"
-            } else {
-                continue;
-            };
-            out.push(Violation {
-                line: t.line,
-                rule: "L007",
-                msg: msg.into(),
-            });
-        }
-        out
-    }
-}
-
-impl FileCtx {
     // ---------------------------------------------------------------- L009
 
     /// One way to key a map by `Key`: a `HashMap<Key, V>` or `HashSet<Key>`
@@ -1156,44 +1010,6 @@ mod tests {
         FileCtx::new("crates/fake/src/lib.rs", src)
     }
 
-    // ------------------------------------------------------------- L001
-
-    #[test]
-    fn l001_flags_direct_path() {
-        let c = ctx("fn f() { let m = std::sync::Mutex::new(0); }");
-        assert_eq!(c.l001_std_locks().len(), 1);
-    }
-
-    #[test]
-    fn l001_flags_grouped_import() {
-        let c = ctx("use std::sync::{Arc, Mutex, atomic::AtomicU64};");
-        let v = c.l001_std_locks();
-        assert_eq!(v.len(), 1);
-        assert!(v[0].msg.contains("parking_lot::Mutex"));
-    }
-
-    #[test]
-    fn l001_flags_rwlock_and_respects_allow() {
-        let c = ctx("// lint: allow(L001): interop shim for a std-only API\n\
-             use std::sync::RwLock;\n\
-             use std::sync::Mutex;\n");
-        let v = c.l001_std_locks();
-        assert_eq!(v.len(), 1, "allow covers only the next code line");
-        assert_eq!(v[0].line, 3);
-    }
-
-    #[test]
-    fn l001_ignores_other_std_sync_items() {
-        let c = ctx("use std::sync::{Arc, OnceLock, atomic::Ordering}; use std::sync::mpsc;");
-        assert!(c.l001_std_locks().is_empty());
-    }
-
-    #[test]
-    fn l001_ignores_strings_and_comments() {
-        let c = ctx("// std::sync::Mutex in a comment\nlet s = \"std::sync::Mutex\";");
-        assert!(c.l001_std_locks().is_empty());
-    }
-
     // ------------------------------------------------------------- L002
 
     #[test]
@@ -1253,49 +1069,6 @@ mod tests {
                  state: Mutex<u32>,\n\
              }");
         assert_eq!(c.l002_lock_rank().len(), 1, "non-numeric rank is no rank");
-    }
-
-    // ------------------------------------------------------------- L003
-
-    #[test]
-    fn l003_flags_clock_and_rng() {
-        let c = ctx(
-            "fn f() { let t = Instant::now(); let s = SystemTime::now(); \
-             let r = thread_rng(); }",
-        );
-        assert_eq!(c.l003_nondeterminism().len(), 3);
-    }
-
-    #[test]
-    fn l003_exempts_tests_and_bench() {
-        let c = ctx("#[cfg(test)]\nmod tests {\n fn f() { let t = Instant::now(); }\n}");
-        assert!(c.l003_nondeterminism().is_empty());
-        let b = FileCtx::new(
-            "crates/bench/src/fig9.rs",
-            "fn f() { let t = Instant::now(); }",
-        );
-        assert!(b.l003_nondeterminism().is_empty());
-    }
-
-    #[test]
-    fn l003_allow_escape_with_reason() {
-        let c = ctx("fn f() {\n\
-             // lint: allow(L003): timeline epoch; never compared across runs\n\
-             let t = Instant::now();\n}");
-        assert!(c.l003_nondeterminism().is_empty());
-    }
-
-    #[test]
-    fn l003_escape_without_reason_is_a_violation() {
-        let c = ctx("fn f() {\n// lint: allow(L003)\nlet t = Instant::now();\n}");
-        assert_eq!(c.l003_nondeterminism().len(), 1, "escape must not apply");
-        assert_eq!(c.escape_violations().len(), 1, "and is itself reported");
-    }
-
-    #[test]
-    fn l003_ignores_unrelated_now_methods() {
-        let c = ctx("fn f(clock: &SimClock) { let t = clock.now(); let n = now(); }");
-        assert!(c.l003_nondeterminism().is_empty());
     }
 
     // ------------------------------------------------------------- L004
@@ -1466,84 +1239,68 @@ mod tests {
         assert!(c.l006_thread_spawns().is_empty());
     }
 
-    // ------------------------------------------------------------- L007
-
-    #[test]
-    fn l007_flags_unsafe_outside_runtime_even_in_tests() {
-        let src = "fn f() {\n// SAFETY: argued, but in the wrong crate\nunsafe { g() }\n}";
-        for path in [
-            "crates/net/src/transport.rs",
-            "crates/core/src/cache.rs",
-            "crates/anna/tests/cluster.rs",
-        ] {
-            let v = FileCtx::new(path, src).l007_unsafe();
-            assert_eq!(v.len(), 1, "{path}");
-            assert_eq!(v[0].line, 3);
-        }
-        let c = ctx("#[cfg(test)]\nmod tests {\n fn f() { unsafe { g() } }\n}");
-        assert_eq!(c.l007_unsafe().len(), 1);
-    }
-
-    #[test]
-    fn l007_runtime_unsafe_needs_safety_comment_directly_above() {
-        let ok = "fn f() {\n    // SAFETY: g has no preconditions\n    unsafe { g() }\n}";
-        let c = FileCtx::new("crates/runtime/src/slack.rs", ok);
-        assert!(c.l007_unsafe().is_empty());
-        for bad in [
-            "fn f() {\n    unsafe { g() }\n}",
-            "fn f() {\n    // SAFETY: too far away\n\n    unsafe { g() }\n}",
-            "fn f() {\n    // no argument here\n    unsafe { g() }\n}",
-            "/// SAFETY: a doc comment is not an argument\nunsafe fn f() {}",
-        ] {
-            let v = FileCtx::new("crates/runtime/src/lib.rs", bad).l007_unsafe();
-            assert_eq!(v.len(), 1, "{bad}");
-            assert!(v[0].msg.contains("SAFETY"));
-        }
-    }
-
-    #[test]
-    fn l007_ignores_strings_comments_and_lookalike_idents() {
-        let c = ctx("#![forbid(unsafe_code)]\n// unsafe in a comment\nlet s = \"unsafe\";");
-        assert!(c.l007_unsafe().is_empty());
-    }
-
-    #[test]
-    fn l007_escape_is_refused() {
-        let c = FileCtx::new(
-            "crates/runtime/src/lib.rs",
-            "// lint: allow(L007): trust me\nunsafe fn f() {}",
-        );
-        let v = c.l007_unsafe();
-        assert_eq!(v.len(), 2, "the escape and the unargued `unsafe`");
-        assert!(v[0].msg.contains("takes no escape"));
-    }
-
     // ------------------------------------------------------------ escapes
 
     #[test]
     fn escape_counts_are_per_rule_and_skip_tests_and_docs() {
         let c = ctx(
-            "//! lint: allow(L003): documents the syntax, is not an escape\n\
+            "//! lint: allow(L005): documents the syntax, is not an escape\n\
              fn f() {\n\
-             // lint: allow(L003): one\n\
-             let a = Instant::now();\n\
-             // lint: allow(L003, L005): two rules, one comment\n\
-             let b = Instant::now();\n\
-             // lint: allow(L001)\n\
+             // lint: allow(L005): one\n\
+             tx.send(1).unwrap();\n\
+             // lint: allow(L005, L009): two rules, one comment\n\
+             let m: HashMap<Key, u8> = tx.send(2).unwrap();\n\
+             // lint: allow(L002)\n\
              }\n\
              #[cfg(test)]\n\
              mod tests {\n\
-             // lint: allow(L003): test code needs no escape\n\
+             // lint: allow(L005): test code needs no escape\n\
              }",
         );
         let counts = c.escape_counts();
-        assert_eq!(counts.get("L003"), Some(&2));
-        assert_eq!(counts.get("L005"), Some(&1));
+        assert_eq!(counts.get("L005"), Some(&2));
+        assert_eq!(counts.get("L009"), Some(&1));
         assert_eq!(
-            counts.get("L001"),
+            counts.get("L002"),
             None,
             "an escape without a reason is no escape"
         );
+    }
+
+    #[test]
+    fn escape_without_reason_is_a_violation() {
+        let c = ctx("fn f() {\n// lint: allow(L005)\ntx.send(1).unwrap();\n}");
+        assert_eq!(c.l005_channel_unwraps().len(), 1, "escape must not apply");
+        let v = c.escape_violations();
+        assert_eq!(v.len(), 1, "and is itself reported");
+        assert_eq!((v[0].rule, v[0].line), ("L000", 2));
+    }
+
+    #[test]
+    fn escape_covers_only_the_next_code_line() {
+        let c = ctx("// lint: allow(L009): keyed by an external API's hash\n\
+             struct S { a: HashSet<Key> }\n\
+             struct T { b: HashSet<Key> }\n");
+        let v = c.l009_key_maps();
+        assert_eq!(v.len(), 1, "allow covers only the next code line");
+        assert_eq!(v[0].line, 3);
+    }
+
+    #[test]
+    fn escape_naming_an_unknown_rule_is_refused() {
+        // A typo, and the numbers of rules the compiler now enforces: each
+        // is reported, and none suppresses anything, even beside a real rule.
+        for rules in ["L03", "L001", "L003", "L007", "L005, L003"] {
+            let c = ctx(&format!(
+                "fn f() {{\n// lint: allow({rules}): argued\ntx.send(1).unwrap();\n}}"
+            ));
+            let v = c.escape_violations();
+            assert_eq!(v.len(), 1, "{rules}");
+            assert_eq!((v[0].rule, v[0].line), ("L000", 2));
+            assert!(v[0].msg.contains("no cb-lint rule"), "{}", v[0].msg);
+            assert!(c.escape_counts().is_empty(), "{rules}");
+            assert_eq!(c.l005_channel_unwraps().len(), 1, "{rules}");
+        }
     }
 
     #[test]
@@ -1561,10 +1318,10 @@ mod tests {
     fn integration_test_paths_are_test_context() {
         let c = FileCtx::new(
             "crates/net/tests/fabric.rs",
-            "fn f() { let t = Instant::now(); tx.send(1).unwrap(); }",
+            "fn f() { let m: HashSet<Key> = tx.send(1).unwrap(); }",
         );
-        assert!(c.l003_nondeterminism().is_empty());
         assert!(c.l005_channel_unwraps().is_empty());
+        assert!(c.l009_key_maps().is_empty());
     }
 
     // ------------------------------------------------------------- L009

@@ -16,6 +16,13 @@
 //! cheap-clone `Arc<str>` handles, moved — not copied — on insert).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "test code may read the wall clock: it times its own waits"
+    )
+)]
 
 use cloudburst_lattice::Key;
 

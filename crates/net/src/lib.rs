@@ -42,6 +42,13 @@
 //!   per-message fabric overhead (paper §4).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "test code may read the wall clock: it times its own waits"
+    )
+)]
 
 pub mod batch;
 pub mod latency;

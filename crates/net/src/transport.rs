@@ -815,11 +815,17 @@ impl<R: Send + 'static> PipelinedWaiter<R> {
 
     /// Drain every outstanding response under one overall deadline.
     pub fn wait_all(&mut self, timeout: Duration) -> Result<Vec<(u64, R)>, RecvError> {
-        // lint: allow(L003): caller-supplied overall timeout; timeouts are wall-clock by contract
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "caller-supplied overall timeout; timeouts are wall-clock by contract"
+        )]
         let deadline = std::time::Instant::now() + timeout;
         let mut out = Vec::with_capacity(self.outstanding);
         while self.outstanding > 0 {
-            // lint: allow(L003): remaining-time computation for the deadline above
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "remaining-time computation for the deadline above"
+            )]
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             out.push(self.wait_next(remaining)?);
         }

@@ -8,6 +8,11 @@
 //! drives many real threads through the fabric and asserts the delivery
 //! invariants the rest of the system leans on.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
+
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

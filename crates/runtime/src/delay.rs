@@ -178,6 +178,10 @@ fn run_batch(shutdown: &AtomicBool, batch: &mut VecDeque<Task>) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
 mod tests {
     use super::*;
     use crate::RuntimeConfig;

@@ -445,7 +445,10 @@ impl Runtime {
             .collect();
         let inner = Arc::new(Inner {
             seed: config.seed,
-            // lint: allow(L003): runtime epoch for deadline arithmetic; never compared across runs
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "runtime epoch for deadline arithmetic; never compared across runs"
+            )]
             epoch: Instant::now(),
             sched: Mutex::ranked(
                 91,
@@ -921,7 +924,10 @@ impl Inner {
 }
 
 fn rt_now() -> Instant {
-    // lint: allow(L003): the runtime's scheduling clock; deadlines come from actors' own config-driven cadences
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the runtime's scheduling clock; deadlines come from actors' own config-driven cadences"
+    )]
     Instant::now()
 }
 
@@ -1027,6 +1033,10 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
 mod tests {
     use super::*;
     use std::sync::mpsc;

@@ -1,6 +1,11 @@
 //! Workspace-level integration tests: cross-crate flows exercising the full
 //! stack — lattices inside Anna inside Cloudburst, with baselines and apps.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code may read the wall clock: it times its own waits"
+)]
+
 use std::collections::HashMap;
 use std::time::Duration;
 
