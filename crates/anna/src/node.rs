@@ -11,7 +11,9 @@
 //! [`cloudburst_runtime::Runtime`]: message delivery enqueues it, a pool
 //! worker drains the mailbox in the node's `poll`, and the gossip-flush
 //! and WAL group-commit cadences are deadlines on the runtime's timer heap
-//! rather than `recv_timeout` ticks on an owned thread.
+//! rather than `recv_timeout` ticks on an owned thread. The WAL cadence
+//! ticks on a durable node; the gossip cadence is armed only while a delta
+//! or a cache push is buffered, so an idle node costs no wakes.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -42,7 +44,9 @@ pub struct NodeConfig {
     /// Gossip window in paper milliseconds: keys dirtied by writes are
     /// propagated to their replicas as one batched delta per peer per tick
     /// (Anna's periodic gossip), and pushed key updates to registered caches
-    /// coalesce on the same cadence. The scaled window is floored at 100 µs
+    /// coalesce on the same cadence. The tick is armed only while a delta
+    /// or push is buffered; a write after a quiet spell waits for the next
+    /// tick on the window's grid. The scaled window is floored at 100 µs
     /// of wall clock, so `0.0` means "as often as the floor allows".
     pub gossip_interval_ms: f64,
     /// Synchronous per-request service time for data requests (multi-get /
@@ -204,7 +208,8 @@ struct Worker {
     store: TieredStore,
     disk_latency: LatencyModel,
     /// Gossip flush (and cache push) cadence, scaled from
-    /// `gossip_interval_ms`.
+    /// `gossip_interval_ms`; armed only while `dirty` or `push_dirty`
+    /// holds something ([`Cadence::armed_while`]).
     gossip: Cadence,
     /// Keys written since the last gossip flush, mapped to the last observed
     /// merged payload size (so growth of an already-dirty key still advances
@@ -223,7 +228,8 @@ struct Worker {
     /// cache → last reported keyset snapshot (to diff snapshots).
     cache_keysets: HashMap<Address, KeySet>,
     /// Unified access telemetry: lifetime counters plus decayed per-key heat
-    /// and node load, decayed on the gossip cadence and reported in `Stats`.
+    /// and node load, decayed as the node polls (and lazily before every
+    /// snapshot) and reported in `Stats`.
     telemetry: NodeTelemetry,
     /// Synchronous service occupancy per data request (`Zero` = none).
     service_latency: LatencyModel,
@@ -247,7 +253,7 @@ impl Actor for Worker {
         // come back when it closes.
         if let Some(busy) = self.busy_until {
             if now < busy {
-                return Poll::Idle(Some(self.next_deadline()));
+                return Poll::Idle(self.next_deadline());
             }
             self.busy_until = None;
         }
@@ -279,28 +285,29 @@ impl Actor for Worker {
         if self.gossip.due(now) {
             self.flush_deltas();
         }
+        self.telemetry.decay();
         if self.store.is_durable() && self.wal.due(now) {
             self.sync_and_release();
         }
         if budget == 0 && self.busy_until.is_none() {
             return Poll::Yield; // more queued; let other actors run first
         }
-        Poll::Idle(Some(self.next_deadline()))
+        Poll::Idle(self.next_deadline())
     }
 }
 
 impl Worker {
-    /// The earliest of the armed cadences: service-occupancy expiry, gossip
-    /// flush, WAL group commit.
-    fn next_deadline(&self) -> Instant {
-        let mut deadline = self.gossip.deadline();
-        if let Some(busy) = self.busy_until {
-            deadline = deadline.min(busy);
-        }
-        if self.store.is_durable() {
-            deadline = deadline.min(self.wal.deadline());
-        }
-        deadline
+    /// The earliest of the armed deadlines: service-occupancy expiry, WAL
+    /// group commit, and the gossip flush while something is buffered. A
+    /// durable node's WAL tick polls it every period anyway, on the grid
+    /// both cadences share from the first poll, so its gossip check rides
+    /// that tick at no extra wake; withheld, the two would drift apart and
+    /// poll the node twice a period.
+    fn next_deadline(&mut self) -> Option<Instant> {
+        let buffered = !self.dirty.is_empty() || !self.push_dirty.is_empty();
+        let gossip = self.gossip.armed_while(buffered || self.store.is_durable());
+        let wal = self.store.is_durable().then(|| self.wal.deadline());
+        [gossip, wal, self.busy_until].into_iter().flatten().min()
     }
 
     /// Release `ack` only once the WAL records it depends on are durable
@@ -533,12 +540,10 @@ impl Worker {
     }
 
     /// Flush both outbound delta streams: the dirty-key gossip batches and
-    /// the per-key deduplicated cache pushes. The heat telemetry decays on
-    /// the same cadence — one periodic sweep, no extra timer.
+    /// the per-key deduplicated cache pushes.
     fn flush_deltas(&mut self) {
         self.flush_gossip();
         self.flush_pushes();
-        self.telemetry.decay();
     }
 
     /// Send one batched delta per replica peer covering every dirty key.

@@ -7,8 +7,8 @@
 //! **load**. Both decay with a configurable half-life, so a key that stops
 //! being accessed cools toward zero instead of staying "hot" forever.
 //!
-//! Heat rides the existing batched fabric: decay is folded into the node's
-//! periodic gossip-flush cadence (no extra timer) and the snapshot is
+//! Heat rides the existing batched fabric: the node decays it as it polls
+//! and lazily before every snapshot (no timer of its own), and the snapshot is
 //! reported inside the existing [`crate::msg::NodeStats`] reply — the
 //! elasticity engine ([`crate::elastic`]) polls the stats it already polled,
 //! and no new RPC is added to the protocol.
@@ -112,10 +112,11 @@ impl NodeTelemetry {
     }
 
     /// Apply the exponential decay accrued since the last decay, pruning
-    /// entries that fell below the noise floor. Called on the node's gossip
-    /// cadence and lazily before every snapshot; cheap no-op when less than
-    /// 1/32 of a half-life has elapsed (so a sub-millisecond gossip tick
-    /// does not pay a full map sweep per tick).
+    /// entries that fell below the noise floor. Called on every node poll
+    /// and lazily before every snapshot; cheap no-op when less than 1/32 of
+    /// a half-life has elapsed (so a node polled every few microseconds
+    /// does not pay a full map sweep per poll). Decay composes, so an idle
+    /// node that skips it reads the same heat at its next snapshot.
     pub fn decay(&mut self) {
         let dt = self.last_decay.elapsed();
         if dt < self.config.half_life / 32 {

@@ -1386,3 +1386,61 @@ fn causal_capsules_merge_concurrent_versions() {
     };
     assert!(c.has_conflicts(), "both concurrent versions must survive");
 }
+
+#[test]
+fn idle_node_arms_no_gossip_tick_and_a_write_still_gossips_within_a_window() {
+    // The gossip tick is armed only while a delta is buffered: an idle
+    // node fires (almost) no timers, and a lone write after the quiet
+    // spell still reaches its replica on the next tick of the window. A
+    // spy endpoint joins the directory as the key's second replica.
+    let net = instant_net();
+    let cluster = launch(&net, 1, 1);
+    let (node, node_addr) = cluster.directory().nodes()[0];
+    let spy = net.register();
+    cluster.directory().add_node(99, spy.addr());
+    let key = (0..)
+        .map(|i| Key::new(format!("quiet-{i}")))
+        .find(|k| cluster.directory().primary(k).map(|(n, _)| n) == Some(node))
+        .unwrap();
+    cluster.directory().set_replication_override(key.clone(), 2);
+
+    let fires_before = cluster.runtime_stats().timer_fires;
+    std::thread::sleep(Duration::from_millis(50));
+    let fires = cluster.runtime_stats().timer_fires - fires_before;
+    assert!(fires <= 2, "{fires} timer fires on a node idle for 50 ms");
+
+    let client = cluster.client();
+    let capsule = Capsule::wrap_lww(client.next_timestamp(), Bytes::from_static(b"lone"));
+    let (reply, waiter) = reply_channel(&net);
+    let written = std::time::Instant::now();
+    net.send(
+        client.addr(),
+        node_addr,
+        StorageRequest::MultiPut {
+            entries: vec![(key.clone(), capsule)],
+            reply: Some(reply),
+        },
+    )
+    .unwrap();
+    let ack: cloudburst_anna::MultiPutResponse =
+        waiter.wait_timeout(Duration::from_secs(2)).unwrap();
+    assert_eq!(ack.merged, 1);
+    let gossiped = loop {
+        let env = spy
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the lone write was never gossiped");
+        if let Ok(StorageRequest::GossipBatch { entries }) = env.downcast::<StorageRequest>() {
+            break entries;
+        }
+    };
+    let elapsed = written.elapsed();
+    assert_eq!(gossiped.len(), 1);
+    assert_eq!(gossiped[0].0, key);
+    // One 2 ms window, plus scheduling slack for a loaded test host; the
+    // tick's place on the window's grid is `Cadence`'s own unit test.
+    let window = Duration::from_secs_f64(NodeConfig::default().gossip_interval_ms / 1000.0);
+    assert!(
+        elapsed <= window + Duration::from_millis(50),
+        "gossiped {elapsed:?} after the write"
+    );
+}

@@ -72,9 +72,11 @@ pub struct CacheConfig {
     /// Write-behind window in paper milliseconds: session writes accumulate
     /// in a dirty buffer (repeated writes to a key merge in place) and flush
     /// to Anna as one batched `MultiPut` per responsible node per window
-    /// (paper §4.2's asynchronous write-back, coalesced). The scaled window
-    /// is floored at 100 µs of wall clock, so `0.0` means "as often as the
-    /// floor allows".
+    /// (paper §4.2's asynchronous write-back, coalesced). The flush tick is
+    /// armed only while the buffer holds a write; the first write after a
+    /// quiet spell waits for the next tick on the window's grid. The scaled
+    /// window is floored at 100 µs of wall clock, so `0.0` means "as often
+    /// as the floor allows".
     pub write_flush_interval_ms: f64,
 }
 
@@ -212,9 +214,12 @@ pub struct CacheInner {
     /// Write-behind buffer: session writes land here and flush to Anna as
     /// batched `MultiPut`s on the flush window (server thread) or when the
     /// byte cap fills (writer thread). Repeated writes to one key merge in
-    /// place, so a hot key costs one flushed entry per window.
+    /// place, so a hot key costs one flushed entry per window. The write
+    /// that finds it empty notifies the server, which arms the flush.
     // lock-rank: 44 cache-dirty
     dirty: Mutex<DirtyBuffer>,
+    /// The server actor: carries the flush window.
+    server: ActorHandle,
     /// In-flight fills, keyed by the missing key (single-flight coalescing;
     /// see [`CacheInner::get_or_fetch`]). Entries exist only while a fetch
     /// is outstanding — the leader always removes its entry before
@@ -249,6 +254,7 @@ impl VmCache {
         // More shards than capacity would let per-shard caps overshoot the
         // configured total.
         let shard_count = config.shards.max(1).min(config.max_entries.max(1));
+        let handle = runtime.register(format!("cb-cache-{vm}"));
         let shards: Box<[Mutex<CacheShard>]> = (0..shard_count)
             .map(|_| Mutex::ranked(40, "cache-shard", CacheShard::default()))
             .collect();
@@ -263,11 +269,11 @@ impl VmCache {
             shard_max: (config.max_entries / shard_count).max(1),
             snapshots: Mutex::ranked(42, "cache-snapshots", HashMap::new()),
             dirty: Mutex::ranked(44, "cache-dirty", DirtyBuffer::default()),
+            server: handle.clone(),
             inflight: Mutex::ranked(46, "cache-inflight", KeyMap::default()),
             stats: CacheStats::default(),
             shutdown: AtomicBool::new(false),
         });
-        let handle = runtime.register(format!("cb-cache-{vm}"));
         {
             let waker = handle.clone();
             endpoint.set_notify(move || waker.notify());
@@ -581,8 +587,9 @@ impl CacheInner {
 
     /// Buffer a write for the next batched flush.
     fn mark_dirty(&self, key: &Key, capsule: Capsule) {
-        let full = {
+        let (first, full) = {
             let mut dirty = self.dirty.lock();
+            let first = dirty.entries.is_empty();
             match dirty.entries.get_mut(key) {
                 Some(pending) => {
                     let before = pending.payload_len();
@@ -597,10 +604,13 @@ impl CacheInner {
                     dirty.entries.insert(key.clone(), capsule);
                 }
             }
-            dirty.bytes >= MAX_BATCH_BYTES
+            (first, dirty.bytes >= MAX_BATCH_BYTES)
         };
         if full {
             self.flush_writes();
+        } else if first {
+            // The server arms no flush while the buffer is empty.
+            self.server.notify();
         }
     }
 
@@ -986,11 +996,14 @@ impl CacheInner {
 
 /// The cache's server actor: receives pushed [`KeyUpdate`]s and
 /// cache-protocol requests, and carries the write-behind flush and keyset
-/// publication cadences on the runtime's timer heap.
+/// publication cadences on the runtime's timer heap. Keyset publication
+/// ticks; the flush is armed only while the write-behind buffer holds a
+/// write.
 struct CacheServer {
     inner: Arc<CacheInner>,
     endpoint: Endpoint,
-    /// Write-behind flush cadence.
+    /// Write-behind flush cadence ([`Cadence::armed_while`] the buffer is
+    /// non-empty).
     flush: Cadence,
     /// Keyset publication cadence.
     publish: Cadence,
@@ -1026,7 +1039,10 @@ impl Actor for CacheServer {
         if budget == 0 {
             return Poll::Yield;
         }
-        Poll::Idle(Some(self.flush.deadline().min(self.publish.deadline())))
+        let buffered = !self.inner.dirty.lock().entries.is_empty();
+        let flush = self.flush.armed_while(buffered);
+        let publish = self.publish.deadline();
+        Poll::Idle(Some(flush.map_or(publish, |flush| flush.min(publish))))
     }
 }
 
@@ -1204,6 +1220,65 @@ mod tests {
             fires <= windows + 64,
             "{fires} timer fires in {windows} floor windows: the cache busy-ticks"
         );
+        cache.shutdown();
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn idle_cache_arms_no_flush_tick_and_a_write_still_flushes_within_a_window() {
+        // The flush tick is armed only while the write-behind buffer holds
+        // a write: an idle cache fires (almost) only its keyset
+        // publication, and a lone write from a thread off the pool still
+        // reaches Anna on the next tick of the window.
+        let net = Network::new(NetConfig::instant());
+        let anna = AnnaCluster::launch(
+            &net,
+            AnnaConfig {
+                nodes: 1,
+                replication: 1,
+                durability: cloudburst_anna::Durability::Off,
+                ..AnnaConfig::default()
+            },
+        );
+        // A runtime of its own, so its timer count is this cache's alone.
+        let runtime = ActorRuntime::new(cloudburst_runtime::RuntimeConfig::default());
+        let config = CacheConfig::default();
+        let mut cache = VmCache::spawn(
+            &runtime,
+            1,
+            &net,
+            anna.client(),
+            Arc::new(Topology::new()),
+            ConsistencyLevel::Lww,
+            config,
+        );
+        let fires_before = runtime.stats().timer_fires;
+        std::thread::sleep(Duration::from_millis(50));
+        let fires = runtime.stats().timer_fires - fires_before;
+        assert!(fires <= 2, "{fires} timer fires on a cache idle for 50 ms");
+
+        let inner = cache.inner();
+        let client = anna.client();
+        let key = Key::new("lone");
+        let mut session = SessionMeta::new(1, ConsistencyLevel::Lww);
+        let written = Instant::now();
+        inner.put_session(&key, Bytes::from_static(b"w"), &mut session, 9, &[]);
+        while client.get(&key).unwrap().is_none() {
+            assert!(
+                written.elapsed() < Duration::from_secs(2),
+                "the lone write was never flushed"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        // One 2 ms window, plus scheduling slack for a loaded test host;
+        // the tick's place on the window's grid is `Cadence`'s own test.
+        let window = Duration::from_secs_f64(config.write_flush_interval_ms / 1000.0);
+        let elapsed = written.elapsed();
+        assert!(
+            elapsed <= window + Duration::from_millis(50),
+            "flushed {elapsed:?} after the write"
+        );
+        assert_eq!(inner.stats.write_flushes.load(Ordering::Relaxed), 1);
         cache.shutdown();
         runtime.shutdown();
     }

@@ -323,6 +323,7 @@ fn sink_that_cannot_store_is_retried_into_the_same_future() {
         max_retries: 5,
         initial_pin_replicas: 4,
     };
+    config.executor.metrics_interval_ms = 1e9;
     let cluster = CloudburstCluster::launch(config);
     let client = cluster.client();
     let calls = StdArc::new(AtomicU32::new(0));
@@ -714,7 +715,7 @@ fn attempt_stamped_outputs_resolve_by_attempt_not_arrival_order() {
 #[test]
 fn dag_retry_result_survives_late_write_from_abandoned_attempt() {
     // End-to-end: the first attempt outlives the DAG timeout and writes its
-    // (different) result late; the stored future must settle on the retry's
+    // (different) result late; the stored result must settle on the retry's
     // result and stay there.
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc as StdArc;
@@ -747,14 +748,32 @@ fn dag_retry_result_survives_late_write_from_abandoned_attempt() {
         .unwrap();
     let future = client.call_dag_stored("flaky-dag", HashMap::new()).unwrap();
     let first_seen = future.get(Duration::from_secs(10)).unwrap();
-    // Wait out every attempt (the stale sink writes at ~300 ms), then the
-    // stored result must be the retry's.
-    std::thread::sleep(Duration::from_millis(500));
-    let settled = future.get(Duration::from_secs(10)).unwrap();
+    // Nothing reads the result key, so its heat on the nodes is one per
+    // put, decaying: above 1.0 only once the abandoned attempt's late
+    // write (at ~300 ms) has been applied on top of the retry's.
+    let anna = cluster.anna().client();
+    let heat = || -> f64 {
+        anna.cluster_stats()
+            .unwrap()
+            .iter()
+            .flat_map(|node| node.hot_keys.iter())
+            .filter(|(key, _)| key == future.key())
+            .map(|(_, heat)| heat)
+            .sum()
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while heat() <= 1.0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the abandoned attempt's write never reached the store"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stored = client.get(future.key().clone()).unwrap();
     assert_eq!(
-        settled.as_ref(),
-        b"fresh",
-        "late stale write clobbered the retry (first poll saw {first_seen:?})"
+        stored.as_deref(),
+        Some(&b"fresh"[..]),
+        "late stale write clobbered the retry (the future saw {first_seen:?})"
     );
 }
 

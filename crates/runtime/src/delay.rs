@@ -4,7 +4,7 @@
 //! An actor's [`crate::Poll::Idle`] deadline and every delayed delivery and
 //! reply of the network fabric are entries of one heap under the
 //! `rt-injector` lock, so it holds every deadline in the process and the
-//! threads that sleep to the next one are the pool's own. Four rules keep
+//! one thread that sleeps to the next one is the pool's own. Four rules keep
 //! a delivery fabric and the actors on top of it honest:
 //!
 //! * entries are ordered by `(deadline, seq)`, `seq` taken under the lock,
@@ -100,16 +100,24 @@ impl Inner {
         let ns = self.to_ns(deadline);
         if ns < self.next_deadline.load(Ordering::Relaxed) {
             self.next_deadline.store(ns, Ordering::Relaxed);
-            // A parked thread may be waiting on a later deadline; wake one
-            // so it re-parks with the shorter wait.
-            self.wake_one(sched);
+            // The new head needs a parked thread whose wait ends by then:
+            // unless one already does, wake one to re-park with the
+            // shorter wait. That holds for a pool thread arming it too:
+            // leaving the watch to the arming thread, which parks timed to
+            // the head once back in its loop, cost `kvs_durable` reads a
+            // third more latency (its replies are microsecond deadlines).
+            if !sched.watched(ns) {
+                self.wake_one(sched);
+            }
         }
     }
 
     /// Fire every entry due at `now` (caller holds `sched`): a task moves
     /// to the ready queue, a current wake enqueues its cell directly on the
-    /// held injector (`notify` would re-take the lock).
+    /// held injector (`notify` would re-take the lock). The first cell is
+    /// for the thread the deadline woke; each further one wakes another.
     pub(crate) fn expire_due(&self, sched: &mut Sched, now: Instant) {
+        let mut fired = 0;
         while sched.heap.peek().is_some_and(|e| e.deadline <= now) {
             let entry = sched.heap.pop().expect("peeked entry");
             match entry.fire {
@@ -129,6 +137,10 @@ impl Inner {
                     self.timer_fires.fetch_add(1, Ordering::Relaxed);
                     if cell.mark_queued() {
                         sched.injector.push_back(cell);
+                        fired += 1;
+                        if fired > 1 {
+                            self.wake_one(sched);
+                        }
                     }
                 }
             }

@@ -16,10 +16,13 @@
 //!
 //! The runtime owns actor time. A poll reads the clock through
 //! [`ActorCtx::now`], and every periodic job is a [`Cadence`], which holds
-//! the one re-arm rule all of them share.
+//! the one re-arm rule all of them share; a job with work only sometimes
+//! (a flush) arms its cadence only while it has some
+//! ([`Cadence::armed_while`]), so an idle actor arms no timer.
 //! The same heap carries one-shot tasks ([`Runtime::run_after`]): every
-//! delayed delivery and reply of the network fabric is one, so the pool's
-//! parked threads sleep to the earliest deadline in the process.
+//! delayed delivery and reply of the network fabric is one, so the heap
+//! holds every deadline in the process. One parked thread watches its
+//! head (see "Wake-ups"), so a deadline costs one thread wake.
 //! Every worker thread runs with a 1 µs timer slack
 //! (`slack::tighten_timer_slack`), so a timed park wakes at its deadline
 //! rather than at the end of the kernel's default 50 µs coalescing window.
@@ -59,7 +62,18 @@
 //! work (the worker pops the cell itself when its poll returns). Idle
 //! threads — pool workers and spares alike — park on a per-thread condvar
 //! and are recorded as a stack; every wake site pops the **most recently
-//! parked** one.
+//! parked** of those parked until notified. Failing those, it takes the
+//! timed parker whose wait ends last, so the thread watching the timer
+//! heap's head is taken only when it is the last one parked, and a spare
+//! only when no pool worker is idle.
+//!
+//! A pool worker parks timed to the heap's head only if no parked thread's
+//! wait already ends by then, and otherwise until notified; a spare parks
+//! at most about one flush period. A deadline that becomes the new head
+//! wakes one thread to re-park shorter, unless a parked thread already
+//! wakes by then; a retiring spare hands its watch on.
+//! [`RuntimeStats::wakes`] and [`RuntimeStats::park_timeouts`] count how
+//! parks end.
 //!
 //! # Lock hierarchy
 //!
@@ -159,23 +173,38 @@ pub enum Poll {
 /// not on an absolute grid. A cadence anchors on its first [`Cadence::due`]
 /// call; [`Runtime::start`] forces a first poll, so an actor's cadences
 /// are armed without a clock read at its spawn site.
+///
+/// A job with work only sometimes (a flush with an empty buffer has none)
+/// hands its deadline over through [`Cadence::armed_while`], so an idle
+/// actor arms no timer at all.
 #[derive(Debug, Clone, Copy)]
 pub struct Cadence {
     period: Duration,
     next: Option<Instant>,
+    /// The last deadline handed out was withheld ([`Cadence::armed_while`]
+    /// with nothing pending), so deadlines may have passed unserved.
+    lapsed: bool,
 }
 
 impl Cadence {
     /// An unanchored cadence with this period.
     pub fn new(period: Duration) -> Self {
-        Self { period, next: None }
+        Self {
+            period,
+            next: None,
+            lapsed: false,
+        }
     }
 
     /// Whether the deadline has passed as of `now`; if so, re-arm, so this
     /// returns true at most once per deadline. The first call only anchors
     /// the cadence (first deadline one period after `now`) and returns
-    /// false.
+    /// false. After a lapse, the deadlines that passed unarmed are skipped
+    /// first, by whole periods.
     pub fn due(&mut self, now: Instant) -> bool {
+        if std::mem::take(&mut self.lapsed) {
+            self.skip_missed(now);
+        }
         let due = self.next.is_some_and(|next| now >= next);
         if due || self.next.is_none() {
             self.rearm(now);
@@ -197,6 +226,34 @@ impl Cadence {
     pub fn deadline(&self) -> Instant {
         self.next
             .expect("Cadence::deadline before the cadence was anchored")
+    }
+
+    /// The deadline to hand the runtime for a job with work only
+    /// sometimes: the next deadline while `pending`, `None` otherwise.
+    /// Withheld, the cadence lapses instead of ticking idle, and keeps its
+    /// grid: the next [`Cadence::due`] skips the deadlines that passed
+    /// unarmed, so the first work after a quiet spell waits for the tick
+    /// it would have had — neither served at once nor a full period after
+    /// it arrived.
+    ///
+    /// # Panics
+    /// Panics if `pending` before the cadence was anchored.
+    pub fn armed_while(&mut self, pending: bool) -> Option<Instant> {
+        self.lapsed = !pending;
+        pending.then(|| self.deadline())
+    }
+
+    /// Move a passed deadline to the first one after `now` on its grid.
+    fn skip_missed(&mut self, now: Instant) {
+        let Some(next) = self.next else {
+            return;
+        };
+        if now < next {
+            return;
+        }
+        let period = self.period.as_nanos().max(1);
+        let skip = ((now - next).as_nanos() / period + 1) * period;
+        self.next = Some(next + Duration::from_nanos(skip as u64));
     }
 }
 
@@ -332,8 +389,25 @@ struct Sched {
     /// recently parked last. Each parks on its own condvar paired with
     /// `sched`; a waker pops the entry it notifies, so an entry still here
     /// after a wait means the wait timed out.
-    idle: Vec<Arc<Condvar>>,
+    idle: Vec<Sleeper>,
     shutdown: bool,
+}
+
+/// One parked thread on the idle stack.
+struct Sleeper {
+    cv: Arc<Condvar>,
+    /// When its wait times out (ns since `epoch`), or `u64::MAX` for a
+    /// wait that only a notify ends.
+    until: u64,
+}
+
+impl Sched {
+    /// Whether a parked thread's wait ends at or before `head` (ns since
+    /// `epoch`), so a deadline there needs no other sleeper. Trivially
+    /// true of no deadline (`u64::MAX`).
+    fn watched(&self, head: u64) -> bool {
+        head == u64::MAX || self.idle.iter().any(|s| s.until <= head)
+    }
 }
 
 struct Inner {
@@ -367,6 +441,7 @@ struct Inner {
     polls: AtomicU64,
     timer_fires: AtomicU64,
     wakes: AtomicU64,
+    park_timeouts: AtomicU64,
     max_mailbox: AtomicUsize,
     shutdown_flag: AtomicBool,
 }
@@ -396,6 +471,9 @@ pub struct RuntimeStats {
     /// Parked threads notified (one futex wake each) by enqueues, timer
     /// re-arms and [`blocking`] entries.
     pub wakes: u64,
+    /// Parks that ended un-notified: a timed wait ran out (a deadline
+    /// came due, or a spare's idle park ended).
+    pub park_timeouts: u64,
 }
 
 impl RuntimeStats {
@@ -476,6 +554,7 @@ impl Runtime {
             polls: AtomicU64::new(0),
             timer_fires: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
+            park_timeouts: AtomicU64::new(0),
             max_mailbox: AtomicUsize::new(0),
             shutdown_flag: AtomicBool::new(false),
         });
@@ -572,6 +651,7 @@ impl Runtime {
             timer_fires: inner.timer_fires.load(Ordering::Relaxed),
             spares_spawned: inner.spares_spawned.load(Ordering::Relaxed),
             wakes: inner.wakes.load(Ordering::Relaxed),
+            park_timeouts: inner.park_timeouts.load(Ordering::Relaxed),
         }
     }
 
@@ -603,7 +683,7 @@ impl Runtime {
             let mut sched = self.inner.sched.lock();
             sched.shutdown = true;
             for parker in sched.idle.drain(..) {
-                parker.notify_one();
+                parker.cv.notify_one();
             }
             self.inner.sleepers.store(0, Ordering::SeqCst);
             (
@@ -716,13 +796,19 @@ impl Inner {
         })
     }
 
-    /// Wake the most recently parked thread, if any (caller holds `sched`).
+    /// Wake one parked thread, if any (caller holds `sched`): the most
+    /// recently parked of those parked until notified; failing those, the
+    /// timed one whose wait ends last, so the thread watching the timer
+    /// heap's head is taken only when it is the last one parked, and a
+    /// spare (always timed) only when no pool worker is idle.
     fn wake_one(&self, sched: &mut Sched) {
-        if let Some(parker) = sched.idle.pop() {
-            self.sleepers.store(sched.idle.len(), Ordering::SeqCst);
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            parker.notify_one();
-        }
+        let Some(at) = (0..sched.idle.len()).max_by_key(|&i| (sched.idle[i].until, i)) else {
+            return;
+        };
+        let parker = sched.idle.remove(at);
+        self.sleepers.store(sched.idle.len(), Ordering::SeqCst);
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+        parker.cv.notify_one();
     }
 
     /// Push a QUEUED cell where a worker will find it. On a worker of a
@@ -937,14 +1023,19 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
     tighten_timer_slack();
     let spare = wid.is_none();
     let _ = WORKER.with(|w| w.set((Arc::downgrade(&inner), wid)));
-    /// Longest a spare parks when no timer is armed.
-    const SPARE_IDLE_PARK: Duration = Duration::from_millis(50);
+    /// Longest a spare parks (ns): about one flush period, so a spare
+    /// outlives its blocking region by that much however far off the next
+    /// deadline is.
+    const SPARE_IDLE_PARK_NS: u64 = 2_000_000;
     // This thread's entry on the idle stack (paired with `sched`).
     let parker = Arc::new(Condvar::new());
     // The last park timed out and nothing has run since: this thread is
     // the coldest, so it re-parks at the bottom of the stack instead of
     // displacing the thread that is actually serving wake-ups.
     let mut cold = false;
+    // The last park ended un-notified, whatever has run since (a spare
+    // retires on it).
+    let mut timed_out = false;
     loop {
         // 1. Local deque first (owner end).
         if let Some(w) = wid {
@@ -980,54 +1071,71 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
         if sched.shutdown {
             return;
         }
-        // 3. Park. Announce the sleep *before* releasing interest so a
-        // producer that pushed right after our checks sees sleepers > 0
-        // and signals (no lost wakeups).
-        if cold {
-            sched.idle.insert(0, Arc::clone(&parker));
+        let head = inner.next_deadline.load(Ordering::Relaxed);
+        // 3. Spare retirement: its last park ended un-notified and the
+        // injector is empty, while spares outnumber blocked regions. What
+        // that park woke it for was served above; the watch on the next
+        // deadline is handed on, never taken along.
+        let retire = spare
+            && timed_out
+            && sched.injector.is_empty()
+            && inner.spares_alive.load(Ordering::SeqCst) > inner.blocked.load(Ordering::SeqCst);
+        if retire {
+            inner.spares_alive.fetch_sub(1, Ordering::SeqCst);
+            if !sched.watched(head) {
+                inner.wake_one(&mut sched);
+            }
+            return;
+        }
+        // 4. Park. One parked thread watches the heap's head: a worker
+        // parks timed to it only if no parked thread's wait already ends by
+        // then, and otherwise until notified. A spare parks at most
+        // `SPARE_IDLE_PARK_NS`. Announce the sleep *before* releasing
+        // interest so a producer that pushed right after our checks sees
+        // sleepers > 0 and signals (no lost wakeups).
+        let now_ns = inner.to_ns(rt_now());
+        let until = if spare {
+            head.min(now_ns + SPARE_IDLE_PARK_NS)
+        } else if sched.watched(head) {
+            u64::MAX
         } else {
-            sched.idle.push(Arc::clone(&parker));
+            head
+        };
+        let entry = Sleeper {
+            cv: Arc::clone(&parker),
+            until,
+        };
+        if cold {
+            sched.idle.insert(0, entry);
+        } else {
+            sched.idle.push(entry);
         }
         inner.sleepers.store(sched.idle.len(), Ordering::SeqCst);
         if spare {
             inner.spares_parked.fetch_add(1, Ordering::SeqCst);
         }
-        let next = inner.next_deadline.load(Ordering::Relaxed);
-        let wait = if next == u64::MAX {
-            if spare {
-                SPARE_IDLE_PARK
-            } else {
-                Duration::from_millis(500)
-            }
+        if until == u64::MAX {
+            parker.wait(&mut sched);
         } else {
-            let now_ns = inner.to_ns(rt_now());
-            Duration::from_nanos(next.saturating_sub(now_ns)).min(Duration::from_millis(500))
-        };
-        parker.wait_for(&mut sched, wait);
+            parker.wait_for(
+                &mut sched,
+                Duration::from_nanos(until.saturating_sub(now_ns)),
+            );
+        }
         // A waker pops the entry it notifies; finding ours still on the
         // stack means the wait timed out (or woke spuriously).
-        cold = match sched.idle.iter().position(|p| Arc::ptr_eq(p, &parker)) {
+        timed_out = match sched.idle.iter().position(|s| Arc::ptr_eq(&s.cv, &parker)) {
             Some(at) => {
                 sched.idle.remove(at);
                 inner.sleepers.store(sched.idle.len(), Ordering::SeqCst);
+                inner.park_timeouts.fetch_add(1, Ordering::Relaxed);
                 true
             }
             None => false,
         };
+        cold = timed_out;
         if spare {
             inner.spares_parked.fetch_sub(1, Ordering::SeqCst);
-            // Spare retirement: the first park that ends un-notified with
-            // an empty injector while spares outnumber blocked regions.
-            // With a timer armed that park is only as long as the next
-            // deadline, so a spare outlives its blocking region by about
-            // one timer period, not by `SPARE_IDLE_PARK`.
-            let idle_retire = cold
-                && sched.injector.is_empty()
-                && inner.spares_alive.load(Ordering::SeqCst) > inner.blocked.load(Ordering::SeqCst);
-            if idle_retire {
-                inner.spares_alive.fetch_sub(1, Ordering::SeqCst);
-                return;
-            }
         }
     }
 }
@@ -1557,6 +1665,256 @@ mod tests {
         let after_work = late + PERIOD / 4;
         c.rearm(after_work);
         assert_eq!(c.deadline(), after_work + PERIOD);
+    }
+
+    #[test]
+    fn withheld_cadence_keeps_its_grid() {
+        // Armed while work is pending; withheld while idle. The first work
+        // after the quiet spell waits for the next tick on the old grid:
+        // not served at once, not a full period after it arrived.
+        let anchor = Instant::now();
+        let mut c = Cadence::new(PERIOD);
+        c.due(anchor);
+        assert_eq!(c.armed_while(true), Some(anchor + PERIOD));
+        assert!(c.due(anchor + PERIOD));
+        assert_eq!(c.armed_while(false), None, "idle: nothing armed");
+        let work = anchor + PERIOD * 5 + PERIOD / 4;
+        assert!(!c.due(work), "deadlines that passed unarmed are not due");
+        assert_eq!(c.armed_while(true), Some(anchor + PERIOD * 6));
+        assert!(c.due(anchor + PERIOD * 6));
+    }
+
+    #[test]
+    fn armed_cadence_served_late_is_still_due() {
+        // Only a withheld deadline is skipped: an armed one that fires
+        // late is served.
+        let anchor = Instant::now();
+        let mut c = Cadence::new(PERIOD);
+        c.due(anchor);
+        c.armed_while(true);
+        assert!(c.due(anchor + PERIOD * 3));
+    }
+
+    #[test]
+    fn idle_workers_sleep_through_a_cadence() {
+        // One parked thread watches the timer heap's head; the others park
+        // until notified, so each fire costs about one timed-out park
+        // rather than one per parked worker.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 3,
+            ..RuntimeConfig::default()
+        });
+        let fires = Arc::new(AtomicU64::new(0));
+        let h = rt.spawn(
+            "ticker",
+            Ticker {
+                every: Duration::from_millis(1),
+                fires: Arc::clone(&fires),
+            },
+        );
+        wait_until(|| fires.load(Ordering::SeqCst) >= 2);
+        let before = rt.stats();
+        std::thread::sleep(Duration::from_millis(200));
+        let after = rt.stats();
+        let fired = after.timer_fires - before.timer_fires;
+        let timeouts = after.park_timeouts - before.park_timeouts;
+        assert!(fired > 0);
+        assert!(
+            timeouts <= fired + 8,
+            "{timeouts} timed-out parks for {fired} timer fires"
+        );
+        h.stop();
+        rt.shutdown();
+    }
+
+    /// Once `go` is set, its next poll arms one deadline `after` from now
+    /// — a one-shot task, or its own actor timer — then spends `block`
+    /// inside [`blocking`]; the deadline reports how long after the
+    /// arming it fired.
+    struct ArmInPoll {
+        rt: Runtime,
+        go: Arc<AtomicBool>,
+        task: bool,
+        after: Duration,
+        block: Duration,
+        armed_at: Option<Instant>,
+        fired: mpsc::Sender<Duration>,
+    }
+
+    impl Actor for ArmInPoll {
+        fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
+            let now = ctx.now();
+            if let Some(at) = self.armed_at {
+                if now < at + self.after {
+                    return Poll::Idle(Some(at + self.after));
+                }
+                self.armed_at = None;
+                let _ = self.fired.send(now - at);
+                return Poll::Idle(None);
+            }
+            if !self.go.swap(false, Ordering::SeqCst) {
+                return Poll::Idle(None);
+            }
+            let deadline = if self.task {
+                let fired = self.fired.clone();
+                self.rt.run_after(self.after, move || {
+                    let _ = fired.send(now.elapsed());
+                });
+                None
+            } else {
+                self.armed_at = Some(now);
+                Some(now + self.after)
+            };
+            if !self.block.is_zero() {
+                blocking(|| std::thread::sleep(self.block));
+            }
+            Poll::Idle(deadline)
+        }
+    }
+
+    fn arm_in_poll(
+        rt: &Runtime,
+        task: bool,
+        after: Duration,
+        block: Duration,
+    ) -> (ActorHandle, Arc<AtomicBool>, mpsc::Receiver<Duration>) {
+        let (tx, rx) = mpsc::channel();
+        let go = Arc::new(AtomicBool::new(false));
+        let h = rt.spawn(
+            "arm-in-poll",
+            ArmInPoll {
+                rt: rt.clone(),
+                go: Arc::clone(&go),
+                task,
+                after,
+                block,
+                armed_at: None,
+                fired: tx,
+            },
+        );
+        (h, go, rx)
+    }
+
+    fn pooled_and_deterministic() -> [RuntimeConfig; 2] {
+        [
+            RuntimeConfig {
+                workers: 3,
+                ..RuntimeConfig::default()
+            },
+            RuntimeConfig::deterministic(),
+        ]
+    }
+
+    #[test]
+    fn deadline_armed_in_a_poll_costs_one_wake_and_fires_on_time() {
+        // Every thread is parked until notified when the poll arms the
+        // new head: one of them is woken to park timed to it, and that one
+        // wake is all the deadline costs beside the off-pool notify that
+        // started the poll — no herd, whichever kind of deadline it is.
+        for config in pooled_and_deterministic() {
+            for task in [true, false] {
+                let rt = Runtime::new(config);
+                let after = Duration::from_millis(2);
+                let (h, go, rx) = arm_in_poll(&rt, task, after, Duration::ZERO);
+                wait_until(|| all_parked(&rt));
+                let before = rt.stats();
+                go.store(true, Ordering::SeqCst);
+                h.notify();
+                let elapsed = rx
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("the deadline never fired");
+                assert!(elapsed >= after, "fired early: {elapsed:?}");
+                wait_until(|| all_parked(&rt));
+                let after_stats = rt.stats();
+                assert!(
+                    after_stats.wakes - before.wakes <= 2,
+                    "task {task}: {} wakes",
+                    after_stats.wakes - before.wakes
+                );
+                assert!(
+                    after_stats.park_timeouts - before.park_timeouts <= 2,
+                    "task {task}: {} timed-out parks",
+                    after_stats.park_timeouts - before.park_timeouts
+                );
+                h.stop();
+                rt.shutdown();
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_armed_before_a_blocking_region_fires_during_it() {
+        // The poll arms a 1 ms task, then blocks for 200 ms: a parked
+        // thread (or the spare covering the block) watches the deadline,
+        // so the task runs while the arming thread is still blocked.
+        for config in pooled_and_deterministic() {
+            let rt = Runtime::new(config);
+            let block = Duration::from_millis(200);
+            let (h, go, rx) = arm_in_poll(&rt, true, Duration::from_millis(1), block);
+            wait_until(|| all_parked(&rt));
+            go.store(true, Ordering::SeqCst);
+            h.notify();
+            let elapsed = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the task never fired");
+            assert!(
+                elapsed < block,
+                "the task waited out the blocking region: {elapsed:?}"
+            );
+            h.stop();
+            rt.shutdown();
+        }
+    }
+
+    /// Each poll spends 10 ms inside `blocking`.
+    struct LongBlock {
+        rounds: Arc<AtomicU64>,
+    }
+    impl Actor for LongBlock {
+        fn poll(&mut self, _ctx: &mut ActorCtx<'_>) -> Poll {
+            blocking(|| std::thread::sleep(Duration::from_millis(10)));
+            self.rounds.fetch_add(1, Ordering::SeqCst);
+            Poll::Idle(None)
+        }
+    }
+
+    #[test]
+    fn a_retiring_spare_hands_on_the_deadline_watch() {
+        // A deadline armed off-pool while a spare is parked leaves the
+        // spare its only sleeper, and the worker that comes back from its
+        // blocking region parks until notified. The spare then retires: it
+        // must wake a thread to take the watch, or the deadline never
+        // fires.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        });
+        let spares_gone = || rt.inner.spares_alive.load(Ordering::SeqCst) == 0;
+        let rounds = Arc::new(AtomicU64::new(0));
+        let blocker = rt.spawn(
+            "long-block",
+            LongBlock {
+                rounds: Arc::clone(&rounds),
+            },
+        );
+        wait_until(|| rounds.load(Ordering::SeqCst) >= 1 && spares_gone());
+        blocker.notify();
+        wait_until(|| rt.inner.blocked.load(Ordering::SeqCst) == 1);
+        let (tx, rx) = mpsc::channel();
+        let armed = Instant::now();
+        rt.run_after(Duration::from_millis(100), move || {
+            let _ = tx.send(armed.elapsed());
+        });
+        wait_until(|| rounds.load(Ordering::SeqCst) >= 2 && spares_gone());
+        let elapsed = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the retiring spare stranded the deadline");
+        assert!(
+            elapsed >= Duration::from_millis(100),
+            "fired early: {elapsed:?}"
+        );
+        blocker.stop();
+        rt.shutdown();
     }
 
     #[test]

@@ -15,7 +15,7 @@
 #
 #   scripts/yardstick_pairs.sh <base-bin> <head-bin> [N] [--workload W] [--seed S]
 #                              [--out DIR] [--claim WORKLOAD/METRIC]
-#                              [--layer NAME[,NAME...]]
+#                              [--layer NAME[,NAME...]] [--aa]
 #
 # --claim names the metric a change claims to improve. Its row is judged by
 # the acceptance rule instead: the head wins at least 9 of every 10 pairs,
@@ -28,6 +28,14 @@
 # summary ends with one row per (workload, layer metric): base median ->
 # head median over the pairs' traced runs. These rows are report-only; no
 # verdict and no exit status depend on them.
+#
+# --aa also runs, in every pair, a copy of the base binary as a third side
+# (untraced only), and prints beside each summary row how far the copy's
+# median read from the base's (A/A gap) and the copy's quartile distance,
+# both relative to the base median: how much the same program moves on
+# this box in this session, against which to read the base/head change.
+# Report-only: no verdict and no exit status depend on it. The copy runs
+# last in odd pairs and first in even ones.
 #
 # <base-bin> / <head-bin> are `cloudburst-benchmark` executables built from
 # the two commits. Build both with scripts/build_yardstick.sh <rev> <out>:
@@ -42,7 +50,7 @@
 set -euo pipefail
 
 usage() {
-  echo "usage: yardstick_pairs.sh <base-bin> <head-bin> [N] [--workload W] [--seed S] [--out DIR] [--claim WORKLOAD/METRIC] [--layer NAME[,NAME...]]" >&2
+  echo "usage: yardstick_pairs.sh <base-bin> <head-bin> [N] [--workload W] [--seed S] [--out DIR] [--claim WORKLOAD/METRIC] [--layer NAME[,NAME...]] [--aa]" >&2
   exit 2
 }
 
@@ -54,6 +62,7 @@ seed=()
 out=""
 claim=""
 layers=""
+aa=0
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) workload="${2:?}"; shift 2 ;;
@@ -61,6 +70,7 @@ while [ $# -gt 0 ]; do
     --out) out="${2:?}"; shift 2 ;;
     --claim) claim="${2:?}"; shift 2 ;;
     --layer) layers="${2:?}"; shift 2 ;;
+    --aa) aa=1; shift ;;
     ''|*[!0-9]*) usage ;;
     *) pairs="$1"; shift ;;
   esac
@@ -69,17 +79,22 @@ done
 [ -n "$out" ] || out="$(mktemp -d)"
 mkdir -p "$out"
 manifest="$(cd "$(dirname "$0")/.." && pwd)/BENCHMARK.json"
+if [ "$aa" -eq 1 ]; then
+  copy="$out/base-copy"
+  cp "$base" "$copy"
+fi
 
-# One side of one pair -> a result set `compare` can read.
+# One side of one pair -> a result set `compare` can read. A third
+# argument `untraced` skips the --layer traced run.
 measure() {
-  local bin="$1" file="$2"
+  local bin="$1" file="$2" traced="${3:-}"
   if [ -z "$workload" ]; then
     "$bin" all ${seed[@]+"${seed[@]}"} --out "$file" >"$file.log" 2>&1 || true
   else
     "$bin" --workload "$workload" --trace 0 ${seed[@]+"${seed[@]}"} --out "$file.run" >"$file.log" 2>&1 || true
     local runs
     runs="$(cat "$file.run")"
-    if [ -n "$layers" ]; then
+    if [ -n "$layers" ] && [ "$traced" != untraced ]; then
       "$bin" --workload "$workload" --trace 1 ${seed[@]+"${seed[@]}"} --out "$file.traced" >>"$file.log" 2>&1 || true
       runs="$runs, $(cat "$file.traced")"
       rm -f "$file.traced"
@@ -92,8 +107,15 @@ measure() {
 status=0
 for i in $(seq 1 "$pairs"); do
   if [ $((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi
+  if [ "$aa" -eq 1 ]; then
+    if [ $((i % 2)) -eq 1 ]; then order="$order copy"; else order="copy $order"; fi
+  fi
   for side in $order; do
-    if [ "$side" = base ]; then measure "$base" "$out/base-$i.json"; else measure "$head" "$out/head-$i.json"; fi
+    case "$side" in
+      base) measure "$base" "$out/base-$i.json" ;;
+      head) measure "$head" "$out/head-$i.json" ;;
+      copy) measure "$copy" "$out/aa-$i.json" untraced ;;
+    esac
   done
   echo "== pair $i/$pairs ($order) =="
   set +e
@@ -105,13 +127,14 @@ for i in $(seq 1 "$pairs"); do
 done
 
 set +e
-python3 - "$manifest" "$out" "$pairs" "$claim" "$layers" <<'PYEOF'
+python3 - "$manifest" "$out" "$pairs" "$claim" "$layers" "$aa" <<'PYEOF'
 import json
 import statistics
 import sys
 
 manifest_path, out, pairs, claim = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 layers = [name for name in sys.argv[5].split(",") if name]
+aa = sys.argv[6] == "1"
 manifest = json.load(open(manifest_path))
 defs = {m["name"]: m for m in manifest["end_to_end"]}
 layer_defs = {m["name"]: m for m in manifest["per_layer"]}
@@ -147,13 +170,26 @@ for i in range(1, pairs + 1):
                 continue
             rows.setdefault((workload, name), []).append((va, vb))
 
+# A/A: the base against a copy of itself, from the same pairs.
+aa_rows = {}
+for i in range(1, pairs + 1) if aa else ():
+    a, c = untraced(f"{out}/base-{i}.json"), untraced(f"{out}/aa-{i}.json")
+    for workload in a:
+        for name in defs:
+            try:
+                va, vc = a[workload][name]["value"], c[workload][name]["value"]
+            except KeyError:
+                continue
+            aa_rows.setdefault((workload, name), []).append((va, vc))
+
 claimed = tuple(claim.split("/", 1)) if claim else None
 if claimed is not None and len(claimed) != 2:
     sys.exit(f"--claim wants WORKLOAD/METRIC, got {claim!r}")
 
 print(f"== summary over {pairs} alternating pairs (results in {out}) ==")
 print(f"{'workload':<14} {'metric':<14} {'base median [q1, q3]':>36} "
-      f"{'head median [q1, q3]':>36} {'change':>8}  head wins  verdict")
+      f"{'head median [q1, q3]':>36} {'change':>8}  head wins  "
+      + (f"{'A/A gap':>8} {'A/A q-dist':>10}  " if aa else "") + "verdict")
 failed = False
 claim_line = None
 for (workload, name), values in rows.items():
@@ -189,8 +225,17 @@ for (workload, name), values in rows.items():
             verdict = "improved"
         else:
             verdict = "ok"
+    aa_cells = ""
+    if aa:
+        copies = [v[1] for v in aa_rows.get((workload, name), [])]
+        if copies and mb:
+            q1, q3 = quartiles(copies)
+            aa_cells = (f"{(statistics.median(copies) - mb) / mb * 100:>+7.1f}% "
+                        f"{(q3 - q1) / mb * 100:>9.1f}%  ")
+        else:
+            aa_cells = f"{'n/a':>8} {'n/a':>10}  "
     print(f"{workload:<14} {name:<14} {cells[0]:>36} {cells[1]:>36} {change:>8}  "
-          f"{wins:>2}/{len(values):<6}  {verdict}")
+          f"{wins:>2}/{len(values):<6}  {aa_cells}{verdict}")
 if claimed is not None:
     print(claim_line or f"CLAIM FAILS: no {claim} rows in the result sets")
     failed |= claim_line is None
