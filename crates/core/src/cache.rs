@@ -58,7 +58,6 @@ pub enum CacheRequest {
 pub struct CacheConfig {
     /// How often the cache publishes its keyset snapshot to Anna, in paper
     /// milliseconds.
-    // lint: allow(L008): the benchmark asserts its zero-model config keeps this protocol cadence at the product default
     pub keyset_publish_interval_ms: f64,
     /// Maximum number of cached entries (LRU beyond this).
     pub max_entries: usize,
@@ -1227,9 +1226,9 @@ mod tests {
     #[test]
     fn idle_cache_arms_no_flush_tick_and_a_write_still_flushes_within_a_window() {
         // The flush tick is armed only while the write-behind buffer holds
-        // a write: an idle cache fires (almost) only its keyset
-        // publication, and a lone write from a thread off the pool still
-        // reaches Anna on the next tick of the window.
+        // a write: an idle cache fires (almost) no timers, and a lone
+        // write from a thread off the pool still reaches Anna on the next
+        // tick of the window.
         let net = Network::new(NetConfig::instant());
         let anna = AnnaCluster::launch(
             &net,
@@ -1240,9 +1239,14 @@ mod tests {
                 ..AnnaConfig::default()
             },
         );
-        // A runtime of its own, so its timer count is this cache's alone.
+        // A runtime of its own, so its timer count is this cache's alone;
+        // no keyset publication inside the test, so only the write's own
+        // notify can get the server to arm the flush.
         let runtime = ActorRuntime::new(cloudburst_runtime::RuntimeConfig::default());
-        let config = CacheConfig::default();
+        let config = CacheConfig {
+            keyset_publish_interval_ms: 60_000.0,
+            ..CacheConfig::default()
+        };
         let mut cache = VmCache::spawn(
             &runtime,
             1,
