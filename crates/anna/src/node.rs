@@ -228,8 +228,8 @@ struct Worker {
     /// cache → last reported keyset snapshot (to diff snapshots).
     cache_keysets: HashMap<Address, KeySet>,
     /// Unified access telemetry: lifetime counters plus decayed per-key heat
-    /// and node load, decayed as the node polls (and lazily before every
-    /// snapshot) and reported in `Stats`.
+    /// and node load, decayed at the start of every poll (and lazily before
+    /// every snapshot) and reported in `Stats`.
     telemetry: NodeTelemetry,
     /// Synchronous service occupancy per data request (`Zero` = none).
     service_latency: LatencyModel,
@@ -248,6 +248,10 @@ struct Worker {
 impl Actor for Worker {
     fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
         let now = ctx.now();
+        // Decay before recording: an idle node is not polled, so the time
+        // since the last decay may be a whole quiet spell, which must not
+        // discount the requests this poll serves.
+        self.telemetry.decay();
         // Still inside a service-occupancy window: drain nothing (bounded
         // serial capacity — a hot partition must genuinely saturate) and
         // come back when it closes.
@@ -285,7 +289,6 @@ impl Actor for Worker {
         if self.gossip.due(now) {
             self.flush_deltas();
         }
-        self.telemetry.decay();
         if self.store.is_durable() && self.wal.due(now) {
             self.sync_and_release();
         }

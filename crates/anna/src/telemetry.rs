@@ -7,11 +7,12 @@
 //! **load**. Both decay with a configurable half-life, so a key that stops
 //! being accessed cools toward zero instead of staying "hot" forever.
 //!
-//! Heat rides the existing batched fabric: the node decays it as it polls
-//! and lazily before every snapshot (no timer of its own), and the snapshot is
-//! reported inside the existing [`crate::msg::NodeStats`] reply — the
-//! elasticity engine ([`crate::elastic`]) polls the stats it already polled,
-//! and no new RPC is added to the protocol.
+//! Heat rides the existing batched fabric: the node decays it at the start
+//! of every poll and lazily before every snapshot (no timer of its own),
+//! and the snapshot is reported inside the existing
+//! [`crate::msg::NodeStats`] reply — the elasticity engine
+//! ([`crate::elastic`]) polls the stats it already polled, and no new RPC
+//! is added to the protocol.
 //!
 //! Tracking is admission-bounded: at most `max_tracked` keys are counted at
 //! once (a sampled view of the keyspace). Hot keys re-enter immediately
@@ -112,11 +113,13 @@ impl NodeTelemetry {
     }
 
     /// Apply the exponential decay accrued since the last decay, pruning
-    /// entries that fell below the noise floor. Called on every node poll
-    /// and lazily before every snapshot; cheap no-op when less than 1/32 of
-    /// a half-life has elapsed (so a node polled every few microseconds
-    /// does not pay a full map sweep per poll). Decay composes, so an idle
-    /// node that skips it reads the same heat at its next snapshot.
+    /// entries that fell below the noise floor. Called at the start of
+    /// every node poll, before the poll records anything, and lazily before
+    /// every snapshot; cheap no-op when less than 1/32 of a half-life has
+    /// elapsed (so a node polled every few microseconds does not pay a full
+    /// map sweep per poll). A record is decayed from the last decay, so a
+    /// caller decays before recording after a quiet spell; otherwise the
+    /// spell would discount the new record too.
     pub fn decay(&mut self) {
         let dt = self.last_decay.elapsed();
         if dt < self.config.half_life / 32 {

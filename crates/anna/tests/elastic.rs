@@ -505,3 +505,34 @@ fn node_stats_report_hot_keys_and_load() {
     );
     assert!(s.hot_keys[0].1 > 100.0);
 }
+
+#[test]
+fn a_write_after_an_idle_spell_reads_full_heat() {
+    // An idle node arms no timer, so nothing polls it while it is quiet:
+    // the quiet spell must not discount the first write after it. Three
+    // half-lives of idle would leave a record decayed across them at
+    // 1/8, below the prune floor.
+    let net = instant_net();
+    let cluster = launch(&net, 1, 1);
+    let client = cluster.client();
+    std::thread::sleep(Duration::from_millis(300));
+    let key = Key::new("after-the-quiet");
+    client.put_lww(&key, Bytes::from_static(b"v")).unwrap();
+    let stats = client.cluster_stats().unwrap();
+    let heat = stats[0]
+        .hot_keys
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map_or(0.0, |(_, h)| *h);
+    // One record, decayed only over the few ms since it was made (40 ms
+    // of a 100 ms half-life would still read 0.76).
+    assert!(
+        (0.75..=1.0).contains(&heat),
+        "one write after an idle spell reads heat {heat}"
+    );
+    assert!(
+        (0.75..=1.0).contains(&stats[0].load),
+        "load {}",
+        stats[0].load
+    );
+}

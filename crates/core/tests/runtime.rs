@@ -323,7 +323,6 @@ fn sink_that_cannot_store_is_retried_into_the_same_future() {
         max_retries: 5,
         initial_pin_replicas: 4,
     };
-    config.executor.metrics_interval_ms = 1e9;
     let cluster = CloudburstCluster::launch(config);
     let client = cluster.client();
     let calls = StdArc::new(AtomicU32::new(0));

@@ -83,13 +83,21 @@ impl Runtime {
             return; // `task` drops here, outside the lock
         }
         self.inner
-            .push_deadline(&mut sched, deadline, Fire::Task(Box::new(task)));
+            .push_deadline(&mut sched, deadline, Fire::Task(Box::new(task)), false);
     }
 }
 
 impl Inner {
-    /// Arm `fire` at `deadline` (caller holds `sched`).
-    pub(crate) fn push_deadline(&self, sched: &mut Sched, deadline: Instant, fire: Fire) {
+    /// Arm `fire` at `deadline` (caller holds `sched`). `armer_watches`:
+    /// the caller is a pool worker on its way back to its loop with
+    /// nothing queued ahead of it, so it watches a new head itself.
+    pub(crate) fn push_deadline(
+        &self,
+        sched: &mut Sched,
+        deadline: Instant,
+        fire: Fire,
+        armer_watches: bool,
+    ) {
         let seq = sched.seq;
         sched.seq += 1;
         sched.heap.push(Entry {
@@ -100,13 +108,16 @@ impl Inner {
         let ns = self.to_ns(deadline);
         if ns < self.next_deadline.load(Ordering::Relaxed) {
             self.next_deadline.store(ns, Ordering::Relaxed);
-            // The new head needs a parked thread whose wait ends by then:
-            // unless one already does, wake one to re-park with the
-            // shorter wait. That holds for a pool thread arming it too:
-            // leaving the watch to the arming thread, which parks timed to
-            // the head once back in its loop, cost `kvs_durable` reads a
-            // third more latency (its replies are microsecond deadlines).
-            if !sched.watched(ns) {
+            // The new head needs a thread whose wait ends by then: the
+            // arming worker when its poll has returned and nothing is
+            // queued for it (it parks timed to the head, or runs work
+            // that arrives first, whose enqueuer wakes another), else a
+            // parked one already timed by then, else one woken to re-park
+            // shorter. A deadline armed *inside* a poll always takes the
+            // last two: left to the arming thread, `kvs_durable` replies
+            // (microsecond deadlines) waited out the rest of the poll, a
+            // third more read latency.
+            if !armer_watches && !sched.watched(ns) {
                 self.wake_one(sched);
             }
         }
@@ -114,10 +125,12 @@ impl Inner {
 
     /// Fire every entry due at `now` (caller holds `sched`): a task moves
     /// to the ready queue, a current wake enqueues its cell directly on the
-    /// held injector (`notify` would re-take the lock). The first cell is
-    /// for the thread the deadline woke; each further one wakes another.
-    pub(crate) fn expire_due(&self, sched: &mut Sched, now: Instant) {
-        let mut fired = 0;
+    /// held injector (`notify` would re-take the lock). With `caller_free`
+    /// the first cell is for the calling thread, which takes from the
+    /// injector next; every other cell wakes a thread, so none waits out a
+    /// busy thread's backlog.
+    pub(crate) fn expire_due(&self, sched: &mut Sched, now: Instant, caller_free: bool) {
+        let mut fired = usize::from(!caller_free);
         while sched.heap.peek().is_some_and(|e| e.deadline <= now) {
             let entry = sched.heap.pop().expect("peeked entry");
             match entry.fire {

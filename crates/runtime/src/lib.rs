@@ -21,8 +21,9 @@
 //! ([`Cadence::armed_while`]), so an idle actor arms no timer.
 //! The same heap carries one-shot tasks ([`Runtime::run_after`]): every
 //! delayed delivery and reply of the network fabric is one, so the heap
-//! holds every deadline in the process. One parked thread watches its
-//! head (see "Wake-ups"), so a deadline costs one thread wake.
+//! holds every deadline in the process. One thread watches its head (see
+//! "Wake-ups"), so a deadline costs at most one thread wake: none when
+//! the worker whose poll returned it watches it itself.
 //! Every worker thread runs with a 1 µs timer slack
 //! (`slack::tighten_timer_slack`), so a timed park wakes at its deadline
 //! rather than at the end of the kernel's default 50 µs coalescing window.
@@ -69,11 +70,13 @@
 //!
 //! A pool worker parks timed to the heap's head only if no parked thread's
 //! wait already ends by then, and otherwise until notified; a spare parks
-//! at most about one flush period. A deadline that becomes the new head
-//! wakes one thread to re-park shorter, unless a parked thread already
-//! wakes by then; a retiring spare hands its watch on.
-//! [`RuntimeStats::wakes`] and [`RuntimeStats::park_timeouts`] count how
-//! parks end.
+//! at most about one flush period. A deadline a poll returns to a worker
+//! with nothing else queued is that worker's to watch: it parks timed to
+//! it once back in its loop, at no wake. Any other deadline that becomes
+//! the new head wakes one thread to re-park shorter, unless a parked
+//! thread already wakes by then. A worker entering [`blocking`] and a
+//! retiring spare hand their watch on. [`RuntimeStats::wakes`] and
+//! [`RuntimeStats::park_timeouts`] count how parks end.
 //!
 //! # Lock hierarchy
 //!
@@ -844,16 +847,25 @@ impl Inner {
         }
     }
 
-    /// Arm (or re-arm) the cell's timer. Re-arming the deadline already
-    /// armed adds no heap entry; any other deadline supersedes it.
+    /// Arm (or re-arm) the cell's timer as its poll returns. Re-arming the
+    /// deadline already armed adds no heap entry; any other deadline
+    /// supersedes it. A pool worker with nothing queued (locally, on the
+    /// injector or ready) watches the deadline itself: it is on its way
+    /// back to its loop to park.
     fn arm_timer(self: &Arc<Self>, cell: &Arc<Cell>, deadline: Instant) {
         let ns = self.to_ns(deadline);
         if cell.armed_deadline.swap(ns, Ordering::AcqRel) != ns {
             let mut sched = self.sched.lock();
+            let armer_watches = sched.injector.is_empty()
+                && sched.ready.is_empty()
+                && self
+                    .local_worker()
+                    .is_some_and(|wid| self.workers[wid].deque.lock().is_empty());
             self.push_deadline(
                 &mut sched,
                 deadline,
                 delay::Fire::Wake(Arc::downgrade(cell)),
+                armer_watches,
             );
         }
     }
@@ -956,7 +968,8 @@ impl Inner {
     }
 
     /// [`blocking`] entry: account the block and make sure the pool still
-    /// has runnable capacity, spawning a spare worker if not.
+    /// has runnable capacity, spawning a spare worker if not, and that the
+    /// timer heap's head still has a thread to watch it.
     fn enter_blocking(self: &Arc<Self>) {
         let blocked = self.blocked.fetch_add(1, Ordering::SeqCst) + 1;
         if self.shutdown_flag.load(Ordering::SeqCst) {
@@ -974,9 +987,20 @@ impl Inner {
             let mut sched = self.sched.lock();
             self.wake_one(&mut sched);
         }
-        if self.spares_parked.load(Ordering::SeqCst) == 0
-            && self.spares_alive.load(Ordering::SeqCst) < blocked
-        {
+        let spawn = self.spares_parked.load(Ordering::SeqCst) == 0
+            && self.spares_alive.load(Ordering::SeqCst) < blocked;
+        // This thread may have been the one to watch the timer heap's head
+        // (it fired it, or armed it as its poll returned): unless a spare
+        // is on its way (it parks timed), hand the watch to a parked
+        // thread. The thread woken for the queued cells parks again once
+        // it has served them, timed to an unwatched head.
+        if !queued && !spawn && self.next_deadline.load(Ordering::Relaxed) != u64::MAX {
+            let mut sched = self.sched.lock();
+            if !sched.watched(self.next_deadline.load(Ordering::Relaxed)) {
+                self.wake_one(&mut sched);
+            }
+        }
+        if spawn {
             self.spares_alive.fetch_add(1, Ordering::SeqCst);
             self.spares_spawned.fetch_add(1, Ordering::Relaxed);
             let rt = Arc::clone(self);
@@ -1043,11 +1067,13 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
             if let Some(cell) = cell {
                 cold = false;
                 inner.run_cell(cell);
-                // Due timers must not starve behind a long local backlog.
+                // Due timers must not starve behind a long local backlog:
+                // while one remains, every fired cell wakes a thread.
                 let now = rt_now();
                 if inner.to_ns(now) >= inner.next_deadline.load(Ordering::Relaxed) {
                     let mut sched = inner.sched.lock();
-                    inner.expire_due(&mut sched, now);
+                    let free = inner.workers[w].deque.lock().is_empty();
+                    inner.expire_due(&mut sched, now, free);
                     inner.drain_ready(sched);
                 }
                 continue;
@@ -1056,7 +1082,7 @@ fn worker_loop(inner: Arc<Inner>, wid: Option<usize>) {
         // 2. Timers, due one-shot tasks, injector and stealing under the
         // sched lock.
         let mut sched = inner.sched.lock();
-        inner.expire_due(&mut sched, rt_now());
+        inner.expire_due(&mut sched, rt_now(), true);
         let Some(mut sched) = inner.drain_ready(sched) else {
             cold = false;
             continue;
@@ -1808,9 +1834,10 @@ mod tests {
     #[test]
     fn deadline_armed_in_a_poll_costs_one_wake_and_fires_on_time() {
         // Every thread is parked until notified when the poll arms the
-        // new head: one of them is woken to park timed to it, and that one
-        // wake is all the deadline costs beside the off-pool notify that
-        // started the poll — no herd, whichever kind of deadline it is.
+        // new head. A one-shot task armed in the poll wakes one of them to
+        // park timed to it; a deadline the poll returns wakes none (next
+        // test). Either way at most one wake beside the off-pool notify
+        // that started the poll — no herd.
         for config in pooled_and_deterministic() {
             for task in [true, false] {
                 let rt = Runtime::new(config);
@@ -1843,6 +1870,110 @@ mod tests {
     }
 
     #[test]
+    fn deadline_returned_from_a_poll_wakes_no_thread_and_fires_on_time() {
+        // The poll's worker has nothing else queued when its poll returns
+        // the deadline, so it watches the deadline itself: the off-pool
+        // notify that started the poll is the only wake, and the deadline
+        // ends one timed park.
+        for config in pooled_and_deterministic() {
+            let rt = Runtime::new(config);
+            let after = Duration::from_millis(2);
+            let (h, go, rx) = arm_in_poll(&rt, false, after, Duration::ZERO);
+            wait_until(|| all_parked(&rt));
+            for _ in 0..5 {
+                let before = rt.stats();
+                go.store(true, Ordering::SeqCst);
+                h.notify();
+                let elapsed = rx
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("the deadline never fired");
+                assert!(elapsed >= after, "fired early: {elapsed:?}");
+                wait_until(|| all_parked(&rt));
+                let stats = rt.stats();
+                assert_eq!(stats.wakes - before.wakes, 1, "{config:?}");
+                assert!(
+                    stats.park_timeouts - before.park_timeouts <= 2,
+                    "{config:?}: {} timed-out parks",
+                    stats.park_timeouts - before.park_timeouts
+                );
+            }
+            h.stop();
+            rt.shutdown();
+        }
+    }
+
+    /// Once `go` is set: one poll returns a deadline `after` from now and
+    /// notifies itself, so the same worker polls it again at once, with
+    /// nothing else queued; that poll spends `block` inside [`blocking`].
+    struct ReturnThenBlock {
+        me: Arc<std::sync::OnceLock<ActorHandle>>,
+        go: Arc<AtomicBool>,
+        after: Duration,
+        block: Duration,
+        blocked: Arc<AtomicBool>,
+        armed: Option<Instant>,
+    }
+
+    impl Actor for ReturnThenBlock {
+        fn poll(&mut self, ctx: &mut ActorCtx<'_>) -> Poll {
+            match self.armed.take() {
+                None if self.go.swap(false, Ordering::SeqCst) => {
+                    let deadline = ctx.now() + self.after;
+                    self.armed = Some(deadline);
+                    self.me.get().expect("handle set").notify();
+                    Poll::Idle(Some(deadline))
+                }
+                None => Poll::Idle(None),
+                Some(_) => {
+                    self.blocked.store(true, Ordering::SeqCst);
+                    blocking(|| std::thread::sleep(self.block));
+                    self.blocked.store(false, Ordering::SeqCst);
+                    Poll::Idle(None)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_returned_before_a_blocking_poll_fires_during_it() {
+        // The worker that returned the deadline had nothing else queued,
+        // so it was to watch the deadline itself; its next poll blocks for
+        // 200 ms instead. The deadline must still fire during the block
+        // (a spare spawned for the block, or a parked thread handed the
+        // watch, wakes for it).
+        for config in pooled_and_deterministic() {
+            let rt = Runtime::new(config);
+            let me = Arc::new(std::sync::OnceLock::new());
+            let go = Arc::new(AtomicBool::new(false));
+            let blocked = Arc::new(AtomicBool::new(false));
+            let h = rt.spawn(
+                "return-then-block",
+                ReturnThenBlock {
+                    me: Arc::clone(&me),
+                    go: Arc::clone(&go),
+                    after: Duration::from_millis(1),
+                    block: Duration::from_millis(200),
+                    blocked: Arc::clone(&blocked),
+                    armed: None,
+                },
+            );
+            let _ = me.set(h.clone());
+            wait_until(|| all_parked(&rt));
+            let before = rt.stats().timer_fires;
+            go.store(true, Ordering::SeqCst);
+            h.notify();
+            wait_until(|| blocked.load(Ordering::SeqCst));
+            wait_until(|| rt.stats().timer_fires > before);
+            assert!(
+                blocked.load(Ordering::SeqCst),
+                "{config:?}: the deadline waited out the blocking poll"
+            );
+            h.stop();
+            rt.shutdown();
+        }
+    }
+
+    #[test]
     fn deadline_armed_before_a_blocking_region_fires_during_it() {
         // The poll arms a 1 ms task, then blocks for 200 ms: a parked
         // thread (or the spare covering the block) watches the deadline,
@@ -1866,13 +1997,14 @@ mod tests {
         }
     }
 
-    /// Each poll spends 10 ms inside `blocking`.
+    /// Each poll spends `block` inside `blocking`.
     struct LongBlock {
         rounds: Arc<AtomicU64>,
+        block: Duration,
     }
     impl Actor for LongBlock {
         fn poll(&mut self, _ctx: &mut ActorCtx<'_>) -> Poll {
-            blocking(|| std::thread::sleep(Duration::from_millis(10)));
+            blocking(|| std::thread::sleep(self.block));
             self.rounds.fetch_add(1, Ordering::SeqCst);
             Poll::Idle(None)
         }
@@ -1895,6 +2027,7 @@ mod tests {
             "long-block",
             LongBlock {
                 rounds: Arc::clone(&rounds),
+                block: Duration::from_millis(10),
             },
         );
         wait_until(|| rounds.load(Ordering::SeqCst) >= 1 && spares_gone());
